@@ -10,6 +10,7 @@ desk-scale experiments.
 from .detect import (
     DetectorConfig,
     ResidueReport,
+    SubsetBank,
     attack_detect,
     auto_threshold,
     effective_attack_oracle,

@@ -10,6 +10,10 @@ obsv.  Exit codes: 0 success, 2 scenario/parse error, 3 analysis error,
 4 I/O error.  SECEST_THREADS caps repetition parallelism (default 1);
 wall-clock columns are machine-dependent, so ``--no-timing`` zeroes them
 for byte-reproducible artifacts.
+
+Every residue test runs through a `secest.detect.SubsetBank`: one per
+experiment-1 repetition, one prewarmed bank per experiment-2 sensor
+count, and one per search call in `run_scenario`.
 """
 
 from __future__ import annotations
@@ -23,19 +27,15 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Any, Callable
 
 import numpy as np
 
-from .detect import DetectorConfig, attack_detect, residue_report
+from .detect import DetectorConfig, SubsetBank, attack_detect
 from .errors import AnalysisError, ConfigError, ScenarioError
-from .kalman import (
-    PREDICTION,
-    cross_covariance_correction,
-    run_filter,
-    solve_steady_state,
-)
+from .kalman import PREDICTION
 from .model import (
     AttackSpec,
     ConstantBias,
@@ -43,7 +43,6 @@ from .model import (
     NoiseLinear,
     SeededRandom,
     SystemModel,
-    Trajectory,
     ZeroOutput,
     make_random_stable_system,
     simulate,
@@ -53,8 +52,6 @@ from .observability import (
     full_subset,
     is_observable,
     min_gram_eigenvalue,
-    noise_structure,
-    observability_matrix,
     sparse_observability_index,
 )
 from .search import exhaustive_search, smt_search
@@ -113,7 +110,6 @@ class Scenario:
             C=np.array(e["C"], dtype=float),
             sigma_w2=e.get("sigma_w2", 1.0),
             sigma_v2=e.get("sigma_v2", 1.0),
-            B=np.array(e["B"], dtype=float) if e.get("B") is not None else None,
         )
 
     def build_attack(self, model: SystemModel, rep_seed: int) -> AttackSpec:
@@ -186,8 +182,18 @@ def parse_scenario(doc: dict) -> Scenario:
         method = doc.get("search", "exhaustive")
         if method not in ("exhaustive", "smt", "both"):
             raise ScenarioError(f"unknown search method {method!r}")
+        seed = int(doc.get("seed", 0))
+        if seed < 0:
+            raise ScenarioError(f"seed must be nonnegative, got {seed}")
+        repetitions = int(doc.get("repetitions", 1))
+        if repetitions < 1:
+            raise ScenarioError(f"repetitions must be positive, got {repetitions}")
+        noiseless = doc.get("noiseless")
+        corrupt = (noiseless or {}).get("corrupt")
+        if corrupt and not {"sensors", "state"} <= set(corrupt):
+            raise ScenarioError("noiseless.corrupt needs 'sensors' and 'state'")
         subset = doc.get("subset")
-        return Scenario(
+        scenario = Scenario(
             raw=doc,
             model_spec=model_spec,
             attack_attacked=attacked,
@@ -195,17 +201,19 @@ def parse_scenario(doc: dict) -> Scenario:
             detector=detector,
             search_method=method,
             k=k,
-            repetitions=int(doc.get("repetitions", 1)),
-            seed=int(doc.get("seed", 0)),
+            repetitions=repetitions,
+            seed=seed,
             horizon=doc.get("horizon"),
             burn_in=doc.get("burn_in"),
             x0=doc.get("x0"),
             subset=tuple(int(i) for i in subset) if subset else None,
-            noiseless=doc.get("noiseless"),
+            noiseless=noiseless,
         )
+        scenario.build_model(0)  # a malformed model is a scenario error
+        return scenario
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
@@ -334,9 +342,10 @@ def run_experiment1(scenario: Scenario) -> list[dict]:
         clean = tuple(
             i for i in range(1, model.p + 1) if i not in attack.attacked
         )
+        bank = SubsetBank(model, cfg)
         out = []
         for s in combinations(range(1, model.p + 1), model.p - scenario.k):
-            flag, _, report = attack_detect(model, traj, s, cfg)
+            flag, _, report = bank.detect(traj, s)
             out.append(
                 {
                     "rep_seed": rep_seed,
@@ -357,97 +366,6 @@ def run_experiment1(scenario: Scenario) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # Experiment 2: subset search timing, exhaustive vs guided
-
-
-class _SubsetBank:
-    """Per-model cache of steady-state filters and expected residue
-    matrices, plus per-trajectory filter runs.  Mirrors running the bank
-    of Kalman filters once and letting both search methods query it, so
-    the timed region isolates residue testing and search logic.
-
-    Subset quantities are carved out of full-sensor precomputations: the
-    stacked observability matrix is a row selection and the window noise
-    covariance a principal submatrix of their full-set counterparts.
-    """
-
-    def __init__(self, model: SystemModel, cfg: DetectorConfig):
-        self.model = model
-        self.cfg = cfg
-        n = model.n
-        self.N = cfg.window_length(n)
-        full = full_subset(model.p)
-        bundle = observability_matrix(model, full)
-        self._obs_full = bundle.stacked
-        self._cov_full = noise_structure(model, full).cov
-        self._gram_maxima = {
-            i: float(np.linalg.eigvalsh(Oi.T @ Oi)[-1])
-            for i, Oi in bundle.blocks.items()
-        }
-        self.filters: dict[tuple, Any] = {}
-        self.expected: dict[tuple, np.ndarray] = {}
-        self.stacked_obs: dict[tuple, np.ndarray] = {}
-
-    def _rows(self, s) -> np.ndarray:
-        n = self.model.n
-        return np.concatenate([np.arange((i - 1) * n, i * n) for i in s])
-
-    def prewarm(self, subsets) -> None:
-        for s in subsets:
-            self._expected(tuple(s))
-
-    def _filter(self, s):
-        flt = self.filters.get(s)
-        if flt is None:
-            flt = solve_steady_state(self.model, s, self.cfg.mode)
-            self.filters[s] = flt
-        return flt
-
-    def _stacked(self, s):
-        Os = self.stacked_obs.get(s)
-        if Os is None:
-            Os = self._obs_full[self._rows(s)]
-            self.stacked_obs[s] = Os
-        return Os
-
-    def _expected(self, s):
-        exp = self.expected.get(s)
-        if exp is None:
-            flt = self._filter(s)
-            rows = self._rows(s)
-            Os = self._stacked(s)
-            M = self._cov_full[np.ix_(rows, rows)]
-            if self.cfg.mode == PREDICTION:
-                exp = Os @ flt.error_cov @ Os.T + M
-            else:
-                D = cross_covariance_correction(self.model, s, flt)
-                exp = Os @ flt.filtered_cov @ Os.T + M - D - D.T
-            self.expected[s] = exp
-        return exp
-
-    def detector_for(self, traj: Trajectory):
-        runs: dict[tuple, Any] = {}
-
-        def detector(s):
-            s = tuple(s)
-            flt = self._filter(s)
-            run = runs.get(s)
-            if run is None:
-                run = run_filter(flt, traj, self.cfg.t1, self.cfg.t1 + self.N - 1)
-                runs[s] = run
-            report = residue_report(
-                self.model,
-                traj,
-                s,
-                self.cfg,
-                flt,
-                run,
-                expected=self._expected(s),
-                stacked_obs=self._stacked(s),
-                gram_maxima=self._gram_maxima,
-            )
-            return (0 if report.passed else 1, run, report)
-
-        return detector
 
 
 def run_experiment2(
@@ -499,7 +417,10 @@ def run_experiment2(
         n = model.n
         N = cfg.window_length(n)
         horizon = cfg.t1 + N + n
-        bank = _SubsetBank(model, cfg)
+        # Filters and expected matrices of every (p-k)-subset and the full
+        # set are built before the timed searches, which then isolate
+        # residue testing and search logic.
+        bank = SubsetBank(model, cfg)
         bank.prewarm(combinations(range(1, p + 1), p - k))
         bank.prewarm([full_subset(p)])
 
@@ -508,13 +429,12 @@ def run_experiment2(
             traj = simulate(
                 _model, _attack, _horizon, seed=rep_seed, burn_in=10 * _model.n
             )
-            det_ex = _bank.detector_for(traj)
+            detector = partial(_bank.detect, traj)
             t0 = time.perf_counter()
-            out_ex = exhaustive_search(_model, traj, _k, _cfg, detector=det_ex)
+            out_ex = exhaustive_search(_model, traj, _k, _cfg, detector=detector)
             t_ex = time.perf_counter() - t0
-            det_smt = _bank.detector_for(traj)
             t0 = time.perf_counter()
-            out_smt = smt_search(_model, traj, _k, _cfg, detector=det_smt)
+            out_smt = smt_search(_model, traj, _k, _cfg, detector=detector)
             t_smt = time.perf_counter() - t0
             return (rep_seed, t_ex, out_ex, t_smt, out_smt)
 
@@ -594,9 +514,8 @@ def run_scenario(scenario: Scenario) -> dict:
         fn = exhaustive_search if method == "exhaustive" else smt_search
         outcome = fn(model, traj, scenario.k, cfg)
         entry: dict[str, Any] = {"outcome": outcome.to_dict()}
-        if outcome.found and outcome.subset is not None:
-            _, _, report = attack_detect(model, traj, outcome.subset, cfg)
-            entry["report"] = report.to_dict()
+        if outcome.report is not None:
+            entry["report"] = outcome.report.to_dict()
         bundle["methods"][method] = entry
     return bundle
 
@@ -677,8 +596,12 @@ def _load(args, default: Callable[[], Scenario] | None = None) -> Scenario:
     else:
         raise ScenarioError("--scenario is required for this subcommand")
     if args.seed is not None:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed must be nonnegative, got {args.seed}")
         scenario.seed = args.seed
     if args.reps is not None:
+        if args.reps < 1:
+            raise ScenarioError(f"--reps must be positive, got {args.reps}")
         scenario.repetitions = args.reps
     return scenario
 

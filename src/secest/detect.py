@@ -18,6 +18,11 @@ eta.  An attack that inflates the realized estimation error beyond the
 attack-free optimum by more than epsilon pushes some entry of the sample
 average up, so a suitably small eta catches it; `auto_threshold` applies
 the largest eta with that guarantee.
+
+Every test runs through a `SubsetBank`, which owns the per-subset
+quantities of one model: O_s and M_s are row selections of the
+full-sensor stacked observability matrix and window noise covariance,
+built once per bank.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .model import SystemModel, Trajectory
 from .observability import (
     SensorSubset,
     block_output_matrix,
+    full_subset,
     min_gram_eigenvalue,
     normalize_subset,
     observability_matrix,
@@ -51,6 +57,7 @@ from .observability import (
 __all__ = [
     "DetectorConfig",
     "ResidueReport",
+    "SubsetBank",
     "auto_threshold",
     "attack_detect",
     "residue_report",
@@ -150,61 +157,119 @@ def auto_threshold(
 
 
 def expected_residue_matrix(
-    model: SystemModel, s: Iterable[int], flt: SteadyStateFilter
+    model: SystemModel,
+    s: SensorSubset,
+    flt: SteadyStateFilter,
+    Os: np.ndarray,
+    M: np.ndarray,
 ) -> np.ndarray:
-    """Attack-free expectation of the window-residue outer product."""
-    subset = normalize_subset(s, model.p)
-    Os = observability_matrix(model, subset).stacked
-    M = noise_structure(model, subset).cov
+    """Attack-free expectation of the window-residue outer product for
+    subset s, given its stacked observability matrix O_s and window noise
+    covariance M_s."""
     if flt.mode == PREDICTION:
         return Os @ flt.error_cov @ Os.T + M
     assert flt.filtered_cov is not None
-    D = cross_covariance_correction(model, subset, flt)
+    D = cross_covariance_correction(model, s, flt)
     return Os @ flt.filtered_cov @ Os.T + M - D - D.T
 
 
-def sensor_gram_maxima(model: SystemModel) -> dict[int, float]:
-    """Largest eigenvalue of O_i' O_i per sensor (normalization constants
-    for the per-sensor residue scores)."""
-    bundle = observability_matrix(model, range(1, model.p + 1))
-    return {
-        i: float(np.linalg.eigvalsh(Oi.T @ Oi)[-1])
-        for i, Oi in bundle.blocks.items()
-    }
+class SubsetBank:
+    """Steady-state Kalman filters over the sensor subsets of one model,
+    and the attack-free residue expectations they are tested against.
+
+    The full-sensor stacked observability matrix, the window noise
+    covariance and each sensor's lambda_max(O_i' O_i) are built once; a
+    subset's O_s and M_s are row selections of them.  Filters are kept on
+    first use.  An expected matrix is kept when `prewarm` asks for it or
+    when its subset is requested a second time: within one search no
+    subset is tested twice, so keeping every first request would only
+    hold memory.
+    """
+
+    def __init__(self, model: SystemModel, cfg: DetectorConfig):
+        self.model = model
+        self.cfg = cfg
+        self.N = cfg.window_length(model.n)
+        full = full_subset(model.p)
+        bundle = observability_matrix(model, full)
+        self._obs = bundle.stacked
+        self._cov = noise_structure(model, full).cov
+        self.gram_maxima = {
+            i: float(np.linalg.eigvalsh(Oi.T @ Oi)[-1])
+            for i, Oi in bundle.blocks.items()
+        }
+        self._filters: dict[SensorSubset, SteadyStateFilter] = {}
+        self._expected: dict[SensorSubset, np.ndarray] = {}
+        self._requested: set[SensorSubset] = set()
+
+    def _rows(self, s: SensorSubset) -> np.ndarray:
+        n = self.model.n
+        return np.concatenate([np.arange((i - 1) * n, i * n) for i in s])
+
+    def stacked_obs(self, s: SensorSubset) -> np.ndarray:
+        return self._obs[self._rows(s)]
+
+    def filter(self, s: SensorSubset) -> SteadyStateFilter:
+        flt = self._filters.get(s)
+        if flt is None:
+            flt = solve_steady_state(self.model, s, self.cfg.mode)
+            self._filters[s] = flt
+        return flt
+
+    def expected(self, s: SensorSubset) -> np.ndarray:
+        exp = self._expected.get(s)
+        if exp is None:
+            rows = self._rows(s)
+            exp = expected_residue_matrix(
+                self.model, s, self.filter(s), self._obs[rows], self._cov[np.ix_(rows, rows)]
+            )
+            if s in self._requested:
+                self._expected[s] = exp
+            self._requested.add(s)
+        return exp
+
+    def prewarm(self, subsets: Iterable[Iterable[int]]) -> None:
+        """Solve and keep the filters and expected matrices of ``subsets``."""
+        for s in subsets:
+            subset = normalize_subset(s, self.model.p)
+            self._requested.add(subset)
+            self.expected(subset)
+
+    def detect(
+        self, traj: Trajectory, s: Iterable[int]
+    ) -> tuple[int, FilterRun, ResidueReport]:
+        """Run the residue test for subset s; flag 0 means no effective
+        attack was detected, flag 1 means the subset failed the test."""
+        subset = normalize_subset(s, self.model.p)
+        t1 = self.cfg.t1
+        need = t1 + self.N + self.model.n - 1
+        if traj.horizon < need:
+            raise ConfigError(
+                f"horizon {traj.horizon} too short: window needs at least {need} steps"
+            )
+        run = run_filter(self.filter(subset), traj, t1, t1 + self.N - 1)
+        report = residue_report(self, traj, subset, run)
+        return (0 if report.passed else 1), run, report
 
 
 def residue_report(
-    model: SystemModel,
-    traj: Trajectory,
-    s: Iterable[int],
-    cfg: DetectorConfig,
-    flt: SteadyStateFilter,
-    run: FilterRun,
-    expected: np.ndarray | None = None,
-    stacked_obs: np.ndarray | None = None,
-    gram_maxima: dict[int, float] | None = None,
+    bank: SubsetBank, traj: Trajectory, s: Iterable[int], run: FilterRun
 ) -> ResidueReport:
-    """Residue test given an already-run filter.
+    """Residue test of subset s on one trajectory, given its filter run.
 
-    ``run`` must cover the window [t1, t1 + N - 1].  ``expected``,
-    ``stacked_obs`` and ``gram_maxima`` only depend on (model, subset)
-    and may be passed in when precomputed by a filter bank.
+    ``run`` must cover the window [t1, t1 + N - 1] of the bank's
+    detector configuration.
     """
+    model, cfg = bank.model, bank.cfg
     subset = normalize_subset(s, model.p)
     n = model.n
-    N = cfg.window_length(n)
+    N = bank.N
     eta = cfg.threshold_for(model, subset)
     ybar = block_output_matrix(traj, subset, cfg.t1, N)
     est = run.window(cfg.t1, N)
-    Os = (
-        stacked_obs
-        if stacked_obs is not None
-        else observability_matrix(model, subset).stacked
-    )
-    residues = ybar - est @ Os.T  # (N, n|s|)
+    residues = ybar - est @ bank.stacked_obs(subset).T  # (N, n|s|)
     sample = residues.T @ residues / N
-    if expected is None:
-        expected = expected_residue_matrix(model, subset, flt)
+    expected = bank.expected(subset)
     deviation = sample - expected
     max_dev = float(deviation.max())
     passed = max_dev <= eta
@@ -216,12 +281,7 @@ def residue_report(
     for idx, i in enumerate(subset):
         block = slice(idx * n, (idx + 1) * n)
         tr_dev = float(np.trace(deviation[block, block]))
-        if gram_maxima is not None:
-            lam_max = gram_maxima[i]
-        else:
-            Oi = Os[block]
-            lam_max = float(np.linalg.eigvalsh(Oi.T @ Oi)[-1])
-        mu[i] = abs(tr_dev - eta * n) / lam_max
+        mu[i] = abs(tr_dev - eta * n) / bank.gram_maxima[i]
     return ResidueReport(
         subset=subset,
         mode=cfg.mode,
@@ -242,21 +302,10 @@ def attack_detect(
     s: Iterable[int],
     cfg: DetectorConfig,
 ) -> tuple[int, FilterRun, ResidueReport]:
-    """Run the residue test for subset s; flag 0 means no effective
-    attack was detected, flag 1 means the subset failed the test."""
-    subset = normalize_subset(s, model.p)
-    n = model.n
-    N = cfg.window_length(n)
-    need = cfg.t1 + N + n - 1
-    if traj.horizon < need:
-        raise ConfigError(
-            f"horizon {traj.horizon} too short: window needs at least {need} steps"
-        )
-    flt = solve_steady_state(model, subset, cfg.mode)
-    run = run_filter(flt, traj, cfg.t1, cfg.t1 + N - 1)
-    report = residue_report(model, traj, subset, cfg, flt, run)
-    flag = 0 if report.passed else 1
-    return flag, run, report
+    """One-shot residue test of subset s through a fresh `SubsetBank`;
+    flag 0 means no effective attack was detected, flag 1 means the
+    subset failed the test."""
+    return SubsetBank(model, cfg).detect(traj, s)
 
 
 def effective_attack_oracle(

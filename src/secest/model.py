@@ -8,8 +8,7 @@ The plant is a discrete-time linear system
 where a(t) is the corruption injected by an adversary that controls a
 fixed subset of sensors.  Known inputs are irrelevant for estimation
 (their contribution can be subtracted from the outputs), so the
-simulator runs with u = 0; an input matrix B may still be stored on the
-model for callers that want to carry it around.
+simulator runs with u = 0.
 
 Sensor indices are 1-based throughout the package.
 """
@@ -44,7 +43,6 @@ class SystemModel:
     C: np.ndarray
     sigma_w2: float
     sigma_v2: float
-    B: np.ndarray | None = None
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -57,13 +55,14 @@ class SystemModel:
             raise ConfigError(
                 f"C has {C.shape[1]} columns, expected {A.shape[0]}"
             )
+        if not (
+            np.isfinite(A).all()
+            and np.isfinite(C).all()
+            and np.isfinite([self.sigma_w2, self.sigma_v2]).all()
+        ):
+            raise ConfigError("A, C and the noise variances must be finite")
         if self.sigma_w2 < 0 or self.sigma_v2 < 0:
             raise ConfigError("noise variances must be nonnegative")
-        if self.B is not None:
-            B = np.atleast_2d(np.asarray(self.B, dtype=float))
-            object.__setattr__(self, "B", B)
-            if B.shape[0] != A.shape[0]:
-                raise ConfigError(f"B has {B.shape[0]} rows, expected {A.shape[0]}")
 
     @property
     def n(self) -> int:

@@ -162,15 +162,12 @@ def noise_structure(model: SystemModel, s: Iterable[int]) -> NoiseStructure:
     subset = normalize_subset(s, model.p)
     n = model.n
     powers = _powers_of_A(model)
-    rows = []
-    for i in subset:
+    J = np.zeros((n * len(subset), n * n))
+    for idx, i in enumerate(subset):
         ci = model.C[i - 1]
-        Ji = np.zeros((n, n * n))
         for j in range(1, n):
             for m in range(j):
-                Ji[j, m * n : (m + 1) * n] = ci @ powers[j - 1 - m]
-        rows.append(Ji)
-    J = np.vstack(rows)
+                J[idx * n + j, m * n : (m + 1) * n] = ci @ powers[j - 1 - m]
     cov = model.sigma_w2 * (J @ J.T) + model.sigma_v2 * np.eye(J.shape[0])
     return NoiseStructure(subset=subset, J=J, cov=cov)
 

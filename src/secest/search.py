@@ -10,34 +10,25 @@ space, so failed detector runs are reused to localize the conflict.
 
 ``theory_checks`` counts the detector runs spent on search hypotheses;
 ``detector_calls`` additionally includes the certificate-shrinking runs,
-and the trace records every call for audits.
+and the trace records every call for audits.  Unless a detector is
+injected, each search call tests every subset, certificate shrinking
+included, against one `SubsetBank` of its own.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable
 
-import numpy as np
-
-from .detect import (
-    DetectorConfig,
-    ResidueReport,
-    attack_detect,
-    expected_residue_matrix,
-)
+from .detect import DetectorConfig, ResidueReport, SubsetBank
 from .errors import AnalysisError, ConfigError
-from .kalman import FilterRun, solve_steady_state
+from .kalman import FilterRun
 from .model import SystemModel, Trajectory
-from .observability import (
-    SensorSubset,
-    block_output_matrix,
-    normalize_subset,
-    observability_matrix,
-)
+from .observability import SensorSubset, normalize_subset
 from .pbsat import PBConstraint, PBFormula, at_least, at_most, solve
 
 __all__ = [
@@ -49,8 +40,8 @@ __all__ = [
 ]
 
 # A detector maps a sensor subset to (flag, estimates, report); the
-# default wraps attack_detect, experiment harnesses inject a version
-# backed by precomputed filter banks.
+# default tests against a SubsetBank made for the search call, and
+# experiment harnesses inject one backed by a prewarmed bank.
 Detector = Callable[[SensorSubset], tuple[int, FilterRun, ResidueReport]]
 
 
@@ -58,12 +49,14 @@ Detector = Callable[[SensorSubset], tuple[int, FilterRun, ResidueReport]]
 class SearchOutcome:
     """``theory_checks`` counts detector runs on search hypotheses (for
     the plain enumeration: subsets visited).  ``detector_calls``
-    additionally includes the runs spent shrinking certificates."""
+    additionally includes the runs spent shrinking certificates.
+    ``report`` is the residue report of the found subset."""
 
     found: bool
     subset: SensorSubset | None
     estimates: FilterRun | None
     theory_checks: int
+    report: ResidueReport | None = None
     detector_calls: int = 0
     certificates: list[PBConstraint] = field(default_factory=list)
     wall_time: float = 0.0
@@ -105,7 +98,7 @@ class _CountingDetector:
 def _default_detector(
     model: SystemModel, traj: Trajectory, cfg: DetectorConfig
 ) -> Detector:
-    return lambda s: attack_detect(model, traj, s, cfg)
+    return partial(SubsetBank(model, cfg).detect, traj)
 
 
 def exhaustive_search(
@@ -124,15 +117,17 @@ def exhaustive_search(
     found = False
     subset: SensorSubset | None = None
     estimates: FilterRun | None = None
+    report: ResidueReport | None = None
     for s in combinations(range(1, model.p + 1), model.p - k):
-        flag, run, _ = det(s)
+        flag, run, rep = det(s)
         if flag == 0:
-            found, subset, estimates = True, s, run
+            found, subset, estimates, report = True, s, run, rep
             break
     return SearchOutcome(
         found=found,
         subset=subset,
         estimates=estimates,
+        report=report,
         theory_checks=det.hypothesis_checks,
         detector_calls=det.total_calls,
         wall_time=time.perf_counter() - start,
@@ -182,86 +177,46 @@ def smt_search(
                 found=True,
                 subset=hypothesis,
                 estimates=run,
+                report=report,
                 theory_checks=det.hypothesis_checks,
                 detector_calls=det.total_calls,
                 certificates=certificates,
                 wall_time=time.perf_counter() - start,
                 trace=det.log,
             )
-        certs = generate_certificate(
-            model, traj, hypothesis, run, cfg, k, detector=det, report=report
-        )
+        certs = generate_certificate(model, traj, report, cfg, k, detector=det)
         certificates.extend(certs)
         formula = formula.with_constraints(certs)
     raise AnalysisError("guided search exceeded its iteration bound")
 
 
-def _per_sensor_scores(
-    model: SystemModel,
-    traj: Trajectory,
-    subset: SensorSubset,
-    estimates: FilterRun,
-    cfg: DetectorConfig,
-) -> dict[int, float]:
-    """Normalized per-sensor residue scores over the test window.
-
-    Score i is |trace deviation of sensor i's window residue - eta*n|
-    normalized by the largest eigenvalue of O_i' O_i; low scores mark
-    sensors whose residues look attack-free.
-    """
-    n = model.n
-    N = cfg.window_length(n)
-    eta = cfg.threshold_for(model, subset)
-    bundle = observability_matrix(model, subset)
-    flt = solve_steady_state(model, subset, cfg.mode)
-    expected = expected_residue_matrix(model, subset, flt)
-    ybar = block_output_matrix(traj, subset, cfg.t1, N)
-    est = estimates.window(cfg.t1, N)
-    scores: dict[int, float] = {}
-    for idx, i in enumerate(subset):
-        block = slice(idx * n, (idx + 1) * n)
-        Oi = bundle.blocks[i]
-        ri = ybar[:, block] - est @ Oi.T
-        sample_tr = float(np.mean(np.sum(ri * ri, axis=1)))
-        expected_tr = float(np.trace(expected[block, block]))
-        lam_max = float(np.linalg.eigvalsh(Oi.T @ Oi)[-1])
-        scores[i] = abs(sample_tr - expected_tr - eta * n) / lam_max
-    return scores
-
-
 def generate_certificate(
     model: SystemModel,
     traj: Trajectory,
-    s: Iterable[int],
-    estimates: FilterRun,
+    report: ResidueReport,
     cfg: DetectorConfig,
     k: int,
     detector: Detector | None = None,
-    report: ResidueReport | None = None,
 ) -> list[PBConstraint]:
-    """Certificates explaining why subset s failed the residue test.
+    """Certificates explaining why the subset of ``report`` failed the
+    residue test.
 
     Always starts with the full-subset certificate (excluding the current
     hypothesis), then repeatedly drops the sensor with the lowest
     residue score and re-runs the detector: every shrunken subset that
     still fails yields a sharper certificate.  Stops at the first
     passing subset, when the drop list is exhausted, or when the
-    shrunken subset can no longer support a threshold.
-
-    The per-sensor scores come from ``report`` when the caller already
-    has one for this subset; otherwise they are recomputed.
+    shrunken subset can no longer support a threshold.  The residue
+    scores are the report's ``per_sensor_mu``.
     """
-    subset = normalize_subset(s, model.p)
+    subset = normalize_subset(report.subset, model.p)
     det = detector or _default_detector(model, traj, cfg)
     certs = [at_least(subset, 1)]
 
     budget = model.p - 2 * k + 1
     if budget < 1 or len(subset) <= budget:
         return certs
-    if report is not None and report.subset == subset:
-        scores = report.per_sensor_mu
-    else:
-        scores = _per_sensor_scores(model, traj, subset, estimates, cfg)
+    scores = report.per_sensor_mu
     drop_order = sorted(subset, key=lambda i: (scores[i], i))[:budget]
 
     current = list(subset)

@@ -17,6 +17,7 @@ from secest import (
     DetectorConfig,
     FILTERING,
     PREDICTION,
+    SubsetBank,
     ZeroOutput,
     attack_detect,
     cross_covariance_correction,
@@ -143,13 +144,16 @@ def test_criterion_03_residue_expectation_identity():
     means = {mode: [] for mode in (PREDICTION, FILTERING)}
     for mode in (PREDICTION, FILTERING):
         flt = solve_steady_state(m, (1, 2, 3), mode)
+        banks = {
+            N: SubsetBank(m, DetectorConfig(epsilon=1.0, eta=1.0, N=N, t1=t1, mode=mode))
+            for N in sizes
+        }
         per_N = {N: [] for N in sizes}
         for seed in range(20):
             traj = simulate(m, AttackSpec(), horizon, seed=seed, burn_in=30)
             run = run_filter(flt, traj, t1, t1 + biggest - 1)
             for N in sizes:
-                cfg = DetectorConfig(epsilon=1.0, eta=1.0, N=N, t1=t1, mode=mode)
-                rep = residue_report(m, traj, (1, 2, 3), cfg, flt, run)
+                rep = residue_report(banks[N], traj, (1, 2, 3), run)
                 per_N[N].append(
                     float(np.abs(rep.sample_matrix - rep.expected_matrix).max())
                 )

@@ -94,6 +94,43 @@ def test_cli_exit_codes(tmp_path):
     assert main(["search", "--scenario", scenario, "--out", str(tmp_path / "nope")]) == 4
 
 
+def _malformed(edit):
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _malformed(lambda d: d.update(model={"random": {"n": 2, "p": 3, "spectral_radius": "0.5"}})),
+        _malformed(lambda d: d.update(seed=-1)),
+        _malformed(lambda d: d.update(noiseless={"corrupt": {"sensors": [2]}})),
+        _malformed(lambda d: d["model"]["explicit"].update(A=[[1.0, 0.0], [1.0]])),
+        _malformed(lambda d: d.update(noiseless=[2])),
+        _malformed(lambda d: d.update(repetitions=0)),
+    ],
+    ids=[
+        "string-spectral-radius",
+        "negative-seed",
+        "corrupt-without-state",
+        "ragged-A",
+        "noiseless-not-an-object",
+        "zero-repetitions",
+    ],
+)
+def test_malformed_scenario_exits_2(tmp_path, doc):
+    scenario = write_scenario(tmp_path, doc)
+    for command in ("search", "decode-noiseless"):
+        assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("override", [["--seed", "-1"], ["--reps", "0"]])
+def test_out_of_range_override_exits_2(tmp_path, override):
+    scenario = write_scenario(tmp_path, SCALAR_SCENARIO)
+    assert main(["search", "--scenario", scenario, "--out", str(tmp_path), *override]) == 2
+
+
 def test_detect_and_obsv_subcommands(tmp_path):
     scenario = write_scenario(tmp_path, SCALAR_SCENARIO)
     assert main(["detect", "--scenario", scenario, "--out", str(tmp_path)]) == 0

@@ -1,3 +1,6 @@
+from functools import partial
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from secest import (
     FILTERING,
     PREDICTION,
     SeededRandom,
+    SubsetBank,
     SystemModel,
     ZeroOutput,
     attack_detect,
@@ -19,6 +23,7 @@ from secest import (
     simulate,
     solve_steady_state,
 )
+from secest.detect import residue_report
 
 
 def test_auto_threshold_hand_value(triple_sensor_scalar):
@@ -192,15 +197,13 @@ def test_false_alarm_rate_nonincreasing_in_window():
     sizes = (999, 9999, 40002)
     biggest = DetectorConfig(epsilon=1, eta=1, N=sizes[-1], t1=t1).window_length(3)
     flags = {N: 0 for N in sizes}
+    banks = {N: SubsetBank(m, DetectorConfig(epsilon=1.0, eta=0.55, N=N, t1=t1)) for N in sizes}
     for seed in range(12):
         traj = simulate(m, AttackSpec(), t1 + biggest + 3, seed=seed, burn_in=30)
         flt = solve_steady_state(m, (1, 2, 3), PREDICTION)
         run = run_filter(flt, traj, t1, t1 + biggest - 1)
-        from secest.detect import residue_report
-
         for N in sizes:
-            cfg = DetectorConfig(epsilon=1.0, eta=0.55, N=N, t1=t1)
-            rep = residue_report(m, traj, (1, 2, 3), cfg, flt, run)
+            rep = residue_report(banks[N], traj, (1, 2, 3), run)
             flags[N] += 0 if rep.passed else 1
     rates = [flags[N] for N in sizes]
     assert rates[0] >= rates[1] >= rates[2]
@@ -215,3 +218,72 @@ def test_config_validation():
         DetectorConfig(epsilon=1.0, eta=-2.0)
     with pytest.raises(ConfigError):
         DetectorConfig(epsilon=1.0, eta=1.0, mode="smoothing")
+
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_bank_matches_from_scratch_reference(mode):
+    # every subset of a p=4 plant: carved O_s and M_s reproduce the
+    # quantities built directly for the subset
+    from secest import (
+        block_output_matrix,
+        cross_covariance_correction,
+        noise_structure,
+        observability_matrix,
+    )
+
+    m = make_random_stable_system(3, 4, 0.85, seed=61, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = _small_cfg(N=600, eta=1.0, mode=mode)
+    N = cfg.window_length(m.n)
+    atk = AttackSpec((2,), SeededRandom(amplitude=3.0))
+    traj = simulate(m, atk, cfg.t1 + N + m.n, seed=8, burn_in=30)
+    bank = SubsetBank(m, cfg)
+    checked = 0
+    for size in range(1, 5):
+        for s in combinations(range(1, 5), size):
+            flt = solve_steady_state(m, s, mode)
+            Os = observability_matrix(m, s).stacked
+            F = flt.error_cov if mode == PREDICTION else flt.filtered_cov
+            expected = Os @ F @ Os.T + noise_structure(m, s).cov
+            if mode == FILTERING:
+                D = cross_covariance_correction(m, s, flt)
+                expected = expected - D - D.T
+            run = run_filter(flt, traj, cfg.t1, cfg.t1 + N - 1)
+            residues = block_output_matrix(traj, s, cfg.t1, N) - run.estimates @ Os.T
+            deviation = residues.T @ residues / N - expected
+            scale = np.abs(expected).max()
+
+            _, _, report = bank.detect(traj, s)
+            assert np.abs(report.expected_matrix - expected).max() <= 1e-12 * scale
+            assert abs(report.max_deviation - deviation.max()) <= 1e-12 * scale
+            for idx, i in enumerate(s):
+                Oi = observability_matrix(m, (i,)).stacked
+                block = slice(idx * m.n, (idx + 1) * m.n)
+                mu = abs(np.trace(deviation[block, block]) - cfg.eta * m.n) / np.linalg.eigvalsh(
+                    Oi.T @ Oi
+                )[-1]
+                assert report.per_sensor_mu[i] == pytest.approx(mu, rel=1e-12, abs=1e-12 * scale)
+            checked += 1
+    assert checked == 15
+
+
+def test_bank_keeps_expected_matrices_on_prewarm_or_repeat():
+    from secest import exhaustive_search
+
+    m = make_random_stable_system(3, 4, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = _small_cfg(eta=1.0)
+    atk = AttackSpec((1,), SeededRandom(amplitude=4.0))
+    traj = simulate(m, atk, cfg.t1 + cfg.window_length(3) + 3, seed=3, burn_in=30)
+
+    bank = SubsetBank(m, cfg)
+    outcome = exhaustive_search(m, traj, 1, cfg, detector=partial(bank.detect, traj))
+    assert outcome.found and outcome.theory_checks > 1
+    assert bank._expected == {}  # one search tests no subset twice
+    tested = tuple(outcome.trace[0]["subset"])
+    _, _, report = bank.detect(traj, tested)
+    assert bank._expected[tested] is report.expected_matrix
+
+    warm = SubsetBank(m, cfg)
+    warm.prewarm([(2, 3, 4)])
+    assert set(warm._expected) == {(2, 3, 4)}
+    _, _, report = warm.detect(traj, (2, 3, 4))
+    assert report.expected_matrix is warm._expected[(2, 3, 4)]

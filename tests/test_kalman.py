@@ -206,7 +206,7 @@ def test_run_filter_window_bounds():
 def test_residue_expectation_shrinks_with_window():
     # attack-free sample average of the window-residue outer product
     # approaches its closed form as the window grows
-    from secest.detect import DetectorConfig, residue_report
+    from secest.detect import DetectorConfig, attack_detect
 
     m = make_random_stable_system(3, 3, 0.85, seed=4, sigma_w2=0.5, sigma_v2=0.7)
     t1 = 60
@@ -216,8 +216,6 @@ def test_residue_expectation_shrinks_with_window():
     devs = []
     for N in (10**3, 10**4, 10**5):
         cfg = DetectorConfig(epsilon=1.0, eta=1.0, N=N, t1=t1, mode=PREDICTION)
-        flt = solve_steady_state(m, (1, 2, 3), PREDICTION)
-        run = run_filter(flt, traj, t1, t1 + cfg.window_length(m.n) - 1)
-        rep = residue_report(m, traj, (1, 2, 3), cfg, flt, run)
+        _, _, rep = attack_detect(m, traj, (1, 2, 3), cfg)
         devs.append(float(np.abs(rep.sample_matrix - rep.expected_matrix).max()))
     assert devs[2] < devs[0]

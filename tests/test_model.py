@@ -114,6 +114,15 @@ def test_validation_errors():
         SystemModel(A=[[1.0]], C=[[1.0, 2.0]], sigma_w2=1.0, sigma_v2=1.0)
     with pytest.raises(ConfigError):
         SystemModel(A=[[1.0]], C=[[1.0]], sigma_w2=-1.0, sigma_v2=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            SystemModel(A=[[bad]], C=[[1.0]], sigma_w2=1.0, sigma_v2=1.0)
+        with pytest.raises(ConfigError):
+            SystemModel(A=[[1.0]], C=[[bad]], sigma_w2=1.0, sigma_v2=1.0)
+        with pytest.raises(ConfigError):
+            SystemModel(A=[[1.0]], C=[[1.0]], sigma_w2=bad, sigma_v2=1.0)
+        with pytest.raises(ConfigError):
+            SystemModel(A=[[1.0]], C=[[1.0]], sigma_w2=1.0, sigma_v2=bad)
     m = SystemModel(A=[[1.0]], C=[[1.0]], sigma_w2=1.0, sigma_v2=1.0)
     with pytest.raises(ConfigError):
         simulate(m, AttackSpec((2,), ZeroOutput()), horizon=5, seed=0)

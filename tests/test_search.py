@@ -141,7 +141,7 @@ def test_certificate_stops_at_first_passing_removal():
     s = (1, 2, 3, 4, 5)
     report = _fake_report(s, {1: 5.0, 2: 0.1, 3: 4.0, 4: 3.0, 5: 2.0})
     det = ScriptedDetector(failing={s})  # every shrunken subset passes
-    certs = generate_certificate(m, traj, s, _fake_run(s), cfg, 2, detector=det, report=report)
+    certs = generate_certificate(m, traj, report, cfg, 2, detector=det)
     assert [c.vars for c in certs] == [s]
     assert det.calls == [(1, 3, 4, 5)]  # sensor 2 (lowest score) dropped first
 
@@ -153,7 +153,7 @@ def test_certificate_chain_emits_shrinking_subsets():
     s = (1, 2, 3, 4, 5)
     report = _fake_report(s, {1: 5.0, 2: 0.1, 3: 0.2, 4: 3.0, 5: 2.0})
     det = ScriptedDetector(failing={s, (1, 3, 4, 5), (1, 4, 5)})
-    certs = generate_certificate(m, traj, s, _fake_run(s), cfg, 2, detector=det, report=report)
+    certs = generate_certificate(m, traj, report, cfg, 2, detector=det)
     # trivial, then each still-failing shrunken subset (budget 2 walked fully)
     assert [c.vars for c in certs] == [s, (1, 3, 4, 5), (1, 4, 5)]
     assert det.calls == [(1, 3, 4, 5), (1, 4, 5)]
@@ -167,7 +167,7 @@ def test_certificate_degenerate_small_subset():
     s = (2, 4)  # p - 2k + 1 = 4 >= |s|
     report = _fake_report(s, {2: 1.0, 4: 2.0})
     det = ScriptedDetector(failing={s})
-    certs = generate_certificate(m, traj, s, _fake_run(s), cfg, 1, detector=det, report=report)
+    certs = generate_certificate(m, traj, report, cfg, 1, detector=det)
     assert [c.vars for c in certs] == [s]
     assert det.calls == []
 
@@ -180,7 +180,7 @@ def test_certificate_auto_threshold_guard():
     s = (1, 2, 3, 4)
     report = _fake_report(s, {1: 0.1, 2: 0.2, 3: 5.0, 4: 6.0})
     det = ScriptedDetector(failing={s, (2, 3, 4), (3, 4)})
-    certs = generate_certificate(m, traj, s, _fake_run(s), cfg, 2, detector=det, report=report)
+    certs = generate_certificate(m, traj, report, cfg, 2, detector=det)
     # budget is p-2k+1 = 1, so only one removal is listed anyway
     assert [c.vars for c in certs] == [s, (2, 3, 4)]
 
