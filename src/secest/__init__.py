@@ -48,7 +48,6 @@ from .noiseless import (
 )
 from .observability import (
     NoiseStructure,
-    ObservabilityBundle,
     block_output_matrix,
     block_output_window,
     full_subset,

@@ -11,9 +11,12 @@ obsv.  Exit codes: 0 success, 2 scenario/parse error, 3 analysis error,
 wall-clock columns are machine-dependent, so ``--no-timing`` zeroes them
 for byte-reproducible artifacts.
 
-Every residue test runs through a `secest.detect.SubsetBank`: one per
-experiment-1 repetition, one prewarmed bank per experiment-2 sensor
-count, and one per search call in `run_scenario`.
+The scenario's ``k`` is stored once, as the detector configuration's
+attack bound, and every residue test runs through a
+`secest.detect.SubsetBank`: one per experiment-1 repetition, one
+prewarmed bank per experiment-2 sensor count, and one per search call in
+`run_scenario`.  `parse_scenario` checks the JSON types of the fields
+the runners use, so a malformed file is a scenario error (exit 2).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations
 from typing import Any, Callable
@@ -83,7 +86,6 @@ class Scenario:
     attack_strategy: Any
     detector: DetectorConfig
     search_method: str
-    k: int
     repetitions: int
     seed: int
     horizon: int | None = None
@@ -92,13 +94,20 @@ class Scenario:
     subset: tuple[int, ...] | None = None
     noiseless: dict | None = None
 
-    def build_model(self, rep: int = 0) -> SystemModel:
+    @property
+    def k(self) -> int:
+        """The attack bound, read from the detector configuration."""
+        return self.detector.k
+
+    def build_model(self, rep: int = 0, p: int | None = None) -> SystemModel:
+        """The plant; a random one draws with seed + rep, and ``p``
+        overrides its sensor count."""
         spec = self.model_spec
         if "random" in spec:
             r = spec["random"]
             return make_random_stable_system(
                 n=r["n"],
-                p=r["p"],
+                p=r["p"] if p is None else p,
                 spectral_radius=r.get("spectral_radius", 0.9),
                 seed=r.get("seed", 0) + rep,
                 sigma_w2=r.get("sigma_w2", 1.0),
@@ -145,6 +154,28 @@ _STRATEGIES: dict[str, Callable[[dict], Any]] = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_ints(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _check(value, name: str, ok: Callable[[Any], bool], what: str) -> None:
+    """ScenarioError unless the optional field ``value`` is None or ``ok``."""
+    if value is not None and not ok(value):
+        raise ScenarioError(f"{name} must be {what}, got {value!r}")
+
+
 def parse_scenario(doc: dict) -> Scenario:
     try:
         if not isinstance(doc, dict):
@@ -155,8 +186,6 @@ def parse_scenario(doc: dict) -> Scenario:
         model_spec = doc["model"]
         if "random" not in model_spec and "explicit" not in model_spec:
             raise ScenarioError("model needs a 'random' or 'explicit' section")
-        k = int(doc.get("k", 0))
-
         attack_doc = doc.get("attack", {})
         attacked_field = attack_doc.get("attacked", [])
         if attacked_field == "random":
@@ -177,7 +206,7 @@ def parse_scenario(doc: dict) -> Scenario:
             t1=int(det.get("t1", 200)),
             mode=det.get("mode", PREDICTION),
             eta=None if eta == "auto" else float(eta),
-            k=k,
+            k=int(doc.get("k", 0)),
         )
         method = doc.get("search", "exhaustive")
         if method not in ("exhaustive", "smt", "both"):
@@ -188,10 +217,21 @@ def parse_scenario(doc: dict) -> Scenario:
         repetitions = int(doc.get("repetitions", 1))
         if repetitions < 1:
             raise ScenarioError(f"repetitions must be positive, got {repetitions}")
-        noiseless = doc.get("noiseless")
-        corrupt = (noiseless or {}).get("corrupt")
-        if corrupt and not {"sensors", "state"} <= set(corrupt):
-            raise ScenarioError("noiseless.corrupt needs 'sensors' and 'state'")
+        for key in ("horizon", "burn_in"):
+            _check(doc.get(key), key, _is_int, "an integer")
+        _check(doc.get("x0"), "x0", _is_numbers, "a list of numbers")
+        exp2 = doc.get("experiment2", {})  # a non-object fails .get below
+        _check(exp2.get("p_values"), "experiment2.p_values", _is_ints, "a list of integers")
+        _check(exp2.get("weak_last_gain"), "experiment2.weak_last_gain", _is_number, "a number")
+        noiseless = doc.get("noiseless") or {}
+        _check(noiseless.get("k"), "noiseless.k", _is_int, "an integer")
+        _check(noiseless.get("x0"), "noiseless.x0", _is_numbers, "a list of numbers")
+        corrupt = noiseless.get("corrupt")
+        if corrupt:
+            if not {"sensors", "state"} <= set(corrupt):
+                raise ScenarioError("noiseless.corrupt needs 'sensors' and 'state'")
+            _check(corrupt["sensors"], "noiseless.corrupt.sensors", _is_ints, "a list of integers")
+            _check(corrupt["state"], "noiseless.corrupt.state", _is_numbers, "a list of numbers")
         subset = doc.get("subset")
         scenario = Scenario(
             raw=doc,
@@ -200,14 +240,13 @@ def parse_scenario(doc: dict) -> Scenario:
             attack_strategy=strategy,
             detector=detector,
             search_method=method,
-            k=k,
             repetitions=repetitions,
             seed=seed,
             horizon=doc.get("horizon"),
             burn_in=doc.get("burn_in"),
             x0=doc.get("x0"),
             subset=tuple(int(i) for i in subset) if subset else None,
-            noiseless=noiseless,
+            noiseless=doc.get("noiseless"),
         )
         scenario.build_model(0)  # a malformed model is a scenario error
         return scenario
@@ -379,40 +418,23 @@ def run_experiment2(
     raw timings and both SearchOutcome objects (for audits)."""
     exp2 = scenario.raw.get("experiment2", {})
     p_values = exp2.get("p_values", list(range(3, 13)))
-    random_spec = scenario.model_spec.get("random")
-    if random_spec is None:
+    if "random" not in scenario.model_spec:
         raise ScenarioError("experiment 2 needs a random model section")
 
     rows: list[dict] = []
     for p in p_values:
         k = max(1, p // 3)
-        model = make_random_stable_system(
-            n=random_spec["n"],
-            p=p,
-            spectral_radius=random_spec.get("spectral_radius", 0.9),
-            seed=random_spec.get("seed", 0) + p,
-            sigma_w2=random_spec.get("sigma_w2", 1.0),
-            sigma_v2=random_spec.get("sigma_v2", 1.0),
-        )
-        cfg = DetectorConfig(
-            epsilon=scenario.detector.epsilon,
-            N=scenario.detector.N,
-            t1=scenario.detector.t1,
-            mode=scenario.detector.mode,
-            eta=scenario.detector.eta,
-            k=k,
-        )
+        model = scenario.build_model(rep=p, p=p)
+        cfg = replace(scenario.detector, k=k)
         # The adversary corrupts the first k sensors (so the clean
         # complement is lexicographically last), and when it controls
         # more than one sensor it attacks the last of them too gently to
         # be effective; subsets whose only corrupted sensor is that one
         # rightly pass the test.
         strategy = scenario.attack_strategy
-        if isinstance(strategy, NoiseLinear) and k >= 2:
-            base = strategy.gains_for(1)[0] if not isinstance(strategy.gain, tuple) else None
-            if base is not None:
-                weak = float(exp2.get("weak_last_gain", 0.5))
-                strategy = NoiseLinear(gain=(base,) * (k - 1) + (weak,))
+        if isinstance(strategy, NoiseLinear) and k >= 2 and not isinstance(strategy.gain, tuple):
+            weak = float(exp2.get("weak_last_gain", 0.5))
+            strategy = NoiseLinear(gain=(float(strategy.gain),) * (k - 1) + (weak,))
         attack = AttackSpec(attacked=tuple(range(1, k + 1)), strategy=strategy)
         n = model.n
         N = cfg.window_length(n)
@@ -424,17 +446,17 @@ def run_experiment2(
         bank.prewarm(combinations(range(1, p + 1), p - k))
         bank.prewarm([full_subset(p)])
 
-        def one_rep(rep: int, _model=model, _cfg=cfg, _attack=attack, _bank=bank, _k=k, _horizon=horizon):
+        def one_rep(rep: int, _model=model, _cfg=cfg, _attack=attack, _bank=bank, _horizon=horizon):
             rep_seed = scenario.seed + rep
             traj = simulate(
                 _model, _attack, _horizon, seed=rep_seed, burn_in=10 * _model.n
             )
             detector = partial(_bank.detect, traj)
             t0 = time.perf_counter()
-            out_ex = exhaustive_search(_model, traj, _k, _cfg, detector=detector)
+            out_ex = exhaustive_search(_model, traj, _cfg, detector=detector)
             t_ex = time.perf_counter() - t0
             t0 = time.perf_counter()
-            out_smt = smt_search(_model, traj, _k, _cfg, detector=detector)
+            out_smt = smt_search(_model, traj, _cfg, detector=detector)
             t_smt = time.perf_counter() - t0
             return (rep_seed, t_ex, out_ex, t_smt, out_smt)
 
@@ -485,11 +507,10 @@ def run_experiment2(
 # One-shot scenario pipeline
 
 
-def run_scenario(scenario: Scenario) -> dict:
-    """simulate -> search (per configured method) -> JSON-ready bundle."""
+def _simulate_scenario(scenario: Scenario):
+    """The scenario's model, attack and trajectory at its seed."""
     model = scenario.build_model()
     attack = scenario.build_attack(model, scenario.seed)
-    cfg = scenario.detector
     traj = simulate(
         model,
         attack,
@@ -498,6 +519,12 @@ def run_scenario(scenario: Scenario) -> dict:
         seed=scenario.seed,
         burn_in=scenario.default_burn_in(model),
     )
+    return model, attack, traj
+
+
+def run_scenario(scenario: Scenario) -> dict:
+    """simulate -> search (per configured method) -> JSON-ready bundle."""
+    model, attack, traj = _simulate_scenario(scenario)
     methods = (
         ["exhaustive", "smt"]
         if scenario.search_method == "both"
@@ -512,7 +539,7 @@ def run_scenario(scenario: Scenario) -> dict:
     }
     for method in methods:
         fn = exhaustive_search if method == "exhaustive" else smt_search
-        outcome = fn(model, traj, scenario.k, cfg)
+        outcome = fn(model, traj, scenario.detector)
         entry: dict[str, Any] = {"outcome": outcome.to_dict()}
         if outcome.report is not None:
             entry["report"] = outcome.report.to_dict()
@@ -608,16 +635,7 @@ def _load(args, default: Callable[[], Scenario] | None = None) -> Scenario:
 
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
-    model = scenario.build_model()
-    attack = scenario.build_attack(model, scenario.seed)
-    traj = simulate(
-        model,
-        attack,
-        scenario.default_horizon(model),
-        x0=np.array(scenario.x0, dtype=float) if scenario.x0 else None,
-        seed=scenario.seed,
-        burn_in=scenario.default_burn_in(model),
-    )
+    _, attack, traj = _simulate_scenario(scenario)
     rows = [
         {
             "t": t,
@@ -643,15 +661,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_detect(args) -> int:
     scenario = _load(args)
-    model = scenario.build_model()
-    attack = scenario.build_attack(model, scenario.seed)
-    traj = simulate(
-        model,
-        attack,
-        scenario.default_horizon(model),
-        seed=scenario.seed,
-        burn_in=scenario.default_burn_in(model),
-    )
+    model, _, traj = _simulate_scenario(scenario)
     subset = scenario.subset or full_subset(model.p)
     flag, _, report = attack_detect(model, traj, subset, scenario.detector)
     rows = [
@@ -730,7 +740,7 @@ def _cmd_decode_noiseless(args) -> int:
     scenario = _load(args)
     model = scenario.build_model()
     spec = scenario.noiseless or {}
-    k = int(spec.get("k", scenario.k))
+    k = spec.get("k", scenario.k)
     if spec.get("x0") is not None:
         x0 = np.array(spec["x0"], dtype=float)
     else:

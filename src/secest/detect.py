@@ -20,9 +20,9 @@ average up, so a suitably small eta catches it; `auto_threshold` applies
 the largest eta with that guarantee.
 
 Every test runs through a `SubsetBank`, which owns the per-subset
-quantities of one model: O_s and M_s are row selections of the
-full-sensor stacked observability matrix and window noise covariance,
-built once per bank.
+quantities of one model: O_s is a row selection of the model's
+observability stack and M_s of the full-sensor window noise covariance,
+and each subset's filter and threshold are computed once.
 """
 
 from __future__ import annotations
@@ -71,9 +71,11 @@ class DetectorConfig:
     """Window, threshold, and mode of the residue test.
 
     ``eta`` is the elementwise threshold; leave it None to derive the
-    largest admissible value from (epsilon, k) per subset.  ``N`` is the
-    window length (rounded up to a multiple of n at use time); ``t1``
-    the window start, late enough for the filter transient to die out.
+    largest admissible value from (epsilon, k) per subset.  ``k`` is the
+    attack bound: the searches hypothesize at most k attacked sensors.
+    ``N`` is the window length (rounded up to a multiple of n at use
+    time); ``t1`` the window start, late enough for the filter transient
+    to die out.
     """
 
     epsilon: float
@@ -94,16 +96,12 @@ class DetectorConfig:
             raise ConfigError("either eta or k (for the auto threshold) is required")
         if self.eta is not None and self.eta <= 0:
             raise ConfigError("eta must be positive")
+        if self.k is not None and self.k < 0:
+            raise ConfigError(f"k must be nonnegative, got {self.k}")
 
     def window_length(self, n: int) -> int:
         """N rounded up to the next multiple of the state dimension."""
         return int(math.ceil(self.N / n) * n)
-
-    def threshold_for(self, model: SystemModel, s: Iterable[int]) -> float:
-        if self.eta is not None:
-            return self.eta
-        assert self.k is not None
-        return auto_threshold(model, s, self.k, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -177,37 +175,28 @@ class SubsetBank:
     """Steady-state Kalman filters over the sensor subsets of one model,
     and the attack-free residue expectations they are tested against.
 
-    The full-sensor stacked observability matrix, the window noise
-    covariance and each sensor's lambda_max(O_i' O_i) are built once; a
-    subset's O_s and M_s are row selections of them.  Filters are kept on
-    first use.  An expected matrix is kept when `prewarm` asks for it or
-    when its subset is requested a second time: within one search no
-    subset is tested twice, so keeping every first request would only
-    hold memory.
+    The full-sensor window noise covariance and each sensor's
+    lambda_max(O_i' O_i) are built once; a subset's M_s is a row
+    selection of that covariance and its O_s of the model's observability
+    stack.  Filters and thresholds are kept on first use.  An expected
+    matrix is kept when `prewarm` asks for it or when its subset is
+    requested a second time: within one search no subset is tested twice,
+    so keeping every first request would only hold memory.
     """
 
     def __init__(self, model: SystemModel, cfg: DetectorConfig):
         self.model = model
         self.cfg = cfg
         self.N = cfg.window_length(model.n)
-        full = full_subset(model.p)
-        bundle = observability_matrix(model, full)
-        self._obs = bundle.stacked
-        self._cov = noise_structure(model, full).cov
-        self.gram_maxima = {
-            i: float(np.linalg.eigvalsh(Oi.T @ Oi)[-1])
-            for i, Oi in bundle.blocks.items()
-        }
+        self._cov = noise_structure(model, full_subset(model.p)).cov
+        self.gram_maxima: dict[int, float] = {}
+        for i in full_subset(model.p):
+            Oi = observability_matrix(model, (i,))
+            self.gram_maxima[i] = float(np.linalg.eigvalsh(Oi.T @ Oi)[-1])
         self._filters: dict[SensorSubset, SteadyStateFilter] = {}
+        self._etas: dict[SensorSubset, float] = {}
         self._expected: dict[SensorSubset, np.ndarray] = {}
         self._requested: set[SensorSubset] = set()
-
-    def _rows(self, s: SensorSubset) -> np.ndarray:
-        n = self.model.n
-        return np.concatenate([np.arange((i - 1) * n, i * n) for i in s])
-
-    def stacked_obs(self, s: SensorSubset) -> np.ndarray:
-        return self._obs[self._rows(s)]
 
     def filter(self, s: SensorSubset) -> SteadyStateFilter:
         flt = self._filters.get(s)
@@ -216,12 +205,28 @@ class SubsetBank:
             self._filters[s] = flt
         return flt
 
+    def eta(self, s: SensorSubset) -> float:
+        """Threshold of subset s: ``cfg.eta``, or else its auto threshold."""
+        cfg = self.cfg
+        if cfg.eta is not None:
+            return cfg.eta
+        eta = self._etas.get(s)
+        if eta is None:
+            eta = auto_threshold(self.model, s, cfg.k, cfg.epsilon)
+            self._etas[s] = eta
+        return eta
+
     def expected(self, s: SensorSubset) -> np.ndarray:
         exp = self._expected.get(s)
         if exp is None:
-            rows = self._rows(s)
+            n = self.model.n
+            rows = np.concatenate([np.arange((i - 1) * n, i * n) for i in s])
             exp = expected_residue_matrix(
-                self.model, s, self.filter(s), self._obs[rows], self._cov[np.ix_(rows, rows)]
+                self.model,
+                s,
+                self.filter(s),
+                observability_matrix(self.model, s),
+                self._cov[np.ix_(rows, rows)],
             )
             if s in self._requested:
                 self._expected[s] = exp
@@ -264,10 +269,10 @@ def residue_report(
     subset = normalize_subset(s, model.p)
     n = model.n
     N = bank.N
-    eta = cfg.threshold_for(model, subset)
+    eta = bank.eta(subset)
     ybar = block_output_matrix(traj, subset, cfg.t1, N)
     est = run.window(cfg.t1, N)
-    residues = ybar - est @ bank.stacked_obs(subset).T  # (N, n|s|)
+    residues = ybar - est @ observability_matrix(model, subset).T  # (N, n|s|)
     sample = residues.T @ residues / N
     expected = bank.expected(subset)
     deviation = sample - expected

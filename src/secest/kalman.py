@@ -226,7 +226,7 @@ def cross_covariance_correction(
     E1 = np.zeros((n * m, m))
     for c in range(m):
         E1[c * n, c] = 1.0
-    Os = observability_matrix(model, subset).stacked
+    Os = observability_matrix(model, subset)
     return model.sigma_v2 * E1 @ flt.gain.T @ Os.T
 
 

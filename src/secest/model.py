@@ -16,6 +16,7 @@ Sensor indices are 1-based throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +46,11 @@ class SystemModel:
     sigma_v2: float
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
+        # Read-only copies: the cached observability stack is built from them.
+        A = np.array(self.A, dtype=float)
+        C = np.atleast_2d(np.array(self.C, dtype=float))
+        for M in (A, C):
+            M.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "C", C)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -74,6 +78,19 @@ class SystemModel:
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.A))))
+
+    @cached_property
+    def observability_stack(self) -> np.ndarray:
+        """Read-only rows C_i A^j (j = 0..n-1) of every sensor, sensor-major:
+        sensor i's n-row observability block starts at row (i - 1) * n.
+        Every subset's O_s is a row selection of it; see
+        `secest.observability.observability_matrix`."""
+        powers = [np.eye(self.n)]
+        for _ in range(self.n - 1):
+            powers.append(powers[-1] @ self.A)
+        stack = np.vstack([ci @ Aj for ci in self.C for Aj in powers])
+        stack.setflags(write=False)
+        return stack
 
 
 # Adversary strategies.  Every strategy is causal: the corruption at

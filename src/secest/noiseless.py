@@ -78,8 +78,9 @@ def encode(model: SystemModel, x0: np.ndarray) -> SymbolObservation:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != model.n:
         raise ConfigError(f"x0 has length {x0.shape[0]}, expected {model.n}")
-    bundle = observability_matrix(model, full_subset(model.p))
-    symbols = np.vstack([bundle.blocks[d] @ x0 for d in range(1, model.p + 1)])
+    symbols = np.vstack(
+        [observability_matrix(model, (d,)) @ x0 for d in range(1, model.p + 1)]
+    )
     return SymbolObservation(symbols)
 
 
@@ -95,9 +96,8 @@ def detect_corruption(model: SystemModel, obs: SymbolObservation) -> bool:
         raise ConfigError("observation does not match the model's sensor count")
     if not is_observable(model, full_subset(model.p)):
         raise AnalysisError("full sensor set is not observable")
-    bundle = observability_matrix(model, full_subset(model.p))
     Y = obs.symbols.reshape(-1)
-    _, residual = _fit(bundle.stacked, Y)
+    _, residual = _fit(observability_matrix(model, full_subset(model.p)), Y)
     return residual > CONSISTENCY_RTOL * (1.0 + float(np.linalg.norm(Y)))
 
 
@@ -121,14 +121,11 @@ def decode(
         raise ConfigError("observation does not match the model's sensor count")
     if not 0 <= k < model.p:
         raise ConfigError(f"need 0 <= k < p, got k={k}, p={model.p}")
-    bundle = observability_matrix(model, full_subset(model.p))
-    n = model.n
-
     first_state: np.ndarray | None = None
     first_subset: SensorSubset | None = None
     unique = True
     for s in combinations(range(1, model.p + 1), model.p - k):
-        stacked_O = np.vstack([bundle.blocks[d] for d in s])
+        stacked_O = observability_matrix(model, s)
         stacked_Y = obs.symbols[[d - 1 for d in s]].reshape(-1)
         x, residual = _fit(stacked_O, stacked_Y)
         if residual > CONSISTENCY_RTOL * (1.0 + float(np.linalg.norm(stacked_Y))):

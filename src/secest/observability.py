@@ -1,11 +1,13 @@
 """Observability structure of sensor subsets.
 
-Every sensor contributes an n-row observability block (its outputs over
-an n-step window depend linearly on the state at the window start), and
-per-subset quantities are built by stacking blocks in ascending sensor
-order.  The same window view induces a noise structure: the stacked
-window outputs are O_s x(t) + J_s wbar(t) + vbar_s(t), where wbar stacks
-the process noise over the window and vbar_s the sensor noise.
+Every sensor contributes an n-row observability block, the rows C_i A^j
+for j = 0..n-1 (its outputs over an n-step window depend linearly on the
+state at the window start).  `SystemModel.observability_stack` holds the
+blocks of all sensors once per model, and every per-subset quantity here
+reads its rows from that stack: O_s stacks the blocks of s in ascending
+sensor order.  The same window view induces a noise structure: the
+stacked window outputs are O_s x(t) + J_s wbar(t) + vbar_s(t), where wbar
+stacks the process noise over the window and vbar_s the sensor noise.
 
 Rank decisions use singular values with a relative floor; see RANK_RTOL.
 """
@@ -25,7 +27,6 @@ __all__ = [
     "SensorSubset",
     "normalize_subset",
     "full_subset",
-    "ObservabilityBundle",
     "NoiseStructure",
     "observability_matrix",
     "is_observable",
@@ -62,15 +63,6 @@ def full_subset(p: int) -> SensorSubset:
 
 
 @dataclass(frozen=True)
-class ObservabilityBundle:
-    """Per-sensor observability blocks and their stack for one subset."""
-
-    subset: SensorSubset
-    blocks: dict[int, np.ndarray]   # sensor -> (n, n)
-    stacked: np.ndarray             # (n * len(subset), n)
-
-
-@dataclass(frozen=True)
 class NoiseStructure:
     """Noise geometry of the stacked output window for one subset.
 
@@ -84,23 +76,13 @@ class NoiseStructure:
     cov: np.ndarray  # (n * len(subset), n * len(subset))
 
 
-def _powers_of_A(model: SystemModel) -> list[np.ndarray]:
-    powers = [np.eye(model.n)]
-    for _ in range(model.n - 1):
-        powers.append(powers[-1] @ model.A)
-    return powers
-
-
-def observability_matrix(model: SystemModel, s: Iterable[int]) -> ObservabilityBundle:
-    """Blocks O_i with rows C_i A^j (j = 0..n-1) and their vertical stack."""
+def observability_matrix(model: SystemModel, s: Iterable[int]) -> np.ndarray:
+    """Stacked observability matrix O_s, shape (n * |s|, n): the blocks of
+    the sensors in s, ascending, selected from the model's stack."""
     subset = normalize_subset(s, model.p)
-    powers = _powers_of_A(model)
-    blocks = {}
-    for i in subset:
-        ci = model.C[i - 1]
-        blocks[i] = np.vstack([ci @ Aj for Aj in powers])
-    stacked = np.vstack([blocks[i] for i in subset])
-    return ObservabilityBundle(subset=subset, blocks=blocks, stacked=stacked)
+    n = model.n
+    blocks = model.observability_stack.reshape(model.p, n, n)
+    return blocks[[i - 1 for i in subset]].reshape(-1, n)
 
 
 def _rank(matrix: np.ndarray) -> int:
@@ -111,7 +93,7 @@ def _rank(matrix: np.ndarray) -> int:
 
 
 def is_observable(model: SystemModel, s: Iterable[int]) -> bool:
-    return _rank(observability_matrix(model, s).stacked) == model.n
+    return _rank(observability_matrix(model, s)) == model.n
 
 
 def sparse_observability_index(
@@ -148,10 +130,9 @@ def min_gram_eigenvalue(model: SystemModel, s: Iterable[int], k: int) -> float:
     subset = normalize_subset(s, model.p)
     if k < 0 or k >= len(subset):
         raise ConfigError(f"need 0 <= k < |s|, got k={k}, |s|={len(subset)}")
-    bundle = observability_matrix(model, subset)
     best = np.inf
     for s1 in combinations(subset, len(subset) - k):
-        stacked = np.vstack([bundle.blocks[i] for i in s1])
+        stacked = observability_matrix(model, s1)
         gram = stacked.T @ stacked
         lam = float(np.linalg.eigvalsh(gram)[0])
         best = min(best, lam)
@@ -161,13 +142,14 @@ def min_gram_eigenvalue(model: SystemModel, s: Iterable[int], k: int) -> float:
 def noise_structure(model: SystemModel, s: Iterable[int]) -> NoiseStructure:
     subset = normalize_subset(s, model.p)
     n = model.n
-    powers = _powers_of_A(model)
+    Os = observability_matrix(model, subset)
     J = np.zeros((n * len(subset), n * n))
-    for idx, i in enumerate(subset):
-        ci = model.C[i - 1]
+    # Window row j of a sensor sees w(t + m), m < j, through C_i A^(j-1-m):
+    # row j-1-m of the sensor's observability block.
+    for idx in range(len(subset)):
+        Oi = Os[idx * n : (idx + 1) * n]
         for j in range(1, n):
-            for m in range(j):
-                J[idx * n + j, m * n : (m + 1) * n] = ci @ powers[j - 1 - m]
+            J[idx * n + j, : j * n] = Oi[j - 1 :: -1].reshape(-1)
     cov = model.sigma_w2 * (J @ J.T) + model.sigma_v2 * np.eye(J.shape[0])
     return NoiseStructure(subset=subset, J=J, cov=cov)
 

@@ -8,11 +8,13 @@ UNSAT certificates of the form "at least one sensor in s' is attacked".
 Shrinking the certificate subset s' prunes more of the Boolean search
 space, so failed detector runs are reused to localize the conflict.
 
-``theory_checks`` counts the detector runs spent on search hypotheses;
-``detector_calls`` additionally includes the certificate-shrinking runs,
-and the trace records every call for audits.  Unless a detector is
-injected, each search call tests every subset, certificate shrinking
-included, against one `SubsetBank` of its own.
+The attack bound k is the detector configuration's ``k``, the one
+value that also drives the auto threshold; a search without it is a
+configuration error.  ``theory_checks`` counts the detector runs spent on
+search hypotheses; ``detector_calls`` additionally includes the
+certificate-shrinking runs, and the trace records every call for audits.
+Unless a detector is injected, each search call tests every subset,
+certificate shrinking included, against one `SubsetBank` of its own.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable
 
 from .detect import DetectorConfig, ResidueReport, SubsetBank
 from .errors import AnalysisError, ConfigError
@@ -78,13 +80,15 @@ class SearchOutcome:
 
 
 class _CountingDetector:
-    """Wraps a detector with invocation counters and an audit log."""
+    """Wraps a detector with invocation counters and an audit log, and
+    reports them as a search outcome timed from the wrapper's creation."""
 
     def __init__(self, inner: Detector):
         self.inner = inner
         self.hypothesis_checks = 0
         self.total_calls = 0
         self.log: list[dict] = []
+        self.start = time.perf_counter()
 
     def __call__(self, s: SensorSubset, phase: str = "search"):
         flag, run, report = self.inner(s)
@@ -93,6 +97,33 @@ class _CountingDetector:
             self.hypothesis_checks += 1
         self.log.append({"subset": list(s), "flag": flag, "phase": phase})
         return flag, run, report
+
+    def outcome(
+        self,
+        subset: SensorSubset | None = None,
+        run: FilterRun | None = None,
+        report: ResidueReport | None = None,
+        certificates: Iterable[PBConstraint] = (),
+    ) -> SearchOutcome:
+        """The search's outcome so far; found when ``subset`` is given."""
+        return SearchOutcome(
+            found=subset is not None,
+            subset=subset,
+            estimates=run,
+            theory_checks=self.hypothesis_checks,
+            report=report,
+            detector_calls=self.total_calls,
+            certificates=list(certificates),
+            wall_time=time.perf_counter() - self.start,
+            trace=self.log,
+        )
+
+
+def _attack_bound(model: SystemModel, cfg: DetectorConfig) -> int:
+    k = cfg.k
+    if k is None or not 0 <= k < model.p:
+        raise ConfigError(f"search needs DetectorConfig.k in [0, p), got k={k}, p={model.p}")
+    return k
 
 
 def _default_detector(
@@ -104,51 +135,31 @@ def _default_detector(
 def exhaustive_search(
     model: SystemModel,
     traj: Trajectory,
-    k: int,
     cfg: DetectorConfig,
     detector: Detector | None = None,
 ) -> SearchOutcome:
-    """Test all (p choose p-k) subsets in lexicographic order and return
-    the first one the detector clears."""
-    if not 0 <= k < model.p:
-        raise ConfigError(f"need 0 <= k < p, got k={k}, p={model.p}")
+    """Test all (p choose p-k) subsets, k = ``cfg.k``, in lexicographic
+    order and return the first one the detector clears."""
+    k = _attack_bound(model, cfg)
     det = _CountingDetector(detector or _default_detector(model, traj, cfg))
-    start = time.perf_counter()
-    found = False
-    subset: SensorSubset | None = None
-    estimates: FilterRun | None = None
-    report: ResidueReport | None = None
     for s in combinations(range(1, model.p + 1), model.p - k):
-        flag, run, rep = det(s)
+        flag, run, report = det(s)
         if flag == 0:
-            found, subset, estimates, report = True, s, run, rep
-            break
-    return SearchOutcome(
-        found=found,
-        subset=subset,
-        estimates=estimates,
-        report=report,
-        theory_checks=det.hypothesis_checks,
-        detector_calls=det.total_calls,
-        wall_time=time.perf_counter() - start,
-        trace=det.log,
-    )
+            return det.outcome(s, run, report)
+    return det.outcome()
 
 
 def smt_search(
     model: SystemModel,
     traj: Trajectory,
-    k: int,
     cfg: DetectorConfig,
     detector: Detector | None = None,
 ) -> SearchOutcome:
     """Certificate-guided search: hypothesize at most k attacked sensors,
     verify the complementary subset with the detector, and prune failed
     hypotheses via cardinality certificates until one clears."""
-    if not 0 <= k < model.p:
-        raise ConfigError(f"need 0 <= k < p, got k={k}, p={model.p}")
+    k = _attack_bound(model, cfg)
     det = _CountingDetector(detector or _default_detector(model, traj, cfg))
-    start = time.perf_counter()
     p = model.p
     formula = PBFormula(p, (at_most(range(1, p + 1), k),))
     certificates: list[PBConstraint] = []
@@ -160,31 +171,14 @@ def smt_search(
     for _ in range(max_iter):
         assignment = solve(formula)
         if assignment is None:
-            return SearchOutcome(
-                found=False,
-                subset=None,
-                estimates=None,
-                theory_checks=det.hypothesis_checks,
-                detector_calls=det.total_calls,
-                certificates=certificates,
-                wall_time=time.perf_counter() - start,
-                trace=det.log,
-            )
+            return det.outcome(certificates=certificates)
         hypothesis = tuple(i for i in range(1, p + 1) if not assignment[i - 1])
         flag, run, report = det(hypothesis)
         if flag == 0:
-            return SearchOutcome(
-                found=True,
-                subset=hypothesis,
-                estimates=run,
-                report=report,
-                theory_checks=det.hypothesis_checks,
-                detector_calls=det.total_calls,
-                certificates=certificates,
-                wall_time=time.perf_counter() - start,
-                trace=det.log,
-            )
-        certs = generate_certificate(model, traj, report, cfg, k, detector=det)
+            return det.outcome(hypothesis, run, report, certificates)
+        certs = generate_certificate(
+            model, traj, report, cfg, detector=partial(det, phase="certificate")
+        )
         certificates.extend(certs)
         formula = formula.with_constraints(certs)
     raise AnalysisError("guided search exceeded its iteration bound")
@@ -195,7 +189,6 @@ def generate_certificate(
     traj: Trajectory,
     report: ResidueReport,
     cfg: DetectorConfig,
-    k: int,
     detector: Detector | None = None,
 ) -> list[PBConstraint]:
     """Certificates explaining why the subset of ``report`` failed the
@@ -209,6 +202,7 @@ def generate_certificate(
     shrunken subset can no longer support a threshold.  The residue
     scores are the report's ``per_sensor_mu``.
     """
+    k = _attack_bound(model, cfg)
     subset = normalize_subset(report.subset, model.p)
     det = detector or _default_detector(model, traj, cfg)
     certs = [at_least(subset, 1)]
@@ -223,15 +217,10 @@ def generate_certificate(
     for sensor in drop_order:
         current.remove(sensor)
         shrunk = tuple(current)
-        if not shrunk:
-            break
-        if cfg.eta is None and len(shrunk) <= (cfg.k or 0):
+        if cfg.eta is None and len(shrunk) <= k:
             break  # auto threshold undefined below k+1 sensors
         try:
-            if isinstance(det, _CountingDetector):
-                flag, _, _ = det(shrunk, phase="certificate")
-            else:
-                flag, _, _ = det(shrunk)
+            flag, _, _ = det(shrunk)
         except AnalysisError:
             break  # shrunken subset lost observability; stop shrinking
         if flag == 1:

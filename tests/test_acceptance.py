@@ -185,7 +185,7 @@ def test_criterion_04_cross_correction_oracle():
         flt = solve_steady_state(m, s, FILTERING)
         D = cross_covariance_correction(m, s, flt)
         ns = noise_structure(m, s)
-        Os = observability_matrix(m, s).stacked
+        Os = observability_matrix(m, s)
         T = 10**6
         d = n * p
         mean = np.zeros((d, d))
@@ -263,7 +263,7 @@ def test_criterion_06_detector_oracle_agreement():
 def test_criterion_07_secure_estimation_bound():
     start = time.perf_counter()
     m = _fixed_desk_model()
-    cfg = DetectorConfig(epsilon=4.0, eta=5.0, N=20000, t1=200, mode=PREDICTION)
+    cfg = DetectorConfig(epsilon=4.0, eta=5.0, N=20000, t1=200, mode=PREDICTION, k=2)
     N = cfg.window_length(m.n)
     _, worst_trace = worst_subset(m, 2)
     held = 0
@@ -274,7 +274,7 @@ def test_criterion_07_secure_estimation_bound():
         traj = simulate(
             m, AttackSpec(attacked, ZeroOutput()), cfg.t1 + N + m.n, seed=seed, burn_in=200
         )
-        outcome = exhaustive_search(m, traj, 2, cfg)
+        outcome = exhaustive_search(m, traj, cfg)
         if not outcome.found:
             continue
         found += 1

@@ -109,6 +109,7 @@ def _malformed(edit):
         _malformed(lambda d: d["model"]["explicit"].update(A=[[1.0, 0.0], [1.0]])),
         _malformed(lambda d: d.update(noiseless=[2])),
         _malformed(lambda d: d.update(repetitions=0)),
+        _malformed(lambda d: d.update(k=-1)),
     ],
     ids=[
         "string-spectral-radius",
@@ -117,12 +118,50 @@ def _malformed(edit):
         "ragged-A",
         "noiseless-not-an-object",
         "zero-repetitions",
+        "negative-k",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, doc):
     scenario = write_scenario(tmp_path, doc)
     for command in ("search", "decode-noiseless"):
         assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 2
+
+
+def _random_model(doc):
+    doc["model"] = {"random": {"n": 2, "p": 3, "seed": 1}}
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        ("search", lambda d: d.update(horizon="50")),
+        ("search", lambda d: d.update(horizon=5.5)),
+        ("search", lambda d: d.update(burn_in="5")),
+        ("search", lambda d: d.update(x0="abc")),
+        ("exp2", lambda d: (_random_model(d), d.update(experiment2=[1]))),
+        ("exp2", lambda d: (_random_model(d), d.update(experiment2={"p_values": ["x"]}))),
+        ("decode-noiseless", lambda d: d.update(noiseless={"k": "x"})),
+        ("decode-noiseless", lambda d: d.update(noiseless={"x0": "abc"})),
+        (
+            "decode-noiseless",
+            lambda d: d.update(noiseless={"corrupt": {"sensors": ["x"], "state": [1.0]}}),
+        ),
+    ],
+    ids=[
+        "string-horizon",
+        "fractional-horizon",
+        "string-burn-in",
+        "string-x0",
+        "experiment2-not-an-object",
+        "string-p-value",
+        "string-noiseless-k",
+        "string-noiseless-x0",
+        "string-corrupt-sensor",
+    ],
+)
+def test_mistyped_field_exits_2(tmp_path, command, edit):
+    scenario = write_scenario(tmp_path, _malformed(edit))
+    assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("override", [["--seed", "-1"], ["--reps", "0"]])

@@ -121,7 +121,7 @@ def test_window_partition_consistency():
 
     flt = solve_steady_state(m, (1, 2), PREDICTION)
     run = run_filter(flt, traj, cfg.t1, cfg.t1 + N - 1)
-    Os = observability_matrix(m, (1, 2)).stacked
+    Os = observability_matrix(m, (1, 2))
     residues = block_output_matrix(traj, (1, 2), cfg.t1, N) - run.estimates @ Os.T
     whole = residues.T @ residues / N
     strata = np.zeros_like(whole)
@@ -218,18 +218,29 @@ def test_config_validation():
         DetectorConfig(epsilon=1.0, eta=-2.0)
     with pytest.raises(ConfigError):
         DetectorConfig(epsilon=1.0, eta=1.0, mode="smoothing")
+    with pytest.raises(ConfigError):
+        DetectorConfig(epsilon=1.0, eta=1.0, k=-1)
+
+
+def _reference_obs_and_noise(m, s):
+    """O_s and the window noise covariance M_s of subset s from
+    np.linalg.matrix_power, independent of the model's observability stack."""
+    n = m.n
+    rows = {(i, j): m.C[i - 1] @ np.linalg.matrix_power(m.A, j) for i in s for j in range(n)}
+    Os = np.vstack([rows[i, j] for i in s for j in range(n)])
+    J = np.zeros((n * len(s), n * n))
+    for idx, i in enumerate(s):
+        for j in range(1, n):
+            for l in range(j):
+                J[idx * n + j, l * n : (l + 1) * n] = rows[i, j - 1 - l]
+    return Os, m.sigma_w2 * J @ J.T + m.sigma_v2 * np.eye(n * len(s))
 
 
 @pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
 def test_bank_matches_from_scratch_reference(mode):
     # every subset of a p=4 plant: carved O_s and M_s reproduce the
     # quantities built directly for the subset
-    from secest import (
-        block_output_matrix,
-        cross_covariance_correction,
-        noise_structure,
-        observability_matrix,
-    )
+    from secest import block_output_matrix, cross_covariance_correction
 
     m = make_random_stable_system(3, 4, 0.85, seed=61, sigma_w2=0.5, sigma_v2=0.7)
     cfg = _small_cfg(N=600, eta=1.0, mode=mode)
@@ -241,9 +252,9 @@ def test_bank_matches_from_scratch_reference(mode):
     for size in range(1, 5):
         for s in combinations(range(1, 5), size):
             flt = solve_steady_state(m, s, mode)
-            Os = observability_matrix(m, s).stacked
+            Os, M = _reference_obs_and_noise(m, s)
             F = flt.error_cov if mode == PREDICTION else flt.filtered_cov
-            expected = Os @ F @ Os.T + noise_structure(m, s).cov
+            expected = Os @ F @ Os.T + M
             if mode == FILTERING:
                 D = cross_covariance_correction(m, s, flt)
                 expected = expected - D - D.T
@@ -256,7 +267,7 @@ def test_bank_matches_from_scratch_reference(mode):
             assert np.abs(report.expected_matrix - expected).max() <= 1e-12 * scale
             assert abs(report.max_deviation - deviation.max()) <= 1e-12 * scale
             for idx, i in enumerate(s):
-                Oi = observability_matrix(m, (i,)).stacked
+                Oi = Os[idx * m.n : (idx + 1) * m.n]
                 block = slice(idx * m.n, (idx + 1) * m.n)
                 mu = abs(np.trace(deviation[block, block]) - cfg.eta * m.n) / np.linalg.eigvalsh(
                     Oi.T @ Oi
@@ -275,7 +286,7 @@ def test_bank_keeps_expected_matrices_on_prewarm_or_repeat():
     traj = simulate(m, atk, cfg.t1 + cfg.window_length(3) + 3, seed=3, burn_in=30)
 
     bank = SubsetBank(m, cfg)
-    outcome = exhaustive_search(m, traj, 1, cfg, detector=partial(bank.detect, traj))
+    outcome = exhaustive_search(m, traj, cfg, detector=partial(bank.detect, traj))
     assert outcome.found and outcome.theory_checks > 1
     assert bank._expected == {}  # one search tests no subset twice
     tested = tuple(outcome.trace[0]["subset"])

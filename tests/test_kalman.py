@@ -124,7 +124,7 @@ def test_cross_correction_scalar_window(triple_sensor_scalar):
     s = (1, 2)
     flt = solve_steady_state(triple_sensor_scalar, s, FILTERING)
     D = cross_covariance_correction(triple_sensor_scalar, s, flt)
-    Os = observability_matrix(triple_sensor_scalar, s).stacked
+    Os = observability_matrix(triple_sensor_scalar, s)
     assert np.allclose(D, triple_sensor_scalar.sigma_v2 * flt.gain.T @ Os.T)
 
 
@@ -145,7 +145,7 @@ def test_cross_correction_monte_carlo():
     from secest import noise_structure
 
     ns = noise_structure(m, s)
-    Os = observability_matrix(m, s).stacked
+    Os = observability_matrix(m, s)
     n, ms = m.n, len(s)
     T = 200_000
     W = np.sqrt(m.sigma_w2) * rng.standard_normal((T, n * n))

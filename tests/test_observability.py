@@ -20,23 +20,38 @@ from secest import (
 
 
 def test_scalar_blocks_and_stack(triple_sensor_scalar):
-    b = observability_matrix(triple_sensor_scalar, (1, 2, 3))
+    Os = observability_matrix(triple_sensor_scalar, (1, 2, 3))
     for i in (1, 2, 3):
-        assert np.array_equal(b.blocks[i], [[1.0]])
-    assert b.stacked.shape == (3, 1)
-    assert np.array_equal(b.stacked, [[1.0], [1.0], [1.0]])
+        assert np.array_equal(observability_matrix(triple_sensor_scalar, (i,)), [[1.0]])
+    assert Os.shape == (3, 1)
+    assert np.array_equal(Os, [[1.0], [1.0], [1.0]])
+
+
+def test_observability_stack_built_once_and_read_only():
+    m = make_random_stable_system(4, 3, 0.8, seed=2)
+    stack = m.observability_stack
+    observability_matrix(m, (1, 3))
+    noise_structure(m, (2,))
+    is_observable(m, (3,))
+    assert m.observability_stack is stack
+    assert not (stack.flags.writeable or m.A.flags.writeable or m.C.flags.writeable)
+    with pytest.raises(ValueError):
+        stack[0, 0] = 1.0
+    reference = np.vstack(
+        [m.C[i] @ np.linalg.matrix_power(m.A, j) for i in range(3) for j in range(4)]
+    )
+    np.testing.assert_allclose(stack, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+    assert np.array_equal(observability_matrix(m, (3, 1)), np.vstack([stack[:4], stack[8:]]))
 
 
 def test_nilpotent_shift_block():
     m = SystemModel(A=[[0.0, 1.0], [0.0, 0.0]], C=[[1.0, 0.0]], sigma_w2=1, sigma_v2=1)
-    b = observability_matrix(m, (1,))
-    assert np.array_equal(b.blocks[1], np.eye(2))
+    assert np.array_equal(observability_matrix(m, (1,)), np.eye(2))
 
 
 def test_identity_dynamics_rank_deficient():
     m = SystemModel(A=np.eye(2), C=[[1.0, 0.0]], sigma_w2=1, sigma_v2=1)
-    b = observability_matrix(m, (1,))
-    assert np.array_equal(b.blocks[1], [[1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(observability_matrix(m, (1,)), [[1.0, 0.0], [1.0, 0.0]])
     assert not is_observable(m, (1,))
 
 
@@ -86,8 +101,8 @@ def test_sparse_observability_cap():
 def test_min_gram_eigenvalue_hand(triple_sensor_scalar):
     # each 2-subset stacks two unit rows: gram = [2]
     assert min_gram_eigenvalue(triple_sensor_scalar, (1, 2, 3), 1) == pytest.approx(2.0)
-    b = observability_matrix(triple_sensor_scalar, (1, 2, 3))
-    gram = b.stacked.T @ b.stacked
+    Os = observability_matrix(triple_sensor_scalar, (1, 2, 3))
+    gram = Os.T @ Os
     assert min_gram_eigenvalue(triple_sensor_scalar, (1, 2, 3), 0) == pytest.approx(
         float(np.linalg.eigvalsh(gram)[0])
     )
@@ -143,7 +158,7 @@ def test_block_outputs_noiseless_identity():
     m = make_random_stable_system(4, 3, 0.8, seed=9, sigma_w2=0.0, sigma_v2=0.0)
     traj = simulate(m, AttackSpec(), horizon=30, x0=[1.0, -2.0, 0.5, 3.0], seed=0)
     for s in [(1,), (2, 3), (1, 2, 3)]:
-        Os = observability_matrix(m, s).stacked
+        Os = observability_matrix(m, s)
         for t in (0, 5, 20):
             ybar = block_output_window(traj, s, t)
             assert np.max(np.abs(ybar - Os @ traj.states[t])) <= 1e-10
@@ -163,9 +178,9 @@ def test_stack_union_consistency():
     part_a = observability_matrix(m, (1, 4))
     part_b = observability_matrix(m, (3,))
     n = m.n
-    assert np.array_equal(whole.stacked[:n], part_a.stacked[:n])
-    assert np.array_equal(whole.stacked[n : 2 * n], part_b.stacked)
-    assert np.array_equal(whole.stacked[2 * n :], part_a.stacked[n:])
+    assert np.array_equal(whole[:n], part_a[:n])
+    assert np.array_equal(whole[n : 2 * n], part_b)
+    assert np.array_equal(whole[2 * n :], part_a[n:])
 
 
 def test_gram_monotonicity():
@@ -174,7 +189,7 @@ def test_gram_monotonicity():
     subset = []
     for i in range(1, 7):
         subset.append(i)
-        gram = observability_matrix(m, subset).stacked
+        gram = observability_matrix(m, subset)
         lam = float(np.linalg.eigvalsh(gram.T @ gram)[0])
         assert lam >= prev - 1e-12
         prev = lam

@@ -1,8 +1,10 @@
 from math import comb
 
 import numpy as np
+import pytest
 from secest import (
     AttackSpec,
+    ConfigError,
     DetectorConfig,
     FilterRun,
     PREDICTION,
@@ -18,9 +20,9 @@ from secest import (
 from secest.pbsat import AT_LEAST
 
 
-def small_setup(seed, attacked=(), amplitude=4.0, n=3, p=4, N=3000, eta=1.0):
+def small_setup(seed, attacked=(), amplitude=4.0, n=3, p=4, N=3000, eta=1.0, k=1):
     m = make_random_stable_system(n, p, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
-    cfg = DetectorConfig(epsilon=1.0, N=N, t1=80, mode=PREDICTION, eta=eta, k=1)
+    cfg = DetectorConfig(epsilon=1.0, N=N, t1=80, mode=PREDICTION, eta=eta, k=k)
     atk = AttackSpec(tuple(attacked), SeededRandom(amplitude)) if attacked else AttackSpec()
     traj = simulate(m, atk, cfg.t1 + cfg.window_length(n) + n, seed=seed, burn_in=30)
     return m, traj, cfg
@@ -28,19 +30,19 @@ def small_setup(seed, attacked=(), amplitude=4.0, n=3, p=4, N=3000, eta=1.0):
 
 def test_no_attack_first_subset_passes():
     m, traj, cfg = small_setup(seed=0)
-    ex = exhaustive_search(m, traj, 1, cfg)
+    ex = exhaustive_search(m, traj, cfg)
     assert ex.found and ex.subset == (1, 2, 3) and ex.theory_checks == 1
-    sm = smt_search(m, traj, 1, cfg)
+    sm = smt_search(m, traj, cfg)
     assert sm.found and sm.subset == (1, 2, 3, 4) and sm.theory_checks == 1
     assert sm.certificates == []
 
 
 def test_attack_on_first_sensors_found_complement():
-    m, traj, cfg = small_setup(seed=1, attacked=(1, 2))
-    ex = exhaustive_search(m, traj, 2, cfg)
+    m, traj, cfg = small_setup(seed=1, attacked=(1, 2), k=2)
+    ex = exhaustive_search(m, traj, cfg)
     assert ex.found and ex.subset == (3, 4)
     assert ex.theory_checks == comb(4, 2)  # complement is last in lex order
-    sm = smt_search(m, traj, 2, cfg)
+    sm = smt_search(m, traj, cfg)
     assert sm.found
     flag, _, _ = attack_detect(m, traj, sm.subset, cfg)
     assert flag == 0
@@ -49,20 +51,29 @@ def test_attack_on_first_sensors_found_complement():
 
 def test_massive_attack_exhausts_both():
     m, traj, cfg = small_setup(seed=2, attacked=(1, 2, 3, 4), amplitude=8.0)
-    ex = exhaustive_search(m, traj, 1, cfg)
+    ex = exhaustive_search(m, traj, cfg)
     assert not ex.found and ex.theory_checks == comb(4, 3)
-    sm = smt_search(m, traj, 1, cfg)
+    sm = smt_search(m, traj, cfg)
     assert not sm.found and sm.subset is None
     # solver exhausted every hypothesis with at most one attacked sensor
     assert sm.theory_checks <= 1 + 4
+
+
+def test_search_needs_attack_bound_in_config():
+    m, traj, _ = small_setup(seed=0)
+    for k in (None, m.p):  # no bound, and a bound on all p sensors
+        cfg = DetectorConfig(epsilon=1.0, N=3000, t1=80, eta=1.0, k=k)
+        for search in (exhaustive_search, smt_search):
+            with pytest.raises(ConfigError):
+                search(m, traj, cfg)
 
 
 def test_outcome_equivalence_over_seeds():
     found_pairs = 0
     for seed in range(5):
         m, traj, cfg = small_setup(seed=seed, attacked=(2,))
-        ex = exhaustive_search(m, traj, 1, cfg)
-        sm = smt_search(m, traj, 1, cfg)
+        ex = exhaustive_search(m, traj, cfg)
+        sm = smt_search(m, traj, cfg)
         if ex.found:
             assert sm.found
             for outcome in (ex, sm):
@@ -75,7 +86,7 @@ def test_outcome_equivalence_over_seeds():
 
 def test_certificate_soundness_audit():
     m, traj, cfg = small_setup(seed=3, attacked=(1,))
-    sm = smt_search(m, traj, 1, cfg)
+    sm = smt_search(m, traj, cfg)
     assert sm.found
     failed = {
         tuple(entry["subset"]) for entry in sm.trace if entry["flag"] == 1
@@ -89,7 +100,7 @@ def test_certificate_soundness_audit():
 
 def test_detector_calls_exceed_hypothesis_checks_under_attack():
     m, traj, cfg = small_setup(seed=3, attacked=(1,))
-    sm = smt_search(m, traj, 1, cfg)
+    sm = smt_search(m, traj, cfg)
     assert sm.detector_calls >= sm.theory_checks
     cert_calls = [e for e in sm.trace if e["phase"] == "certificate"]
     assert len(cert_calls) == sm.detector_calls - sm.theory_checks
@@ -141,7 +152,7 @@ def test_certificate_stops_at_first_passing_removal():
     s = (1, 2, 3, 4, 5)
     report = _fake_report(s, {1: 5.0, 2: 0.1, 3: 4.0, 4: 3.0, 5: 2.0})
     det = ScriptedDetector(failing={s})  # every shrunken subset passes
-    certs = generate_certificate(m, traj, report, cfg, 2, detector=det)
+    certs = generate_certificate(m, traj, report, cfg, detector=det)
     assert [c.vars for c in certs] == [s]
     assert det.calls == [(1, 3, 4, 5)]  # sensor 2 (lowest score) dropped first
 
@@ -153,7 +164,7 @@ def test_certificate_chain_emits_shrinking_subsets():
     s = (1, 2, 3, 4, 5)
     report = _fake_report(s, {1: 5.0, 2: 0.1, 3: 0.2, 4: 3.0, 5: 2.0})
     det = ScriptedDetector(failing={s, (1, 3, 4, 5), (1, 4, 5)})
-    certs = generate_certificate(m, traj, report, cfg, 2, detector=det)
+    certs = generate_certificate(m, traj, report, cfg, detector=det)
     # trivial, then each still-failing shrunken subset (budget 2 walked fully)
     assert [c.vars for c in certs] == [s, (1, 3, 4, 5), (1, 4, 5)]
     assert det.calls == [(1, 3, 4, 5), (1, 4, 5)]
@@ -167,7 +178,7 @@ def test_certificate_degenerate_small_subset():
     s = (2, 4)  # p - 2k + 1 = 4 >= |s|
     report = _fake_report(s, {2: 1.0, 4: 2.0})
     det = ScriptedDetector(failing={s})
-    certs = generate_certificate(m, traj, report, cfg, 1, detector=det)
+    certs = generate_certificate(m, traj, report, cfg, detector=det)
     assert [c.vars for c in certs] == [s]
     assert det.calls == []
 
@@ -180,7 +191,7 @@ def test_certificate_auto_threshold_guard():
     s = (1, 2, 3, 4)
     report = _fake_report(s, {1: 0.1, 2: 0.2, 3: 5.0, 4: 6.0})
     det = ScriptedDetector(failing={s, (2, 3, 4), (3, 4)})
-    certs = generate_certificate(m, traj, report, cfg, 2, detector=det)
+    certs = generate_certificate(m, traj, report, cfg, detector=det)
     # budget is p-2k+1 = 1, so only one removal is listed anyway
     assert [c.vars for c in certs] == [s, (2, 3, 4)]
 

@@ -1,10 +1,15 @@
 """The benchmark tracer (benchmarks/spans.py) wraps secest functions by
-module and name, and the exp2_banked workload wraps ``cli.simulate``; a
-moved or renamed function makes the traced benchmark crash."""
+module and name, and the benchmark workloads read and set scenario
+fields after parsing; a moved or renamed function, or a field the
+runners stop reading, makes the benchmark crash or measure something
+else."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from secest import cli, kalman
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -21,3 +26,32 @@ def test_traced_names_resolve():
     ]
     assert missing == []
     assert callable(importlib.import_module("secest.cli").simulate)
+
+
+def test_solve_steady_state_takes_model_first():
+    # the tracer's Riccati counter reads the model from args[0]
+    assert next(iter(inspect.signature(kalman.solve_steady_state).parameters)) == "model"
+
+
+def test_scenario_k_readable_after_parsing():
+    assert cli.default_experiment1_scenario().k == 2
+
+
+def test_experiment2_reads_fields_set_after_parsing(monkeypatch):
+    # exp2_banked edits the parsed scenario's raw experiment2 section and
+    # model size, then times one run_experiment2 call
+    scenario = cli.default_experiment2_scenario()
+    scenario.model_spec["random"]["n"] = 4
+    scenario.raw["experiment2"] = {"p_values": [4]}
+    scenario.repetitions = 1
+    sizes = []
+    simulate = cli.simulate
+
+    def recording_simulate(model, *args, **kwargs):
+        sizes.append((model.n, model.p))
+        return simulate(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", recording_simulate)
+    rows = cli.run_experiment2(scenario)
+    assert [row["p"] for row in rows] == [4]
+    assert sizes == [(4, 4)]
