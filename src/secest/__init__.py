@@ -49,7 +49,6 @@ from .noiseless import (
 from .observability import (
     NoiseStructure,
     block_output_matrix,
-    block_output_window,
     full_subset,
     is_observable,
     min_gram_eigenvalue,
@@ -65,7 +64,6 @@ from .pbsat import (
     at_least,
     at_most,
     evaluate,
-    format_formula,
     solve,
 )
 from .search import SearchOutcome, exhaustive_search, generate_certificate, smt_search

@@ -8,8 +8,8 @@ and every emitted artifact carries a schema_version.
 Subcommands: simulate, detect, search, exp1, exp2, decode-noiseless,
 obsv.  Exit codes: 0 success, 2 scenario/parse error, 3 analysis error,
 4 I/O error.  SECEST_THREADS caps repetition parallelism (default 1);
-wall-clock columns are machine-dependent, so ``--no-timing`` zeroes them
-for byte-reproducible artifacts.
+wall-clock columns and fields are machine-dependent, so ``--no-timing``
+zeroes them, in CSV and JSON alike, for byte-reproducible artifacts.
 
 The scenario's ``k`` is stored once, as the detector configuration's
 attack bound, and every residue test runs through a
@@ -27,7 +27,6 @@ import json
 import os
 import statistics
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -191,34 +190,42 @@ def parse_scenario(doc: dict) -> Scenario:
         if attacked_field == "random":
             attacked = None
         else:
-            attacked = tuple(int(i) for i in attacked_field)
+            _check(attacked_field, "attack.attacked", _is_ints, 'a list of integers or "random"')
+            attacked = tuple(attacked_field)
         strategy_doc = attack_doc.get("strategy", {"type": "none"})
         stype = strategy_doc.get("type", "none")
         if stype not in _STRATEGIES:
             raise ScenarioError(f"unknown attack strategy {stype!r}")
         strategy = _STRATEGIES[stype](strategy_doc)
 
+        k, seed, repetitions = doc.get("k", 0), doc.get("seed", 0), doc.get("repetitions", 1)
+        for key, value in (("k", k), ("seed", seed), ("repetitions", repetitions)):
+            if not _is_int(value):  # required: an explicit null is no integer either
+                raise ScenarioError(f"{key} must be an integer, got {value!r}")
+        for key in ("horizon", "burn_in"):
+            _check(doc.get(key), key, _is_int, "an integer")
         det = doc.get("detector", {})
+        for key in ("N", "t1"):
+            _check(det.get(key), f"detector.{key}", _is_int, "an integer")
+        _check(det.get("epsilon"), "detector.epsilon", _is_number, "a number")
         eta = det.get("eta", "auto")
+        if eta != "auto":
+            _check(eta, "detector.eta", _is_number, 'a number or "auto"')
         detector = DetectorConfig(
             epsilon=float(det.get("epsilon", 1.0)),
-            N=int(det.get("N", 20000)),
-            t1=int(det.get("t1", 200)),
+            N=det.get("N", 20000),
+            t1=det.get("t1", 200),
             mode=det.get("mode", PREDICTION),
             eta=None if eta == "auto" else float(eta),
-            k=int(doc.get("k", 0)),
+            k=k,
         )
         method = doc.get("search", "exhaustive")
         if method not in ("exhaustive", "smt", "both"):
             raise ScenarioError(f"unknown search method {method!r}")
-        seed = int(doc.get("seed", 0))
         if seed < 0:
             raise ScenarioError(f"seed must be nonnegative, got {seed}")
-        repetitions = int(doc.get("repetitions", 1))
         if repetitions < 1:
             raise ScenarioError(f"repetitions must be positive, got {repetitions}")
-        for key in ("horizon", "burn_in"):
-            _check(doc.get(key), key, _is_int, "an integer")
         _check(doc.get("x0"), "x0", _is_numbers, "a list of numbers")
         exp2 = doc.get("experiment2", {})  # a non-object fails .get below
         _check(exp2.get("p_values"), "experiment2.p_values", _is_ints, "a list of integers")
@@ -233,6 +240,7 @@ def parse_scenario(doc: dict) -> Scenario:
             _check(corrupt["sensors"], "noiseless.corrupt.sensors", _is_ints, "a list of integers")
             _check(corrupt["state"], "noiseless.corrupt.state", _is_numbers, "a list of numbers")
         subset = doc.get("subset")
+        _check(subset, "subset", _is_ints, "a list of integers")
         scenario = Scenario(
             raw=doc,
             model_spec=model_spec,
@@ -245,7 +253,7 @@ def parse_scenario(doc: dict) -> Scenario:
             horizon=doc.get("horizon"),
             burn_in=doc.get("burn_in"),
             x0=doc.get("x0"),
-            subset=tuple(int(i) for i in subset) if subset else None,
+            subset=tuple(subset) if subset else None,
             noiseless=doc.get("noiseless"),
         )
         scenario.build_model(0)  # a malformed model is a scenario error
@@ -446,38 +454,31 @@ def run_experiment2(
         bank.prewarm(combinations(range(1, p + 1), p - k))
         bank.prewarm([full_subset(p)])
 
-        def one_rep(rep: int, _model=model, _cfg=cfg, _attack=attack, _bank=bank, _horizon=horizon):
+        def one_rep(rep: int) -> dict:
             rep_seed = scenario.seed + rep
-            traj = simulate(
-                _model, _attack, _horizon, seed=rep_seed, burn_in=10 * _model.n
-            )
-            detector = partial(_bank.detect, traj)
-            t0 = time.perf_counter()
-            out_ex = exhaustive_search(_model, traj, _cfg, detector=detector)
-            t_ex = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            out_smt = smt_search(_model, traj, _cfg, detector=detector)
-            t_smt = time.perf_counter() - t0
-            return (rep_seed, t_ex, out_ex, t_smt, out_smt)
+            traj = simulate(model, attack, horizon, seed=rep_seed, burn_in=10 * model.n)
+            detector = partial(bank.detect, traj)
+            out_ex = exhaustive_search(model, traj, cfg, detector=detector)
+            out_smt = smt_search(model, traj, cfg, detector=detector)
+            return {
+                "p": p,
+                "k": k,
+                "seed": rep_seed,
+                "time_exhaustive": out_ex.wall_time,
+                "time_smt": out_smt.wall_time,
+                "outcome_exhaustive": out_ex,
+                "outcome_smt": out_smt,
+            }
 
         reps = _map_reps(one_rep, scenario.repetitions)
         if per_run is not None:
-            for rep_seed, t_ex, out_ex, t_smt, out_smt in reps:
-                per_run(
-                    {
-                        "p": p,
-                        "k": k,
-                        "seed": rep_seed,
-                        "time_exhaustive": t_ex,
-                        "time_smt": t_smt,
-                        "outcome_exhaustive": out_ex,
-                        "outcome_smt": out_smt,
-                    }
-                )
-        times_ex = [r[1] for r in reps]
-        times_smt = [r[3] for r in reps]
-        checks_ex = [r[2].theory_checks for r in reps]
-        checks_smt = [r[4].theory_checks for r in reps]
+            for record in reps:
+                per_run(record)
+        times_ex = [r["time_exhaustive"] for r in reps]
+        times_smt = [r["time_smt"] for r in reps]
+        outs_ex = [r["outcome_exhaustive"] for r in reps]
+        outs_smt = [r["outcome_smt"] for r in reps]
+        checks_smt = [o.theory_checks for o in outs_smt]
         rows.append(
             {
                 "p": p,
@@ -486,18 +487,12 @@ def run_experiment2(
                 "sd_time_exhaustive": statistics.pstdev(times_ex),
                 "mean_time_smt": statistics.fmean(times_smt),
                 "sd_time_smt": statistics.pstdev(times_smt),
-                "mean_checks_exhaustive": statistics.fmean(checks_ex),
+                "mean_checks_exhaustive": statistics.fmean(o.theory_checks for o in outs_ex),
                 "mean_checks_smt": statistics.fmean(checks_smt),
                 "max_checks_smt": max(checks_smt),
-                "mean_detector_calls_smt": statistics.fmean(
-                    r[4].detector_calls for r in reps
-                ),
-                "found_rate_exhaustive": statistics.fmean(
-                    1.0 if r[2].found else 0.0 for r in reps
-                ),
-                "found_rate_smt": statistics.fmean(
-                    1.0 if r[4].found else 0.0 for r in reps
-                ),
+                "mean_detector_calls_smt": statistics.fmean(o.detector_calls for o in outs_smt),
+                "found_rate_exhaustive": statistics.fmean(float(o.found) for o in outs_ex),
+                "found_rate_smt": statistics.fmean(float(o.found) for o in outs_smt),
             }
         )
     return rows
@@ -575,20 +570,12 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _strip_timing_rows(rows: list[dict]) -> list[dict]:
-    return [
-        {k: (0.0 if "time" in k else v) for k, v in row.items()} for row in rows
-    ]
-
-
-def _strip_timing_obj(obj):
+def _strip_timing(obj):
+    """Zero every wall-clock field: each key containing "time", at any depth."""
     if isinstance(obj, dict):
-        return {
-            k: (0.0 if k == "wall_time" else _strip_timing_obj(v))
-            for k, v in obj.items()
-        }
+        return {k: (0.0 if "time" in k else _strip_timing(v)) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_strip_timing_obj(v) for v in obj]
+        return [_strip_timing(v) for v in obj]
     return obj
 
 
@@ -599,10 +586,7 @@ def _strip_timing_obj(obj):
 def _emit(args, name: str, rows: list[dict] | None = None, obj=None) -> str:
     """Write the artifact in the requested format and return its path."""
     if args.no_timing:
-        if rows is not None:
-            rows = _strip_timing_rows(rows)
-        if obj is not None:
-            obj = _strip_timing_obj(obj)
+        rows, obj = _strip_timing(rows), _strip_timing(obj)
     if args.format == "csv":
         if rows is None:
             raise ScenarioError(f"{name} has no CSV rendering; use --format json")

@@ -5,9 +5,12 @@ covariance solves the discrete algebraic Riccati fixed point
 
     P = A P A' + sigma_w2 I - A P C_s' (C_s P C_s' + sigma_v2 I)^-1 C_s P A'
 
-which is iterated from P = sigma_w2 * I with symmetrization each step.
-Prediction mode returns the one-step-ahead gain; filtering mode returns
-the measurement-update gain and the filtered covariance.
+which is iterated from P = sigma_w2 * I with symmetrization each step,
+until one step changes P by at most max(RICCATI_TOL, n eps ||P||_F) in
+Frobenius norm: the relative floor is what float roundoff allows once P
+is large.  Prediction mode returns the one-step-ahead gain; filtering
+mode returns the measurement-update gain and the filtered covariance.
+Both modes run the same estimate recursion x <- closed_loop x + gain y.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ __all__ = [
 PREDICTION = "prediction"
 FILTERING = "filtering"
 
+RICCATI_TOL = 1e-12
+RICCATI_MAX_ITER = 10**6
+
 
 @dataclass(frozen=True)
 class SteadyStateFilter:
@@ -49,8 +55,9 @@ class SteadyStateFilter:
     ``error_cov`` is the steady prediction error covariance; in
     filtering mode ``filtered_cov`` additionally holds the posterior
     covariance and ``gain`` is the measurement-update gain L rather than
-    the prediction gain K = A L.  A and C_s are carried along so the
-    filter can be run without re-threading the model.
+    the prediction gain K = A L.  ``closed_loop`` is the estimate
+    recursion's state matrix: A - K C_s in prediction mode,
+    (I - L C_s) A in filtering mode.
     """
 
     subset: SensorSubset
@@ -59,12 +66,11 @@ class SteadyStateFilter:
     error_cov: np.ndarray            # (n, n)
     filtered_cov: np.ndarray | None  # (n, n), filtering mode only
     riccati_residual: float
-    A: np.ndarray                    # (n, n)
-    Cs: np.ndarray                   # (|s|, n)
+    closed_loop: np.ndarray          # (n, n)
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.closed_loop.shape[0]
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,6 @@ class FilterRun:
     estimates: np.ndarray  # (t_end - t_start + 1, n)
     t_start: int
     t_end: int
-    mode: str
-    subset: SensorSubset
 
     def window(self, t_start: int, count: int) -> np.ndarray:
         if t_start < self.t_start or t_start + count - 1 > self.t_end:
@@ -98,13 +102,11 @@ def solve_steady_state(
     model: SystemModel,
     s: Iterable[int],
     mode: str = PREDICTION,
-    tol: float = 1e-12,
-    max_iter: int = 10**6,
 ) -> SteadyStateFilter:
     """Iterate the Riccati recursion to its fixed point for subset s.
 
     Raises AnalysisError when (A, C_s) is not observable or the
-    iteration does not meet ``tol`` within ``max_iter`` steps.
+    iteration does not converge within RICCATI_MAX_ITER steps.
     """
     mode = _validate_mode(mode)
     subset = normalize_subset(s, model.p)
@@ -120,14 +122,15 @@ def solve_steady_state(
     R = model.sigma_v2 * np.eye(len(subset))
 
     P = Q.copy()
-    change = np.inf
-    for _ in range(max_iter):
+    floor = n * np.finfo(float).eps
+    for _ in range(RICCATI_MAX_ITER):
         S = Cs @ P @ Cs.T + R
         APC = A @ P @ Cs.T
         P_next = A @ P @ A.T + Q - APC @ np.linalg.solve(S, APC.T)
         P_next = 0.5 * (P_next + P_next.T)
         change = float(np.linalg.norm(P_next - P, "fro"))
         P = P_next
+        tol = max(RICCATI_TOL, floor * float(np.linalg.norm(P, "fro")))
         if change <= tol:
             break
     else:
@@ -147,10 +150,12 @@ def solve_steady_state(
     if mode == PREDICTION:
         gain = A @ L
         filtered = None
+        closed_loop = A - gain @ Cs
     else:
         gain = L
         filtered = P - L @ Cs @ P
         filtered = 0.5 * (filtered + filtered.T)
+        closed_loop = (np.eye(n) - L @ Cs) @ A
     return SteadyStateFilter(
         subset=subset,
         mode=mode,
@@ -158,8 +163,7 @@ def solve_steady_state(
         error_cov=P,
         filtered_cov=filtered,
         riccati_residual=residual,
-        A=A.copy(),
-        Cs=Cs.copy(),
+        closed_loop=closed_loop,
     )
 
 
@@ -180,30 +184,22 @@ def run_filter(
     cols = [i - 1 for i in flt.subset]
     if cols[-1] >= traj.p or flt.n != traj.n:
         raise ConfigError("filter does not match trajectory dimensions")
-    n = traj.n
-    Ys = traj.outputs[: t_end + 1, cols]
 
-    est = np.empty((t_end + 1, n))
+    # xs[t + 1] = closed_loop @ xs[t] + gain @ y_s(t), xs[0] = 0.  A
+    # filtering estimate uses y_s(t), so x_hat(t) = xs[t + 1]; a
+    # prediction estimate does not, so x_hat(t) = xs[t].  xs is allocated
+    # before the temporaries, so freeing them can shrink the heap.
+    lag = int(flt.mode == FILTERING)
+    xs = np.zeros((t_end + 1 + lag, traj.n))
+    Ys = traj.outputs[: t_end + 1, cols]
     gain_y = Ys @ flt.gain.T  # gain @ y_s(t) for every t, one matmul
-    if flt.mode == PREDICTION:
-        # x(t+1) = (A - K Cs) x(t) + K y(t), x(0) = 0
-        Acl = flt.A - flt.gain @ flt.Cs
-        x = np.zeros(n)
-        for t in range(t_end + 1):
-            est[t] = x
-            x = Acl @ x + gain_y[t]
-    else:
-        # x(t) = (I - L Cs) A x(t-1) + L y(t), x(-1) = 0
-        Acl = (np.eye(n) - flt.gain @ flt.Cs) @ flt.A
-        x = np.zeros(n)
-        for t in range(t_end + 1):
-            x = Acl @ x + gain_y[t]
-            est[t] = x
-    est = est[t_start:]
+    Acl, x = flt.closed_loop, xs[0]
+    for t in range(t_end + lag):
+        x = Acl @ x + gain_y[t]
+        xs[t + 1] = x
+    est = xs[t_start + lag :]
     est.setflags(write=False)
-    return FilterRun(
-        estimates=est, t_start=t_start, t_end=t_end, mode=flt.mode, subset=flt.subset
-    )
+    return FilterRun(estimates=est, t_start=t_start, t_end=t_end)
 
 
 def cross_covariance_correction(

@@ -33,7 +33,6 @@ __all__ = [
     "sparse_observability_index",
     "min_gram_eigenvalue",
     "noise_structure",
-    "block_output_window",
     "block_output_matrix",
 ]
 
@@ -177,7 +176,3 @@ def block_output_matrix(
     block = windows[t_start : t_start + count, cols, :]
     return block.reshape(count, len(subset) * n)
 
-
-def block_output_window(traj: Trajectory, s: Sequence[int], t: int) -> np.ndarray:
-    """Single stacked output window at time t (length n * len(s))."""
-    return block_output_matrix(traj, s, t, 1)[0]

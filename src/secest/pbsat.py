@@ -26,7 +26,6 @@ __all__ = [
     "at_least",
     "solve",
     "evaluate",
-    "format_formula",
 ]
 
 AT_MOST = "atmost"
@@ -85,14 +84,8 @@ class PBFormula:
                     f"constraint over {c.vars} exceeds num_vars={self.num_vars}"
                 )
 
-    def with_constraint(self, c: PBConstraint) -> "PBFormula":
-        return PBFormula(self.num_vars, self.constraints + (c,))
-
     def with_constraints(self, cs) -> "PBFormula":
-        out = self
-        for c in cs:
-            out = out.with_constraint(c)
-        return out
+        return PBFormula(self.num_vars, self.constraints + tuple(cs))
 
 
 def evaluate(formula: PBFormula, assignment: Assignment) -> bool:
@@ -165,12 +158,3 @@ def solve(formula: PBFormula) -> Assignment | None:
             return tuple(values)
     return None
 
-
-def format_formula(formula: PBFormula) -> str:
-    """Line-oriented text dump, one constraint per line:
-    ``<= bound : i1 i2 ...`` or ``>= bound : i1 i2 ...``."""
-    lines = [f"p pb {formula.num_vars} {len(formula.constraints)}"]
-    for c in formula.constraints:
-        op = "<=" if c.sense == AT_MOST else ">="
-        lines.append(f"{op} {c.bound} : " + " ".join(str(i) for i in c.vars))
-    return "\n".join(lines)

@@ -13,8 +13,11 @@ value that also drives the auto threshold; a search without it is a
 configuration error.  ``theory_checks`` counts the detector runs spent on
 search hypotheses; ``detector_calls`` additionally includes the
 certificate-shrinking runs, and the trace records every call for audits.
-Unless a detector is injected, each search call tests every subset,
-certificate shrinking included, against one `SubsetBank` of its own.
+``wall_time`` is the search's one clock, the seconds from the start of
+its subset tests to its outcome; experiment 2 reports it as is.  Unless a
+detector is injected, each search call tests every subset against one
+`SubsetBank` of its own, and certificate shrinking probes through the
+search's detector.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class SearchOutcome:
     wall_time: float = 0.0
     trace: list[dict] = field(default_factory=list)
 
-    def to_dict(self, include_timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "found": self.found,
             "subset": list(self.subset) if self.subset else None,
@@ -74,7 +77,7 @@ class SearchOutcome:
                 {"vars": list(c.vars), "sense": c.sense, "bound": c.bound}
                 for c in self.certificates
             ],
-            "wall_time": self.wall_time if include_timing else 0.0,
+            "wall_time": self.wall_time,
             "trace": self.trace,
         }
 
@@ -176,9 +179,7 @@ def smt_search(
         flag, run, report = det(hypothesis)
         if flag == 0:
             return det.outcome(hypothesis, run, report, certificates)
-        certs = generate_certificate(
-            model, traj, report, cfg, detector=partial(det, phase="certificate")
-        )
+        certs = generate_certificate(model, report, cfg, partial(det, phase="certificate"))
         certificates.extend(certs)
         formula = formula.with_constraints(certs)
     raise AnalysisError("guided search exceeded its iteration bound")
@@ -186,13 +187,12 @@ def smt_search(
 
 def generate_certificate(
     model: SystemModel,
-    traj: Trajectory,
     report: ResidueReport,
     cfg: DetectorConfig,
-    detector: Detector | None = None,
+    detector: Detector,
 ) -> list[PBConstraint]:
     """Certificates explaining why the subset of ``report`` failed the
-    residue test.
+    residue test, probing shrunken subsets with ``detector``.
 
     Always starts with the full-subset certificate (excluding the current
     hypothesis), then repeatedly drops the sensor with the lowest
@@ -204,7 +204,6 @@ def generate_certificate(
     """
     k = _attack_bound(model, cfg)
     subset = normalize_subset(report.subset, model.p)
-    det = detector or _default_detector(model, traj, cfg)
     certs = [at_least(subset, 1)]
 
     budget = model.p - 2 * k + 1
@@ -220,7 +219,7 @@ def generate_certificate(
         if cfg.eta is None and len(shrunk) <= k:
             break  # auto threshold undefined below k+1 sensors
         try:
-            flag, _, _ = det(shrunk)
+            flag, _, _ = detector(shrunk)
         except AnalysisError:
             break  # shrunken subset lost observability; stop shrinking
         if flag == 1:

@@ -146,6 +146,16 @@ def _random_model(doc):
             "decode-noiseless",
             lambda d: d.update(noiseless={"corrupt": {"sensors": ["x"], "state": [1.0]}}),
         ),
+        ("search", lambda d: d.update(k=1.7)),
+        ("decode-noiseless", lambda d: d.update(k=None)),
+        ("search", lambda d: d.update(seed="7")),
+        ("search", lambda d: d.update(repetitions=1.5)),
+        ("search", lambda d: d["detector"].update(N=4000.9)),
+        ("search", lambda d: d["detector"].update(t1="100")),
+        ("search", lambda d: d["detector"].update(epsilon="3")),
+        ("search", lambda d: d["detector"].update(eta=True)),
+        ("search", lambda d: d["attack"].update(attacked=[1.5])),
+        ("detect", lambda d: d.update(subset=["2"])),
     ],
     ids=[
         "string-horizon",
@@ -157,6 +167,16 @@ def _random_model(doc):
         "string-noiseless-k",
         "string-noiseless-x0",
         "string-corrupt-sensor",
+        "fractional-k",
+        "null-k",
+        "string-seed",
+        "fractional-repetitions",
+        "fractional-N",
+        "string-t1",
+        "string-epsilon",
+        "boolean-eta",
+        "fractional-attacked",
+        "string-subset",
     ],
 )
 def test_mistyped_field_exits_2(tmp_path, command, edit):
@@ -239,6 +259,26 @@ def test_search_no_timing_determinism(tmp_path):
             == 0
         )
     assert (a / "search.json").read_bytes() == (b / "search.json").read_bytes()
+
+
+def test_exp2_json_no_timing_determinism(tmp_path):
+    # exp2 rows carry mean_time_*/sd_time_* wall clocks besides wall_time
+    doc = {
+        "schema_version": 1,
+        "model": {"random": {"n": 4, "p": 3, "seed": 3, "sigma_w2": 0.001, "sigma_v2": 1.0}},
+        "attack": {"attacked": [], "strategy": {"type": "noise_linear", "gain": 10.0}},
+        "detector": {"epsilon": 1.0, "eta": 8.0, "N": 300, "t1": 60},
+        "k": 1,
+        "repetitions": 2,
+        "experiment2": {"p_values": [3]},
+    }
+    scenario = write_scenario(tmp_path, doc)
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    for out in (a, b):
+        argv = ["exp2", "--scenario", scenario, "--out", str(out), "--format", "json", "--no-timing"]
+        assert main(argv) == 0
+    assert (a / "exp2.json").read_bytes() == (b / "exp2.json").read_bytes()
 
 
 def test_experiment1_tiny_run():

@@ -162,8 +162,6 @@ def test_oracle_perfect_estimator_inert():
         estimates=traj.states.copy(),
         t_start=0,
         t_end=traj.horizon - 1,
-        mode=PREDICTION,
-        subset=(1, 2),
     )
     assert not effective_attack_oracle(traj, perfect, flt.error_cov, 0.5, 50, 100)
 

@@ -64,6 +64,15 @@ def test_riccati_matches_structured_solver(seed):
     )
 
 
+def test_riccati_large_covariance_converges():
+    # with ||P||_F near 5e6, roundoff keeps each step's change near 1e-9,
+    # so an absolute 1e-12 stopping rule alone never stops
+    m = make_random_stable_system(3, 1, 0.95, seed=1, sigma_w2=1e6)
+    flt = solve_steady_state(m, (1,), PREDICTION)
+    ref = dare_oracle(m, (1,))
+    assert np.linalg.norm(flt.error_cov - ref, "fro") <= 1e-9 * np.linalg.norm(ref, "fro")
+
+
 def test_unobservable_subset_rejected():
     m = SystemModel(A=np.eye(2), C=[[1.0, 0.0], [0.0, 1.0]], sigma_w2=1, sigma_v2=1)
     with pytest.raises(AnalysisError):
@@ -188,6 +197,34 @@ def test_worst_subset_excludes_strong_sensor():
 def test_worst_subset_k0_full_set(triple_sensor_scalar):
     subset, trace = worst_subset(triple_sensor_scalar, 0)
     assert subset == (1, 2, 3)
+
+
+def _two_loop_run_filter(model, flt, traj, t_start, t_end):
+    """Reference: the prediction and filtering recursions as separate loops."""
+    A, Cs, n = model.A, model.C[[i - 1 for i in flt.subset]], model.n
+    gain_y = traj.outputs[: t_end + 1, [i - 1 for i in flt.subset]] @ flt.gain.T
+    est = np.empty((t_end + 1, n))
+    x = np.zeros(n)
+    if flt.mode == PREDICTION:
+        Acl = A - flt.gain @ Cs
+        for t in range(t_end + 1):
+            est[t] = x
+            x = Acl @ x + gain_y[t]
+    else:
+        Acl = (np.eye(n) - flt.gain @ Cs) @ A
+        for t in range(t_end + 1):
+            x = Acl @ x + gain_y[t]
+            est[t] = x
+    return est[t_start:]
+
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_run_filter_matches_two_loop_reference(mode):
+    m = make_random_stable_system(5, 4, 0.9, seed=8, sigma_w2=0.3, sigma_v2=0.8)
+    traj = simulate(m, AttackSpec(), horizon=400, seed=2, burn_in=20)
+    flt = solve_steady_state(m, (1, 3, 4), mode)
+    run = run_filter(flt, traj, 37, 350)
+    assert np.array_equal(run.estimates, _two_loop_run_filter(m, flt, traj, 37, 350))
 
 
 def test_run_filter_window_bounds():

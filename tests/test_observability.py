@@ -6,7 +6,6 @@ from secest import (
     ConfigError,
     SystemModel,
     block_output_matrix,
-    block_output_window,
     full_subset,
     is_observable,
     make_random_stable_system,
@@ -143,15 +142,14 @@ def test_noise_structure_psd_floor():
 def test_block_outputs_scalar_window():
     m = SystemModel(A=[[1.0]], C=[[1.0], [1.0]], sigma_w2=0, sigma_v2=0)
     traj = simulate(m, AttackSpec(), horizon=4, x0=[3.0], seed=0)
-    assert np.array_equal(block_output_window(traj, (1, 2), 0), [3.0, 3.0])
+    assert np.array_equal(block_output_matrix(traj, (1, 2), 0, 1), [[3.0, 3.0]])
 
 
 def test_block_outputs_direct_slice():
     m = SystemModel(A=[[1.0, 1.0], [0.0, 1.0]], C=[[1.0, 0.0]], sigma_w2=0, sigma_v2=0)
     traj = simulate(m, AttackSpec(), horizon=5, x0=[5.0, 2.0], seed=0)
     # position grows by 2 per step: outputs 5, 7, 9, ...
-    assert np.array_equal(block_output_window(traj, (1,), 0), [5.0, 7.0])
-    assert np.array_equal(block_output_window(traj, (1,), 1), [7.0, 9.0])
+    assert np.array_equal(block_output_matrix(traj, (1,), 0, 2), [[5.0, 7.0], [7.0, 9.0]])
 
 
 def test_block_outputs_noiseless_identity():
@@ -160,7 +158,7 @@ def test_block_outputs_noiseless_identity():
     for s in [(1,), (2, 3), (1, 2, 3)]:
         Os = observability_matrix(m, s)
         for t in (0, 5, 20):
-            ybar = block_output_window(traj, s, t)
+            ybar = block_output_matrix(traj, s, t, 1)[0]
             assert np.max(np.abs(ybar - Os @ traj.states[t])) <= 1e-10
 
 
@@ -168,7 +166,7 @@ def test_block_outputs_range_error():
     m = make_random_stable_system(3, 2, 0.8, seed=1)
     traj = simulate(m, AttackSpec(), horizon=10, seed=0)
     with pytest.raises(ConfigError):
-        block_output_window(traj, (1,), 8)  # needs t+n-1 = 10 >= horizon
+        block_output_matrix(traj, (1,), 8, 1)  # needs t+n-1 = 10 >= horizon
     assert block_output_matrix(traj, (1, 2), 0, 8).shape == (8, 6)
 
 

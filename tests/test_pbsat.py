@@ -12,7 +12,6 @@ from secest.pbsat import (
     at_least,
     at_most,
     evaluate,
-    format_formula,
     solve,
 )
 
@@ -55,11 +54,11 @@ def test_contradiction_unsat():
 def test_append_singleton_halves_solution_space():
     f = PBFormula(3)
     assert count_solutions(f) == 8
-    assert count_solutions(f.with_constraint(at_least((3,), 1))) == 4
+    assert count_solutions(f.with_constraints([at_least((3,), 1)])) == 4
 
 
 def test_append_full_support_removes_only_all_false():
-    f = PBFormula(3).with_constraint(at_least((1, 2, 3), 1))
+    f = PBFormula(3).with_constraints([at_least((1, 2, 3), 1)])
     assert count_solutions(f) == 7
     assert not evaluate(f, (False, False, False))
 
@@ -67,13 +66,13 @@ def test_append_full_support_removes_only_all_false():
 def test_duplicate_constraint_idempotent():
     c = at_least((1, 3), 1)
     f = PBFormula(3, (c,))
-    assert count_solutions(f) == count_solutions(f.with_constraint(c))
+    assert count_solutions(f) == count_solutions(f.with_constraints([c]))
 
 
 def test_monotone_pruning():
     f = PBFormula(4, (at_most((1, 2, 3, 4), 2),))
     before = count_solutions(f)
-    after = count_solutions(f.with_constraint(at_least((2, 4), 1)))
+    after = count_solutions(f.with_constraints([at_least((2, 4), 1)]))
     assert after <= before
 
 
@@ -102,12 +101,6 @@ def test_validation():
         PBFormula(2, (at_most((1, 2, 3), 1),))
     with pytest.raises(ConfigError):
         evaluate(PBFormula(3), (True, False))
-
-
-def test_format_dump():
-    f = PBFormula(3, (at_most((1, 2, 3), 1), at_least((2,), 1)))
-    text = format_formula(f)
-    assert text.splitlines() == ["p pb 3 2", "<= 1 : 1 2 3", ">= 1 : 2"]
 
 
 @st.composite

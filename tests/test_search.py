@@ -125,10 +125,8 @@ def _fake_report(subset, mu, eta=1.0):
     )
 
 
-def _fake_run(subset, n=1):
-    return FilterRun(
-        estimates=np.zeros((1, n)), t_start=0, t_end=0, mode=PREDICTION, subset=subset
-    )
+def _fake_run():
+    return FilterRun(estimates=np.zeros((1, 1)), t_start=0, t_end=0)
 
 
 class ScriptedDetector:
@@ -140,31 +138,29 @@ class ScriptedDetector:
         s = tuple(s)
         self.calls.append(s)
         flag = 1 if s in self.failing else 0
-        return flag, _fake_run(s), _fake_report(s, {i: 0.0 for i in s})
+        return flag, _fake_run(), _fake_report(s, {i: 0.0 for i in s})
 
 
 def test_certificate_stops_at_first_passing_removal():
     # p=5, k=2: budget is p-2k+1 = 2 removals; dropping the lowest-score
     # sensor already passes, so only the trivial certificate is emitted
     m = make_random_stable_system(1, 5, 0.5, seed=0)
-    traj = simulate(m, AttackSpec(), 10, seed=0)
     cfg = DetectorConfig(epsilon=1.0, eta=1.0, N=4, t1=0, k=2)
     s = (1, 2, 3, 4, 5)
     report = _fake_report(s, {1: 5.0, 2: 0.1, 3: 4.0, 4: 3.0, 5: 2.0})
     det = ScriptedDetector(failing={s})  # every shrunken subset passes
-    certs = generate_certificate(m, traj, report, cfg, detector=det)
+    certs = generate_certificate(m, report, cfg, det)
     assert [c.vars for c in certs] == [s]
     assert det.calls == [(1, 3, 4, 5)]  # sensor 2 (lowest score) dropped first
 
 
 def test_certificate_chain_emits_shrinking_subsets():
     m = make_random_stable_system(1, 5, 0.5, seed=0)
-    traj = simulate(m, AttackSpec(), 10, seed=0)
     cfg = DetectorConfig(epsilon=1.0, eta=1.0, N=4, t1=0, k=2)
     s = (1, 2, 3, 4, 5)
     report = _fake_report(s, {1: 5.0, 2: 0.1, 3: 0.2, 4: 3.0, 5: 2.0})
     det = ScriptedDetector(failing={s, (1, 3, 4, 5), (1, 4, 5)})
-    certs = generate_certificate(m, traj, report, cfg, detector=det)
+    certs = generate_certificate(m, report, cfg, det)
     # trivial, then each still-failing shrunken subset (budget 2 walked fully)
     assert [c.vars for c in certs] == [s, (1, 3, 4, 5), (1, 4, 5)]
     assert det.calls == [(1, 3, 4, 5), (1, 4, 5)]
@@ -173,12 +169,11 @@ def test_certificate_chain_emits_shrinking_subsets():
 def test_certificate_degenerate_small_subset():
     # |s| <= p-2k+1 leaves no room to shrink: trivial certificate only
     m = make_random_stable_system(1, 5, 0.5, seed=0)
-    traj = simulate(m, AttackSpec(), 10, seed=0)
     cfg = DetectorConfig(epsilon=1.0, eta=1.0, N=4, t1=0, k=1)
     s = (2, 4)  # p - 2k + 1 = 4 >= |s|
     report = _fake_report(s, {2: 1.0, 4: 2.0})
     det = ScriptedDetector(failing={s})
-    certs = generate_certificate(m, traj, report, cfg, detector=det)
+    certs = generate_certificate(m, report, cfg, det)
     assert [c.vars for c in certs] == [s]
     assert det.calls == []
 
@@ -186,12 +181,11 @@ def test_certificate_degenerate_small_subset():
 def test_certificate_auto_threshold_guard():
     # with an auto threshold the loop must not probe subsets of size <= k
     m = make_random_stable_system(1, 4, 0.5, seed=0)
-    traj = simulate(m, AttackSpec(), 10, seed=0)
     cfg = DetectorConfig(epsilon=1.0, eta=None, N=4, t1=0, k=2)
     s = (1, 2, 3, 4)
     report = _fake_report(s, {1: 0.1, 2: 0.2, 3: 5.0, 4: 6.0})
     det = ScriptedDetector(failing={s, (2, 3, 4), (3, 4)})
-    certs = generate_certificate(m, traj, report, cfg, detector=det)
+    certs = generate_certificate(m, report, cfg, det)
     # budget is p-2k+1 = 1, so only one removal is listed anyway
     assert [c.vars for c in certs] == [s, (2, 3, 4)]
 

@@ -4,14 +4,16 @@ fields after parsing; a moved or renamed function, or a field the
 runners stop reading, makes the benchmark crash or measure something
 else."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-from secest import cli, kalman
+from secest import cli, kalman, noiseless
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+SPANS = BENCHMARKS / "spans.py"
 
 
 def test_traced_names_resolve():
@@ -55,3 +57,36 @@ def test_experiment2_reads_fields_set_after_parsing(monkeypatch):
     rows = cli.run_experiment2(scenario)
     assert [row["p"] for row in rows] == [4]
     assert sizes == [(4, 4)]
+
+
+def test_workload_attributes_resolve():
+    # workloads.py imports from secest and calls it through module
+    # attributes (cli.run_scenario, plant.simulate, ...); every name it
+    # imports or reads must still exist
+    tree = ast.parse((BENCHMARKS / "workloads.py").read_text())
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "secest"
+    ]
+    modules = {
+        alias.asname or alias.name: f"secest.{alias.name}"
+        for node in imports if node.module == "secest"
+        for alias in node.names
+    }
+    read = {(node.module, alias.name) for node in imports for alias in node.names} | {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {mod for mod, _ in read} >= {
+        f"secest.{name}" for name in ("cli", "detect", "noiseless", "observability", "model")
+    }
+    missing = [
+        f"{mod}.{attr}" for mod, attr in sorted(read)
+        if not hasattr(importlib.import_module(mod), attr)
+    ]
+    assert missing == []
+    assert "complete" in inspect.signature(noiseless.decode).parameters
+    assert "per_run" in inspect.signature(cli.run_experiment2).parameters
