@@ -256,7 +256,12 @@ def parse_scenario(doc: dict) -> Scenario:
             subset=tuple(subset) if subset else None,
             noiseless=doc.get("noiseless"),
         )
-        scenario.build_model(0)  # a malformed model is a scenario error
+        p = scenario.build_model(0).p  # a malformed model is a scenario error
+        if not k < p:
+            raise ScenarioError(f"k must be below p={p}, got {k}")
+        for name, sensors in (("attack.attacked", attacked or ()), ("subset", subset or ())):
+            if len(set(sensors)) < len(sensors) or not set(sensors) <= set(range(1, p + 1)):
+                raise ScenarioError(f"{name} must list distinct sensors in 1..{p}, got {sensors}")
         return scenario
     except ScenarioError:
         raise

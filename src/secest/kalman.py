@@ -1,14 +1,23 @@
 """Steady-state Kalman filters over sensor subsets.
 
 Each subset gets its own stationary filter: the prediction error
-covariance solves the discrete algebraic Riccati fixed point
+covariance P solves the discrete algebraic Riccati equation
 
     P = A P A' + sigma_w2 I - A P C_s' (C_s P C_s' + sigma_v2 I)^-1 C_s P A'
 
-which is iterated from P = sigma_w2 * I with symmetrization each step,
-until one step changes P by at most max(RICCATI_TOL, n eps ||P||_F) in
-Frobenius norm: the relative floor is what float roundoff allows once P
-is large.  Prediction mode returns the one-step-ahead gain; filtering
+found with the structure-preserving doubling algorithm (Anderson 1978;
+Chu, Fan, Lin and Wang 2004).  In control form, A_0 = A', G_0 =
+C_s' C_s / sigma_v2 and H_0 = sigma_w2 I; each step solves
+(I + G H) W = [A_k, G_k] once and sets
+
+    H <- H + A_k' H W_A,   G <- G + A_k W_G A_k',   A_k <- A_k W_A,
+
+so H_k is the 2^k-th iterate of the Riccati recursion from P = 0 and
+P = lim H_k.  The doubling stops once a step changes H by at most
+max(RICCATI_TOL, n eps ||P||_F) in Frobenius norm (the relative floor is
+what float roundoff allows once P is large), usually within 8 steps,
+and raises AnalysisError at once on a non-finite or numerically singular
+quantity.  Prediction mode returns the one-step-ahead gain; filtering
 mode returns the measurement-update gain and the filtered covariance.
 Both modes run the same estimate recursion x <- closed_loop x + gain y.
 """
@@ -45,7 +54,7 @@ PREDICTION = "prediction"
 FILTERING = "filtering"
 
 RICCATI_TOL = 1e-12
-RICCATI_MAX_ITER = 10**6
+RICCATI_MAX_DOUBLINGS = 64
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,8 @@ class SteadyStateFilter:
     covariance and ``gain`` is the measurement-update gain L rather than
     the prediction gain K = A L.  ``closed_loop`` is the estimate
     recursion's state matrix: A - K C_s in prediction mode,
-    (I - L C_s) A in filtering mode.
+    (I - L C_s) A in filtering mode.  ``iterations`` counts the doubling
+    steps the Riccati solve took.
     """
 
     subset: SensorSubset
@@ -67,6 +77,7 @@ class SteadyStateFilter:
     filtered_cov: np.ndarray | None  # (n, n), filtering mode only
     riccati_residual: float
     closed_loop: np.ndarray          # (n, n)
+    iterations: int                  # doubling steps taken
 
     @property
     def n(self) -> int:
@@ -103,10 +114,11 @@ def solve_steady_state(
     s: Iterable[int],
     mode: str = PREDICTION,
 ) -> SteadyStateFilter:
-    """Iterate the Riccati recursion to its fixed point for subset s.
+    """Solve the Riccati equation for subset s by doubling.
 
-    Raises AnalysisError when (A, C_s) is not observable or the
-    iteration does not converge within RICCATI_MAX_ITER steps.
+    Raises AnalysisError when (A, C_s) is not observable, a Riccati
+    quantity is not finite or numerically singular, or the doubling does
+    not converge within RICCATI_MAX_DOUBLINGS steps.
     """
     mode = _validate_mode(mode)
     subset = normalize_subset(s, model.p)
@@ -121,32 +133,50 @@ def solve_steady_state(
     Q = model.sigma_w2 * np.eye(n)
     R = model.sigma_v2 * np.eye(len(subset))
 
-    P = Q.copy()
+    Ak = A.T
+    G = Cs.T @ Cs / model.sigma_v2
+    P = Q  # H_0; each step rebinds P to H_k
+    eye = np.eye(n)
     floor = n * np.finfo(float).eps
-    for _ in range(RICCATI_MAX_ITER):
-        S = Cs @ P @ Cs.T + R
-        APC = A @ P @ Cs.T
-        P_next = A @ P @ A.T + Q - APC @ np.linalg.solve(S, APC.T)
-        P_next = 0.5 * (P_next + P_next.T)
-        change = float(np.linalg.norm(P_next - P, "fro"))
-        P = P_next
-        tol = max(RICCATI_TOL, floor * float(np.linalg.norm(P, "fro")))
-        if change <= tol:
-            break
-    else:
-        raise AnalysisError(
-            f"Riccati iteration did not converge for subset {subset}: "
-            f"last change {change:.3e} > tol {tol:.3e}"
-        )
+    try:
+        for iterations in range(1, RICCATI_MAX_DOUBLINGS + 1):
+            W = np.linalg.solve(eye + G @ P, np.hstack([Ak, G]))
+            WA, WG = W[:, :n], W[:, n:]
+            dP = Ak.T @ P @ WA
+            dP = 0.5 * (dP + dP.T)
+            dG = Ak @ WG @ Ak.T
+            P = P + dP
+            G = G + 0.5 * (dG + dG.T)
+            Ak = Ak @ WA
+            change = float(np.linalg.norm(dP, "fro"))
+            size = float(np.linalg.norm(P, "fro"))  # finite only if P is
+            if not (np.isfinite(change) and np.isfinite(size)):
+                raise AnalysisError(
+                    f"Riccati doubling for subset {subset} overflowed: "
+                    f"change {change:.3e}, ||P||_F {size:.3e}"
+                )
+            tol = max(RICCATI_TOL, floor * size)
+            if change <= tol:
+                break
+        else:
+            raise AnalysisError(
+                f"Riccati doubling did not converge for subset {subset}: "
+                f"last change {change:.3e} > tol {tol:.3e}"
+            )
 
-    S = Cs @ P @ Cs.T + R
-    residual = float(
-        np.linalg.norm(
-            A @ P @ A.T + Q - (A @ P @ Cs.T) @ np.linalg.solve(S, Cs @ P @ A.T) - P,
-            "fro",
+        S = Cs @ P @ Cs.T + R
+        residual = float(
+            np.linalg.norm(
+                A @ P @ A.T + Q - (A @ P @ Cs.T) @ np.linalg.solve(S, Cs @ P @ A.T) - P,
+                "fro",
+            )
         )
-    )
-    L = P @ Cs.T @ np.linalg.inv(S)
+        L = P @ Cs.T @ np.linalg.inv(S)
+    except np.linalg.LinAlgError as exc:
+        # a noise variance far from the scale of P loses I + G H or S to roundoff
+        raise AnalysisError(f"Riccati solve for subset {subset} met a singular matrix") from exc
+    if not np.isfinite(residual):
+        raise AnalysisError(f"Riccati residual for subset {subset} is not finite")
     if mode == PREDICTION:
         gain = A @ L
         filtered = None
@@ -164,6 +194,7 @@ def solve_steady_state(
         filtered_cov=filtered,
         riccati_residual=residual,
         closed_loop=closed_loop,
+        iterations=iterations,
     )
 
 

@@ -1,6 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from secest.cli import (
     default_experiment1_scenario,
@@ -110,6 +113,10 @@ def _malformed(edit):
         _malformed(lambda d: d.update(noiseless=[2])),
         _malformed(lambda d: d.update(repetitions=0)),
         _malformed(lambda d: d.update(k=-1)),
+        _malformed(lambda d: d["attack"].update(attacked=[7])),
+        _malformed(lambda d: d.update(subset=[9])),
+        _malformed(lambda d: d.update(k=5)),
+        _malformed(lambda d: d["attack"].update(attacked=[1, 1])),
     ],
     ids=[
         "string-spectral-radius",
@@ -119,11 +126,15 @@ def _malformed(edit):
         "noiseless-not-an-object",
         "zero-repetitions",
         "negative-k",
+        "attacked-out-of-range",
+        "subset-out-of-range",
+        "k-not-below-p",
+        "duplicate-attacked",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, doc):
     scenario = write_scenario(tmp_path, doc)
-    for command in ("search", "decode-noiseless"):
+    for command in ("search", "detect", "decode-noiseless"):
         assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 2
 
 
@@ -188,6 +199,56 @@ def test_mistyped_field_exits_2(tmp_path, command, edit):
 def test_out_of_range_override_exits_2(tmp_path, override):
     scenario = write_scenario(tmp_path, SCALAR_SCENARIO)
     assert main(["search", "--scenario", scenario, "--out", str(tmp_path), *override]) == 2
+
+
+_FUZZ_FIELDS = [
+    ("k",), ("seed",), ("repetitions",), ("search",), ("horizon",), ("burn_in",),
+    ("x0",), ("subset",), ("schema_version",), ("model",), ("attack",), ("detector",),
+    ("model", "explicit", "A"), ("model", "explicit", "C"),
+    ("model", "explicit", "sigma_w2"), ("model", "explicit", "sigma_v2"),
+    ("attack", "attacked"), ("attack", "strategy"), ("attack", "strategy", "type"),
+    ("attack", "strategy", "gain"), ("detector", "epsilon"), ("detector", "eta"),
+    ("detector", "N"), ("detector", "t1"), ("detector", "mode"),
+]
+_DELETE = object()
+_FUZZ_VALUES = st.one_of(
+    st.just(_DELETE),
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "auto", "random", "filtering", "both", "zero_output", "noise_linear"]),
+    st.lists(st.integers(-1, 4), max_size=4),
+    st.lists(st.lists(st.floats(-3, 3), max_size=2), max_size=3),
+    st.dictionaries(st.sampled_from(["type", "gain", "explicit", "random"]), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["search", "detect"]),
+    edits=st.lists(st.tuples(st.sampled_from(_FUZZ_FIELDS), _FUZZ_VALUES), min_size=1, max_size=2),
+)
+# sigma_v2 below roundoff of C P C' once ended in numpy's LinAlgError
+@example(command="search", edits=[(("model", "explicit", "sigma_v2"), 1e-38)])
+def test_mutated_scenario_keeps_exit_code_contract(command, edits):
+    # main lets every exception outside the contract escape as a traceback
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    doc["detector"].update(N=40, t1=10)
+    for path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue
+        if value is _DELETE:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as out:
+        scenario = Path(out) / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        assert main([command, "--scenario", str(scenario), "--out", out]) in (0, 2, 3, 4)
 
 
 def test_detect_and_obsv_subcommands(tmp_path):

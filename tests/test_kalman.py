@@ -73,6 +73,70 @@ def test_riccati_large_covariance_converges():
     assert np.linalg.norm(flt.error_cov - ref, "fro") <= 1e-9 * np.linalg.norm(ref, "fro")
 
 
+def _dare_filtered(model, subset, P):
+    Cs = model.C[[i - 1 for i in subset]]
+    S = Cs @ P @ Cs.T + model.sigma_v2 * np.eye(len(subset))
+    return P - P @ Cs.T @ np.linalg.solve(S, Cs @ P)
+
+
+def _relative_gap(got, ref):
+    return np.linalg.norm(got - ref, "fro") / np.linalg.norm(ref, "fro")
+
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_riccati_unstable_plant_matches_structured_solver(mode):
+    rng = np.random.default_rng(14)
+    A = rng.standard_normal((6, 6))
+    A *= 1.4 / np.max(np.abs(np.linalg.eigvals(A)))
+    m = SystemModel(A=A, C=rng.standard_normal((3, 6)), sigma_w2=0.6, sigma_v2=1.3)
+    flt = solve_steady_state(m, (1, 2, 3), mode)
+    ref = dare_oracle(m, (1, 2, 3))
+    assert _relative_gap(flt.error_cov, ref) <= 1e-12
+    if mode == FILTERING:
+        assert _relative_gap(flt.filtered_cov, _dare_filtered(m, (1, 2, 3), ref)) <= 1e-12
+
+
+def test_riccati_search_scale_filtering_subset():
+    # the plant of a search over n=50 states and p=9 sensors, first three attacked
+    m = make_random_stable_system(50, 9, 0.9, seed=0, sigma_w2=0.001, sigma_v2=1.0)
+    s = (4, 5, 6, 7, 8, 9)
+    flt = solve_steady_state(m, s, FILTERING)
+    ref = dare_oracle(m, s)
+    assert _relative_gap(flt.error_cov, ref) <= 1e-12
+    assert _relative_gap(flt.filtered_cov, _dare_filtered(m, s, ref)) <= 1e-12
+
+
+def test_riccati_doubling_count_on_random_systems():
+    # the 50 plant/subset pairs of acceptance criterion 1, drawn the same way
+    from secest import is_observable
+
+    rng = np.random.default_rng(0)
+    for trial in range(50):
+        n = int(rng.integers(1, 21))
+        p = int(rng.integers(1, 6))
+        m = make_random_stable_system(
+            n,
+            p,
+            float(rng.uniform(0.5, 0.95)),
+            seed=trial,
+            sigma_w2=float(rng.uniform(0.2, 2.0)),
+            sigma_v2=float(rng.uniform(0.2, 2.0)),
+        )
+        size = int(rng.integers(1, p + 1))
+        subset = tuple(sorted(rng.choice(p, size=size, replace=False) + 1))
+        if not is_observable(m, subset):
+            subset = tuple(range(1, p + 1))
+        assert 1 <= solve_steady_state(m, subset, PREDICTION).iterations <= 10
+
+
+def test_riccati_overflow_raises():
+    # ||P||_F overflows, which once made the stopping tolerance inf and
+    # returned an unconverged P without an error
+    m = make_random_stable_system(3, 1, 0.95, seed=1, sigma_w2=1e200)
+    with pytest.raises(AnalysisError):
+        solve_steady_state(m, (1,), PREDICTION)
+
+
 def test_unobservable_subset_rejected():
     m = SystemModel(A=np.eye(2), C=[[1.0, 0.0], [0.0, 1.0]], sigma_w2=1, sigma_v2=1)
     with pytest.raises(AnalysisError):
