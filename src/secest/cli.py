@@ -231,14 +231,19 @@ def parse_scenario(doc: dict) -> Scenario:
         _check(exp2.get("p_values"), "experiment2.p_values", _is_ints, "a list of integers")
         _check(exp2.get("weak_last_gain"), "experiment2.weak_last_gain", _is_number, "a number")
         noiseless = doc.get("noiseless") or {}
-        _check(noiseless.get("k"), "noiseless.k", _is_int, "an integer")
+        if "k" in noiseless and not _is_int(noiseless["k"]):
+            raise ScenarioError(f"noiseless.k must be an integer, got {noiseless['k']!r}")
         _check(noiseless.get("x0"), "noiseless.x0", _is_numbers, "a list of numbers")
-        corrupt = noiseless.get("corrupt")
-        if corrupt:
-            if not {"sensors", "state"} <= set(corrupt):
-                raise ScenarioError("noiseless.corrupt needs 'sensors' and 'state'")
-            _check(corrupt["sensors"], "noiseless.corrupt.sensors", _is_ints, "a list of integers")
-            _check(corrupt["state"], "noiseless.corrupt.state", _is_numbers, "a list of numbers")
+        corrupt = noiseless.get("corrupt") or {}
+        if corrupt and not (
+            {"sensors", "state"} <= set(corrupt)
+            and _is_ints(corrupt["sensors"])
+            and _is_numbers(corrupt["state"])
+        ):
+            raise ScenarioError(
+                "noiseless.corrupt needs 'sensors', a list of integers, and 'state', "
+                f"a list of numbers, got {corrupt!r}"
+            )
         subset = doc.get("subset")
         _check(subset, "subset", _is_ints, "a list of integers")
         scenario = Scenario(
@@ -256,12 +261,24 @@ def parse_scenario(doc: dict) -> Scenario:
             subset=tuple(subset) if subset else None,
             noiseless=doc.get("noiseless"),
         )
-        p = scenario.build_model(0).p  # a malformed model is a scenario error
-        if not k < p:
-            raise ScenarioError(f"k must be below p={p}, got {k}")
-        for name, sensors in (("attack.attacked", attacked or ()), ("subset", subset or ())):
+        model = scenario.build_model(0)  # a malformed model is a scenario error
+        n, p = model.n, model.p
+        for name, bound in (("k", k), ("noiseless.k", noiseless.get("k", 0))):
+            if not 0 <= bound < p:
+                raise ScenarioError(f"{name} must be in [0, p={p}), got {bound}")
+        for name, sensors in (
+            ("attack.attacked", attacked or ()),
+            ("subset", subset or ()),
+            ("noiseless.corrupt.sensors", corrupt.get("sensors", ())),
+        ):
             if len(set(sensors)) < len(sensors) or not set(sensors) <= set(range(1, p + 1)):
                 raise ScenarioError(f"{name} must list distinct sensors in 1..{p}, got {sensors}")
+        for name, state in (
+            ("noiseless.x0", noiseless.get("x0")),
+            ("noiseless.corrupt.state", corrupt.get("state")),
+        ):
+            if state is not None and len(state) != n:
+                raise ScenarioError(f"{name} must have n={n} entries, got {len(state)}")
         return scenario
     except ScenarioError:
         raise

@@ -125,12 +125,16 @@ def sparse_observability_index(
 def min_gram_eigenvalue(model: SystemModel, s: Iterable[int], k: int) -> float:
     """Worst-case smallest eigenvalue of the stacked observability Gram
     matrix over all ways to drop k sensors from s.  Zero (not negative)
-    when some reduced subset is unobservable."""
+    when some reduced subset is unobservable, as `is_observable` decides
+    it: the eigenvalue of a rank-deficient Gram can round to a tiny
+    positive value."""
     subset = normalize_subset(s, model.p)
     if k < 0 or k >= len(subset):
         raise ConfigError(f"need 0 <= k < |s|, got k={k}, |s|={len(subset)}")
     best = np.inf
     for s1 in combinations(subset, len(subset) - k):
+        if not is_observable(model, s1):
+            return 0.0
         stacked = observability_matrix(model, s1)
         gram = stacked.T @ stacked
         lam = float(np.linalg.eigvalsh(gram)[0])

@@ -2,17 +2,21 @@
 
 Formulas are conjunctions of AtMost/AtLeast bounds over Boolean
 variables (1-based indices, matching sensor numbering).  The solver
-performs depth-first search with iterative deepening on the number of
-true variables, pruning each branch against running per-constraint
-bounds.  The returned assignment therefore has the fewest possible true
-variables; among those, the set of true indices is lexicographically
-smallest.  That preference makes the guided subset search hypothesize
-as few attacked sensors as possible, and deterministically so.
+enumerates candidate sets of true variables in its preference order:
+by size, from zero up to the most any solution can have, and within one
+size in lexicographic order of the true indices.  The first candidate
+every constraint admits is returned, so the assignment has the fewest
+possible true variables and, among those, the lexicographically smallest
+set of true indices.  That preference makes the guided subset search
+hypothesize as few attacked sensors as possible, and deterministically
+so.  The search's formulas bound the true count by k, so a solve visits
+at most sum_{j<=k} C(p, j) candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import ConfigError
 
@@ -36,11 +40,13 @@ Assignment = tuple[bool, ...]
 
 @dataclass(frozen=True)
 class PBConstraint:
-    """sum_{i in vars} b_i  {<=,>=}  bound."""
+    """sum_{i in vars} b_i  {<=,>=}  bound.  ``mask`` has bit i-1 set for
+    each variable i."""
 
     vars: tuple[int, ...]
     sense: str
     bound: int
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vs = tuple(sorted(set(int(i) for i in self.vars)))
@@ -53,10 +59,16 @@ class PBConstraint:
             raise ConfigError(f"unknown sense {self.sense!r}")
         if self.bound < 0:
             raise ConfigError("bound must be nonnegative")
+        object.__setattr__(self, "mask", sum(1 << (i - 1) for i in vs))
+
+    def admits(self, trues: int) -> bool:
+        """Whether the assignment whose true variables are the set bits of
+        ``trues`` (bit i-1 for variable i) satisfies this constraint."""
+        total = (trues & self.mask).bit_count()
+        return total <= self.bound if self.sense == AT_MOST else total >= self.bound
 
     def satisfied_by(self, assignment: Assignment) -> bool:
-        total = sum(1 for i in self.vars if assignment[i - 1])
-        return total <= self.bound if self.sense == AT_MOST else total >= self.bound
+        return self.admits(sum(1 << i for i, value in enumerate(assignment) if value))
 
 
 def at_most(vars, bound: int) -> PBConstraint:
@@ -106,55 +118,12 @@ def _true_count_cap(formula: PBFormula) -> int:
 def solve(formula: PBFormula) -> Assignment | None:
     """Satisfying assignment with minimal true count (ties: smallest true
     index set, compared lexicographically), or None when unsatisfiable."""
-    p = formula.num_vars
-    constraints = formula.constraints
-
-    # Per-constraint suffix counts: how many constraint vars have index >= i.
-    member = [set(c.vars) for c in constraints]
-    suffix: list[list[int]] = []
-    for vs in member:
-        counts = [0] * (p + 2)
-        for i in range(p, 0, -1):
-            counts[i] = counts[i + 1] + (1 if i in vs else 0)
-        suffix.append(counts)
-
-    values = [False] * p
-
-    def dfs(i: int, trues: int, sums: list[int], target: int) -> bool:
-        if trues > target or trues + (p - i + 1) < target:
-            return False
-        for ci, c in enumerate(constraints):
-            have = sums[ci]
-            remaining = suffix[ci][i]
-            if c.sense == AT_MOST:
-                if have > c.bound:
-                    return False
-            else:
-                # Trues still required in this constraint cannot exceed the
-                # remaining constraint vars nor the remaining global budget.
-                need = c.bound - have
-                if need > remaining or need > target - trues:
-                    return False
-        if i > p:
-            return trues == target
-        # True branch first: within a fixed true count this yields
-        # combinations in lexicographic order of their index sets.
-        for value in (True, False):
-            values[i - 1] = value
-            if value:
-                new_sums = [
-                    sums[ci] + (1 if i in member[ci] else 0)
-                    for ci in range(len(constraints))
-                ]
-                if dfs(i + 1, trues + 1, new_sums, target):
-                    return True
-            else:
-                if dfs(i + 1, trues, sums, target):
-                    return True
-        return False
-
+    bits = [1 << i for i in range(formula.num_vars)]
     for target in range(_true_count_cap(formula) + 1):
-        if dfs(1, 0, [0] * len(constraints), target):
-            return tuple(values)
+        # combinations of the ascending bits yields the true-index sets of
+        # one size in lexicographic order
+        for chosen in combinations(bits, target):
+            trues = sum(chosen)
+            if all(c.admits(trues) for c in formula.constraints):
+                return tuple(bool(trues & bit) for bit in bits)
     return None
-

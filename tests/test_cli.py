@@ -35,6 +35,24 @@ SCALAR_SCENARIO = {
     "seed": 7,
 }
 
+# noiseless plant (n=2, p=4): every two sensors observe the state
+NOISELESS_SCENARIO = {
+    **SCALAR_SCENARIO,
+    "model": {
+        "explicit": {
+            "A": [[0.9, 0.0], [0.0, 0.5]],
+            "C": [[1.0, 0.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]],
+            "sigma_w2": 0.0,
+            "sigma_v2": 0.0,
+        }
+    },
+    "noiseless": {
+        "x0": [1.0, -2.0],
+        "k": 1,
+        "corrupt": {"sensors": [2], "state": [3.0, 4.0]},
+    },
+}
+
 
 def write_scenario(tmp_path, doc, name="scenario.json") -> str:
     path = tmp_path / name
@@ -97,8 +115,8 @@ def test_cli_exit_codes(tmp_path):
     assert main(["search", "--scenario", scenario, "--out", str(tmp_path / "nope")]) == 4
 
 
-def _malformed(edit):
-    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+def _malformed(edit, base=SCALAR_SCENARIO):
+    doc = json.loads(json.dumps(base))
     edit(doc)
     return doc
 
@@ -117,6 +135,12 @@ def _malformed(edit):
         _malformed(lambda d: d.update(subset=[9])),
         _malformed(lambda d: d.update(k=5)),
         _malformed(lambda d: d["attack"].update(attacked=[1, 1])),
+        _malformed(lambda d: d["noiseless"].update(k=None), NOISELESS_SCENARIO),
+        _malformed(lambda d: d["noiseless"]["corrupt"].update(sensors=[9]), NOISELESS_SCENARIO),
+        _malformed(lambda d: d["noiseless"]["corrupt"].update(sensors=[2, 2]), NOISELESS_SCENARIO),
+        _malformed(lambda d: d["noiseless"].update(k=4), NOISELESS_SCENARIO),
+        _malformed(lambda d: d["noiseless"]["corrupt"].update(state=[3.0]), NOISELESS_SCENARIO),
+        _malformed(lambda d: d["noiseless"].update(x0=[1.0]), NOISELESS_SCENARIO),
     ],
     ids=[
         "string-spectral-radius",
@@ -130,6 +154,12 @@ def _malformed(edit):
         "subset-out-of-range",
         "k-not-below-p",
         "duplicate-attacked",
+        "null-noiseless-k",
+        "corrupt-sensor-out-of-range",
+        "duplicate-corrupt-sensor",
+        "noiseless-k-not-below-p",
+        "short-corrupt-state",
+        "short-noiseless-x0",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, doc):
@@ -206,9 +236,14 @@ _FUZZ_FIELDS = [
     ("x0",), ("subset",), ("schema_version",), ("model",), ("attack",), ("detector",),
     ("model", "explicit", "A"), ("model", "explicit", "C"),
     ("model", "explicit", "sigma_w2"), ("model", "explicit", "sigma_v2"),
+    ("model", "random", "n"), ("model", "random", "p"), ("model", "random", "seed"),
+    ("model", "random", "spectral_radius"), ("model", "random", "sigma_w2"),
+    ("model", "random", "sigma_v2"),
     ("attack", "attacked"), ("attack", "strategy"), ("attack", "strategy", "type"),
     ("attack", "strategy", "gain"), ("detector", "epsilon"), ("detector", "eta"),
     ("detector", "N"), ("detector", "t1"), ("detector", "mode"),
+    ("noiseless",), ("noiseless", "x0"), ("noiseless", "k"), ("noiseless", "corrupt"),
+    ("noiseless", "corrupt", "sensors"), ("noiseless", "corrupt", "state"),
 ]
 _DELETE = object()
 _FUZZ_VALUES = st.one_of(
@@ -219,22 +254,43 @@ _FUZZ_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["", "auto", "random", "filtering", "both", "zero_output", "noise_linear"]),
     st.lists(st.integers(-1, 4), max_size=4),
+    st.lists(st.floats(-3, 3), max_size=3),
     st.lists(st.lists(st.floats(-3, 3), max_size=2), max_size=3),
     st.dictionaries(st.sampled_from(["type", "gain", "explicit", "random"]), st.integers(0, 3)),
 )
+# search and detect run on the scalar plant, decode-noiseless and obsv on
+# the noiseless one
+_FUZZ_BASES = {
+    "search": SCALAR_SCENARIO,
+    "detect": SCALAR_SCENARIO,
+    "decode-noiseless": NOISELESS_SCENARIO,
+    "obsv": NOISELESS_SCENARIO,
+}
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(
-    command=st.sampled_from(["search", "detect"]),
+    command=st.sampled_from(sorted(_FUZZ_BASES)),
+    random_model=st.booleans(),
     edits=st.lists(st.tuples(st.sampled_from(_FUZZ_FIELDS), _FUZZ_VALUES), min_size=1, max_size=2),
 )
 # sigma_v2 below roundoff of C P C' once ended in numpy's LinAlgError
-@example(command="search", edits=[(("model", "explicit", "sigma_v2"), 1e-38)])
-def test_mutated_scenario_keeps_exit_code_contract(command, edits):
+@example(command="search", random_model=False, edits=[(("model", "explicit", "sigma_v2"), 1e-38)])
+# a null noiseless.k once ended in a TypeError, an out-of-range corrupted
+# sensor in an IndexError
+@example(command="decode-noiseless", random_model=False, edits=[(("noiseless", "k"), None)])
+@example(
+    command="decode-noiseless",
+    random_model=False,
+    edits=[(("noiseless", "corrupt", "sensors"), [9])],
+)
+def test_mutated_scenario_keeps_exit_code_contract(command, random_model, edits):
     # main lets every exception outside the contract escape as a traceback
-    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    doc = json.loads(json.dumps(_FUZZ_BASES[command]))
     doc["detector"].update(N=40, t1=10)
+    if random_model:  # a random plant of the same size
+        C = doc["model"]["explicit"]["C"]
+        doc["model"] = {"random": {"n": len(C[0]), "p": len(C), "seed": 1}}
     for path, value in edits:
         parent = doc
         for key in path[:-1]:
@@ -264,21 +320,7 @@ def test_detect_and_obsv_subcommands(tmp_path):
 
 
 def test_decode_noiseless_subcommand(tmp_path):
-    doc = dict(SCALAR_SCENARIO)
-    doc["model"] = {
-        "explicit": {
-            "A": [[0.9, 0.0], [0.0, 0.5]],
-            "C": [[1.0, 0.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]],
-            "sigma_w2": 0.0,
-            "sigma_v2": 0.0,
-        }
-    }
-    doc["noiseless"] = {
-        "x0": [1.0, -2.0],
-        "k": 1,
-        "corrupt": {"sensors": [2], "state": [3.0, 4.0]},
-    }
-    scenario = write_scenario(tmp_path, doc, "noiseless.json")
+    scenario = write_scenario(tmp_path, NOISELESS_SCENARIO, "noiseless.json")
     assert main(
         ["decode-noiseless", "--scenario", scenario, "--out", str(tmp_path), "--format", "json"]
     ) == 0

@@ -18,7 +18,9 @@ from secest import (
     attack_detect,
     auto_threshold,
     effective_attack_oracle,
+    is_observable,
     make_random_stable_system,
+    min_gram_eigenvalue,
     run_filter,
     simulate,
     solve_steady_state,
@@ -47,6 +49,21 @@ def test_auto_threshold_unobservable_guard():
         auto_threshold(m, (1, 2, 3), 1, 1.0)
     with pytest.raises(ConfigError):
         auto_threshold(m, (1, 2), 2, 1.0)
+
+
+def test_auto_threshold_follows_rank_rule():
+    # sensors 1 and 2 see only an A-invariant plane, so the reduced subset
+    # (1, 2) is unobservable, yet eigvalsh of its rank-2 Gram rounds to
+    # 8.6e-17 > 0 and used to give a positive threshold of 3.6e-18
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    A = Q @ np.diag([0.9, 0.7, 0.5, 0.3]) @ Q.T
+    C = np.vstack([rng.standard_normal((2, 2)) @ Q[:, :2].T, rng.standard_normal((1, 4)) @ Q.T])
+    m = SystemModel(A=A, C=C, sigma_w2=1.0, sigma_v2=1.0)
+    assert not is_observable(m, (1, 2))
+    assert min_gram_eigenvalue(m, (1, 2, 3), 1) == 0.0
+    with pytest.raises(AnalysisError):
+        auto_threshold(m, (1, 2, 3), 1, 1.0)
 
 
 def _small_cfg(N=3000, eta=None, k=1, mode=PREDICTION, t1=80):

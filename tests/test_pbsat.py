@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,7 +106,7 @@ def test_validation():
 
 @st.composite
 def formulas(draw):
-    p = draw(st.integers(1, 8))
+    p = draw(st.integers(1, 10))
     n_cons = draw(st.integers(1, 5))
     cons = []
     for _ in range(n_cons):
@@ -120,6 +121,46 @@ def formulas(draw):
 
 
 @given(formulas())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_matches_brute_force(formula):
     assert solve(formula) == brute_force(formula)
+
+
+def test_replayed_search_chain_matches_numpy_oracle():
+    # the formulas a guided search solves at p=14, k=4: at_most(1..p, k),
+    # then per failed hypothesis an at_least certificate on the hypothesis
+    # and on shrunken subsets that still hold an attacked sensor
+    p, k = 14, 4
+    attacked = {3, 7, 10, 13}
+    rng = np.random.default_rng(14)
+    patterns = (np.arange(2**p)[:, None] >> np.arange(p)) & 1  # row r: the bits of r
+    # preference order: fewest trues, then smallest true-index tuple
+    order = np.array(
+        sorted(range(2**p), key=lambda r: (bin(r).count("1"), [i for i in range(p) if r >> i & 1]))
+    )
+    sat = np.ones(2**p, dtype=bool)
+    formula = PBFormula(p)
+    new = [at_most(range(1, p + 1), k)]
+    solves = 0
+    while new:
+        formula = formula.with_constraints(new)
+        for c in new:
+            total = patterns[:, [v - 1 for v in c.vars]].sum(axis=1)
+            sat &= (total <= c.bound) if c.sense == AT_MOST else (total >= c.bound)
+        assert sat.any()  # the attacked set satisfies every certificate
+        want = tuple(bool(b) for b in patterns[order[np.argmax(sat[order])]])
+        got = solve(formula)
+        assert got == want
+        solves += 1
+        hypothesis = [i for i in range(1, p + 1) if not got[i - 1]]
+        new = []
+        if attacked & set(hypothesis):
+            new.append(at_least(hypothesis, 1))
+            shrunk = list(hypothesis)
+            for sensor in rng.permutation(hypothesis)[: p - 2 * k + 1]:
+                shrunk.remove(sensor)
+                if len(shrunk) <= k or not attacked & set(shrunk):
+                    break
+                new.append(at_least(shrunk, 1))
+    assert {i + 1 for i in range(p) if got[i]} == attacked
+    assert solves >= 20

@@ -3,10 +3,12 @@ from math import comb
 import numpy as np
 import pytest
 from secest import (
+    FILTERING,
     AttackSpec,
     ConfigError,
     DetectorConfig,
     FilterRun,
+    NoiseLinear,
     PREDICTION,
     ResidueReport,
     SeededRandom,
@@ -104,6 +106,37 @@ def test_detector_calls_exceed_hypothesis_checks_under_attack():
     assert sm.detector_calls >= sm.theory_checks
     cert_calls = [e for e in sm.trace if e["phase"] == "certificate"]
     assert len(cert_calls) == sm.detector_calls - sm.theory_checks
+
+
+def _search_phase(outcome):
+    return [tuple(entry["subset"]) for entry in outcome.trace if entry["phase"] == "search"]
+
+
+def test_guided_hypothesis_sequence_pinned():
+    # the solver's preference order fixes which subsets the guided search
+    # tests and in what order; certificates are left free to shorten
+    m, traj, cfg = small_setup(seed=3, attacked=(1,))
+    sm = smt_search(m, traj, cfg)
+    assert _search_phase(sm) == [(1, 2, 3, 4), (2, 3, 4)]
+    assert sm.subset == (2, 3, 4)
+
+    # filtering mode, sensors 1-3 attacked, the third too weakly to fail
+    n = 4
+    m = make_random_stable_system(n, 7, 0.9, seed=1, sigma_w2=0.001, sigma_v2=1.0)
+    cfg = DetectorConfig(epsilon=1.0, N=300, t1=60, mode=FILTERING, eta=15.0, k=3)
+    atk = AttackSpec((1, 2, 3), NoiseLinear((10.0, 10.0, 0.5)))
+    traj = simulate(m, atk, cfg.t1 + cfg.window_length(n) + n, seed=1, burn_in=10 * n)
+    sm = smt_search(m, traj, cfg)
+    assert _search_phase(sm) == [
+        (1, 2, 3, 4, 5, 6, 7),
+        (2, 3, 4, 5, 6, 7),
+        (1, 3, 4, 5, 6, 7),
+        (1, 2, 3, 4, 6, 7),
+        (1, 2, 3, 4, 5, 7),
+        (1, 2, 3, 4, 5, 6),
+        (3, 4, 5, 6, 7),
+    ]
+    assert sm.subset == (3, 4, 5, 6, 7)
 
 
 # --- certificate generation against a scripted detector ---------------------
