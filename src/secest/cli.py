@@ -161,6 +161,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    # an integer beyond the float range counts as infinite
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
 def _is_ints(value) -> bool:
     return isinstance(value, list) and all(map(_is_int, value))
 
@@ -227,9 +232,19 @@ def parse_scenario(doc: dict) -> Scenario:
         if repetitions < 1:
             raise ScenarioError(f"repetitions must be positive, got {repetitions}")
         _check(doc.get("x0"), "x0", _is_numbers, "a list of numbers")
-        exp2 = doc.get("experiment2", {})  # a non-object fails .get below
-        _check(exp2.get("p_values"), "experiment2.p_values", _is_ints, "a list of integers")
-        _check(exp2.get("weak_last_gain"), "experiment2.weak_last_gain", _is_number, "a number")
+        exp2 = doc.get("experiment2", {})
+        if not isinstance(exp2, dict):
+            raise ScenarioError(f"experiment2 must be an object, got {exp2!r}")
+        for key, ok, what in (
+            (
+                "p_values",
+                lambda v: _is_ints(v) and v and min(v) >= 2,  # k = max(1, p // 3) < p
+                "a nonempty list of integers >= 2",
+            ),
+            ("weak_last_gain", _is_finite, "a finite number"),
+        ):
+            if key in exp2 and not ok(exp2[key]):  # an explicit null has no default
+                raise ScenarioError(f"experiment2.{key} must be {what}, got {exp2[key]!r}")
         noiseless = doc.get("noiseless") or {}
         if "k" in noiseless and not _is_int(noiseless["k"]):
             raise ScenarioError(f"noiseless.k must be an integer, got {noiseless['k']!r}")
@@ -274,11 +289,16 @@ def parse_scenario(doc: dict) -> Scenario:
             if len(set(sensors)) < len(sensors) or not set(sensors) <= set(range(1, p + 1)):
                 raise ScenarioError(f"{name} must list distinct sensors in 1..{p}, got {sensors}")
         for name, state in (
+            ("x0", doc.get("x0")),
             ("noiseless.x0", noiseless.get("x0")),
             ("noiseless.corrupt.state", corrupt.get("state")),
         ):
-            if state is not None and len(state) != n:
+            if state is None:
+                continue
+            if len(state) != n:
                 raise ScenarioError(f"{name} must have n={n} entries, got {len(state)}")
+            if not all(map(_is_finite, state)):
+                raise ScenarioError(f"{name} must be finite, got {state}")
         return scenario
     except ScenarioError:
         raise

@@ -141,6 +141,14 @@ def _malformed(edit, base=SCALAR_SCENARIO):
         _malformed(lambda d: d["noiseless"].update(k=4), NOISELESS_SCENARIO),
         _malformed(lambda d: d["noiseless"]["corrupt"].update(state=[3.0]), NOISELESS_SCENARIO),
         _malformed(lambda d: d["noiseless"].update(x0=[1.0]), NOISELESS_SCENARIO),
+        _malformed(lambda d: d["noiseless"].update(x0=[float("nan"), 1.0]), NOISELESS_SCENARIO),
+        _malformed(
+            lambda d: d["noiseless"]["corrupt"].update(state=[float("inf"), 4.0]),
+            NOISELESS_SCENARIO,
+        ),
+        _malformed(lambda d: d.update(x0=[float("nan")])),
+        _malformed(lambda d: d.update(x0=[1.0, 2.0])),
+        _malformed(lambda d: d.update(x0=[10**400])),
     ],
     ids=[
         "string-spectral-radius",
@@ -160,6 +168,11 @@ def _malformed(edit, base=SCALAR_SCENARIO):
         "noiseless-k-not-below-p",
         "short-corrupt-state",
         "short-noiseless-x0",
+        "nan-noiseless-x0",
+        "infinite-corrupt-state",
+        "nan-x0",
+        "long-x0",
+        "huge-integer-x0",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, doc):
@@ -181,6 +194,8 @@ def _random_model(doc):
         ("search", lambda d: d.update(x0="abc")),
         ("exp2", lambda d: (_random_model(d), d.update(experiment2=[1]))),
         ("exp2", lambda d: (_random_model(d), d.update(experiment2={"p_values": ["x"]}))),
+        ("exp2", lambda d: (_random_model(d), d.update(experiment2={"p_values": []}))),
+        ("exp2", lambda d: (_random_model(d), d.update(experiment2={"p_values": [1]}))),
         ("decode-noiseless", lambda d: d.update(noiseless={"k": "x"})),
         ("decode-noiseless", lambda d: d.update(noiseless={"x0": "abc"})),
         (
@@ -205,6 +220,8 @@ def _random_model(doc):
         "string-x0",
         "experiment2-not-an-object",
         "string-p-value",
+        "empty-p-values",
+        "single-sensor-p-value",
         "string-noiseless-k",
         "string-noiseless-x0",
         "string-corrupt-sensor",
@@ -244,6 +261,7 @@ _FUZZ_FIELDS = [
     ("detector", "N"), ("detector", "t1"), ("detector", "mode"),
     ("noiseless",), ("noiseless", "x0"), ("noiseless", "k"), ("noiseless", "corrupt"),
     ("noiseless", "corrupt", "sensors"), ("noiseless", "corrupt", "state"),
+    ("experiment2",), ("experiment2", "p_values"), ("experiment2", "weak_last_gain"),
 ]
 _DELETE = object()
 _FUZZ_VALUES = st.one_of(
@@ -259,12 +277,20 @@ _FUZZ_VALUES = st.one_of(
     st.dictionaries(st.sampled_from(["type", "gain", "explicit", "random"]), st.integers(0, 3)),
 )
 # search and detect run on the scalar plant, decode-noiseless and obsv on
-# the noiseless one
+# the noiseless one, exp2 on a tiny random plant (p=6 attacks two sensors,
+# so the weak last gain applies)
 _FUZZ_BASES = {
     "search": SCALAR_SCENARIO,
     "detect": SCALAR_SCENARIO,
     "decode-noiseless": NOISELESS_SCENARIO,
     "obsv": NOISELESS_SCENARIO,
+    "exp2": {
+        **SCALAR_SCENARIO,
+        "model": {"random": {"n": 3, "p": 3, "seed": 3, "sigma_w2": 0.001, "sigma_v2": 1.0}},
+        "attack": {"attacked": [], "strategy": {"type": "noise_linear", "gain": 10.0}},
+        "detector": {"epsilon": 1.0, "eta": 8.0},
+        "experiment2": {"p_values": [3, 6], "weak_last_gain": 0.5},
+    },
 }
 
 
@@ -284,11 +310,14 @@ _FUZZ_BASES = {
     random_model=False,
     edits=[(("noiseless", "corrupt", "sensors"), [9])],
 )
+# a null experiment2.p_values or weak_last_gain once ended in a TypeError
+@example(command="exp2", random_model=False, edits=[(("experiment2", "p_values"), None)])
+@example(command="exp2", random_model=False, edits=[(("experiment2", "weak_last_gain"), None)])
 def test_mutated_scenario_keeps_exit_code_contract(command, random_model, edits):
     # main lets every exception outside the contract escape as a traceback
     doc = json.loads(json.dumps(_FUZZ_BASES[command]))
     doc["detector"].update(N=40, t1=10)
-    if random_model:  # a random plant of the same size
+    if random_model and "explicit" in doc["model"]:  # a random plant of the same size
         C = doc["model"]["explicit"]["C"]
         doc["model"] = {"random": {"n": len(C[0]), "p": len(C), "seed": 1}}
     for path, value in edits:

@@ -263,32 +263,68 @@ def test_worst_subset_k0_full_set(triple_sensor_scalar):
     assert subset == (1, 2, 3)
 
 
-def _two_loop_run_filter(model, flt, traj, t_start, t_end):
-    """Reference: the prediction and filtering recursions as separate loops."""
-    A, Cs, n = model.A, model.C[[i - 1 for i in flt.subset]], model.n
-    gain_y = traj.outputs[: t_end + 1, [i - 1 for i in flt.subset]] @ flt.gain.T
-    est = np.empty((t_end + 1, n))
-    x = np.zeros(n)
+def _two_loop_run_filter(model, flt, traj, t_start, t_end, dtype=float):
+    """Reference: the prediction and filtering recursions as separate
+    loops, one step at a time, in ``dtype`` arithmetic."""
+    A = model.A.astype(dtype)
+    Cs = model.C[[i - 1 for i in flt.subset]].astype(dtype)
+    gain, n = flt.gain.astype(dtype), model.n
+    gain_y = traj.outputs[: t_end + 1, [i - 1 for i in flt.subset]].astype(dtype) @ gain.T
+    est = np.empty((t_end + 1, n), dtype=dtype)
+    x = np.zeros(n, dtype=dtype)
     if flt.mode == PREDICTION:
-        Acl = A - flt.gain @ Cs
+        Acl = A - gain @ Cs
         for t in range(t_end + 1):
             est[t] = x
             x = Acl @ x + gain_y[t]
     else:
-        Acl = (np.eye(n) - flt.gain @ Cs) @ A
+        Acl = (np.eye(n, dtype=dtype) - gain @ Cs) @ A
         for t in range(t_end + 1):
             x = Acl @ x + gain_y[t]
             est[t] = x
     return est[t_start:]
 
 
+# run_filter scans T = t_end + 1 + lag rows (lag 1 in filtering mode) in
+# B chunks of L = isqrt(T - 1) + 1 rows: 361 = 19 * 19 rows fill a square
+# grid, 399 rows leave one pad row in a 20 * 20 grid, and 421 rows put a
+# single row in the last of 21 chunks of 21.
+_FILTER_WINDOWS = [(0, 0), (0, 1), (0, 2), (3, 7), (37, 350), (0, 399)]
+_FILTER_ROWS = [361, 399, 421]
+# max|error| / max|x| allowed against the long-double recursion; on
+# these windows the scan and the float64 loop both stay below 2 eps
+_FILTER_TOL = 16 * np.finfo(float).eps
+
+
+def _assert_filter_accuracy(model, flt, traj, t_start, t_end):
+    ref = _two_loop_run_filter(model, flt, traj, t_start, t_end, np.longdouble)
+    bound = _FILTER_TOL * float(np.max(np.abs(ref)))
+    run = run_filter(flt, traj, t_start, t_end)
+    assert run.estimates.shape == ref.shape
+    assert not run.estimates.flags.writeable
+    assert float(np.max(np.abs(run.estimates - ref))) <= bound
+    loop = _two_loop_run_filter(model, flt, traj, t_start, t_end)
+    assert float(np.max(np.abs(loop - ref))) <= bound
+
+
 @pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
 def test_run_filter_matches_two_loop_reference(mode):
     m = make_random_stable_system(5, 4, 0.9, seed=8, sigma_w2=0.3, sigma_v2=0.8)
-    traj = simulate(m, AttackSpec(), horizon=400, seed=2, burn_in=20)
+    traj = simulate(m, AttackSpec(), horizon=440, seed=2, burn_in=20)
     flt = solve_steady_state(m, (1, 3, 4), mode)
-    run = run_filter(flt, traj, 37, 350)
-    assert np.array_equal(run.estimates, _two_loop_run_filter(m, flt, traj, 37, 350))
+    lag = int(mode == FILTERING)
+    windows = _FILTER_WINDOWS + [(5, rows - 1 - lag) for rows in _FILTER_ROWS]
+    for t_start, t_end in windows:
+        _assert_filter_accuracy(m, flt, traj, t_start, t_end)
+
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_run_filter_matches_two_loop_reference_at_experiment1_size(mode):
+    # the experiment-1 plant and window: n=20, p=5, |s|=3, t1=200, N=20000
+    m = make_random_stable_system(20, 5, 0.9, seed=100, sigma_w2=0.01, sigma_v2=0.01)
+    traj = simulate(m, AttackSpec(), horizon=20220, seed=0, burn_in=200)
+    flt = solve_steady_state(m, (2, 4, 5), mode)
+    _assert_filter_accuracy(m, flt, traj, 200, 20199)
 
 
 def test_run_filter_window_bounds():
