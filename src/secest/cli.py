@@ -1,9 +1,17 @@
 """Scenario files, experiment runners, and the command-line interface.
 
-Scenario files are JSON documents describing the plant (random or
-explicit matrices), the adversary, the detector window/threshold, and
-the search method.  Sensor indices are 1-based and matrices row-major,
-and every emitted artifact carries a schema_version.
+A scenario file is one JSON object describing the plant (random or
+explicit matrices), the adversary, the detector window/threshold, the
+attack bound k and the search method.  `_FIELDS` declares every field
+once, with its JSON kind and its default, and `_read` is the one reader
+of a field: `parse_scenario` checks the whole document with it, and the
+runners read their values through it.  Numeric ranges are checked by the
+library types the fields build (`DetectorConfig`, `SystemModel`,
+`make_random_stable_system`, `AttackSpec` and its strategies); only the
+checks that need the plant's n or p come after the build.  So a
+malformed file is a scenario error (exit 2) before anything runs.
+Sensor indices are 1-based and matrices row-major, and every emitted
+artifact carries a schema_version.
 
 Subcommands: simulate, detect, search, exp1, exp2, decode-noiseless,
 obsv.  Exit codes: 0 success, 2 scenario/parse error, 3 analysis error,
@@ -15,8 +23,8 @@ The scenario's ``k`` is stored once, as the detector configuration's
 attack bound, and every residue test runs through a
 `secest.detect.SubsetBank`: one per experiment-1 repetition, one
 prewarmed bank per experiment-2 sensor count, and one per search call in
-`run_scenario`.  `parse_scenario` checks the JSON types of the fields
-the runners use, so a malformed file is a scenario error (exit 2).
+`run_scenario`.  Every runner simulates through `_simulate_scenario`,
+with the scenario's horizon, x0 and burn-in.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import combinations
 from typing import Any, Callable
@@ -37,7 +45,7 @@ import numpy as np
 
 from .detect import DetectorConfig, SubsetBank, attack_detect
 from .errors import AnalysisError, ConfigError, ScenarioError
-from .kalman import PREDICTION
+from .kalman import FILTERING, PREDICTION
 from .model import (
     AttackSpec,
     ConstantBias,
@@ -77,21 +85,156 @@ __all__ = [
 # Scenario files
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    # an integer beyond the float range counts as infinite
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+# A JSON kind: a test of the value and what the error message calls it.
+_Kind = tuple[Callable[[Any], bool], str]
+
+
+def _enum(*choices) -> _Kind:
+    # type-strict: true is not 1, and 1.0 is not 1
+    return (
+        lambda v: any(type(v) is type(c) and v == c for c in choices),
+        "one of " + ", ".join(map(json.dumps, choices)),
+    )
+
+
+def _either(a: _Kind, b: _Kind) -> _Kind:
+    return lambda v: a[0](v) or b[0](v), f"{a[1]} or {b[1]}"
+
+
+_INT: _Kind = (_is_int, "an integer")
+_NONNEG_INT: _Kind = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_POS_INT: _Kind = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_NUMBER: _Kind = (_is_finite, "a finite number")
+_INTS: _Kind = (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+_NUMBERS: _Kind = (
+    lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+    "a list of finite numbers",
+)
+_MATRIX: _Kind = (
+    lambda v: isinstance(v, list)
+    and len(v) > 0
+    and all(_NUMBERS[0](row) and 0 < len(row) == len(v[0]) for row in v),
+    "a nonempty list of equally long, nonempty lists of finite numbers",
+)
+
+_REQUIRED = object()  # the field's section must give it
+_ABSENT = object()  # the library type's own default applies
+
+_STRATEGIES = {
+    "none": NoAttack,
+    "zero_output": ZeroOutput,
+    "noise_linear": NoiseLinear,
+    "constant": ConstantBias,
+    "seeded_random": SeededRandom,
+}
+
+# Every scenario field, by dotted path: its JSON kind and its default.  A
+# default of None is worked out at run time, and such a field may be null.
+# A callable default reads it from the document.  README.md lists the same
+# fields, with the subcommands that read them.
+_FIELDS: dict[str, tuple[_Kind, Any]] = {
+    "schema_version": (_enum(SCHEMA_VERSION), SCHEMA_VERSION),
+    "model.random.n": (_INT, _REQUIRED),
+    "model.random.p": (_INT, _REQUIRED),
+    "model.random.spectral_radius": (_NUMBER, 0.9),
+    "model.random.seed": (_NONNEG_INT, 0),
+    "model.random.sigma_w2": (_NUMBER, _ABSENT),
+    "model.random.sigma_v2": (_NUMBER, _ABSENT),
+    "model.explicit.A": (_MATRIX, _REQUIRED),
+    "model.explicit.C": (_MATRIX, _REQUIRED),
+    "model.explicit.sigma_w2": (_NUMBER, 1.0),
+    "model.explicit.sigma_v2": (_NUMBER, 1.0),
+    "attack.attacked": (_either(_INTS, _enum("random")), ()),
+    "attack.strategy.type": (_enum(*_STRATEGIES), "none"),
+    "attack.strategy.gain": (_either(_NUMBER, _NUMBERS), _ABSENT),
+    "attack.strategy.bias": (_NUMBERS, _ABSENT),
+    "attack.strategy.amplitude": (_NUMBER, _ABSENT),
+    "detector.epsilon": (_NUMBER, 1.0),
+    "detector.eta": (_either(_NUMBER, _enum("auto")), "auto"),
+    "detector.N": (_INT, _ABSENT),
+    "detector.t1": (_INT, _ABSENT),
+    "detector.mode": (_enum(PREDICTION, FILTERING), _ABSENT),
+    "k": (_INT, 0),
+    "search": (_enum("exhaustive", "smt", "both"), "exhaustive"),
+    "repetitions": (_POS_INT, 1),
+    "seed": (_NONNEG_INT, 0),
+    "horizon": (_POS_INT, None),
+    "burn_in": (_NONNEG_INT, None),
+    "x0": (_NUMBERS, None),
+    "subset": (_INTS, None),
+    "noiseless.k": (_INT, lambda doc: _read(doc, "k")),
+    "noiseless.x0": (_NUMBERS, None),
+    "noiseless.corrupt.sensors": (_INTS, _REQUIRED),
+    "noiseless.corrupt.state": (_NUMBERS, _REQUIRED),
+    "experiment2.p_values": (
+        # each sensor count p needs k = max(1, p // 3) < p
+        (lambda v: _INTS[0](v) and len(v) > 0 and min(v) >= 2, "a nonempty list of integers >= 2"),
+        tuple(range(3, 13)),
+    ),
+    "experiment2.weak_last_gain": (_NUMBER, 0.5),
+}
+
+
+def _read(doc: dict, path: str):
+    """Field ``path`` of the scenario ``doc``, checked against its kind, or
+    its default when absent.  An absent or null section leaves every field
+    in it at its default, and a list comes back as a tuple."""
+    (test, what), default = _FIELDS[path]
+    *sections, key = path.split(".")
+    section = doc
+    for depth, name in enumerate(sections, 1):
+        section = section.get(name)
+        if section is None:
+            section = {}
+            default = None if default is _REQUIRED else default
+            break
+        if not isinstance(section, dict):
+            raise ScenarioError(f"{'.'.join(sections[:depth])} must be an object, got {section!r}")
+    if key not in section:
+        if default is _REQUIRED:
+            raise ScenarioError(f"{path} is required")
+        return default(doc) if callable(default) else default
+    value = section[key]
+    if value is None and default is None:
+        return None
+    if not test(value):
+        raise ScenarioError(f"{path} must be {what}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _section(doc: dict, section: str) -> dict:
+    """The fields of ``section`` by key, without those left to the library
+    type's own default: the keyword arguments of the type it builds."""
+    values = {
+        path.rpartition(".")[2]: _read(doc, path)
+        for path in _FIELDS
+        if path.rpartition(".")[0] == section
+    }
+    return {key: value for key, value in values.items() if value is not _ABSENT}
+
+
 @dataclass
 class Scenario:
+    """A checked scenario document, ``raw``, with the attack and detector it
+    builds.  Other fields are read from ``raw`` (and the model from
+    ``model_spec``) when they are used."""
+
     raw: dict
     model_spec: dict
     attack_attacked: tuple[int, ...] | None  # None: draw k sensors per rep
     attack_strategy: Any
     detector: DetectorConfig
-    search_method: str
     repetitions: int
     seed: int
-    horizon: int | None = None
-    burn_in: int | None = None
-    x0: list | None = None
-    subset: tuple[int, ...] | None = None
-    noiseless: dict | None = None
 
     @property
     def k(self) -> int:
@@ -101,24 +244,14 @@ class Scenario:
     def build_model(self, rep: int = 0, p: int | None = None) -> SystemModel:
         """The plant; a random one draws with seed + rep, and ``p``
         overrides its sensor count."""
-        spec = self.model_spec
-        if "random" in spec:
-            r = spec["random"]
-            return make_random_stable_system(
-                n=r["n"],
-                p=r["p"] if p is None else p,
-                spectral_radius=r.get("spectral_radius", 0.9),
-                seed=r.get("seed", 0) + rep,
-                sigma_w2=r.get("sigma_w2", 1.0),
-                sigma_v2=r.get("sigma_v2", 1.0),
-            )
-        e = spec["explicit"]
-        return SystemModel(
-            A=np.array(e["A"], dtype=float),
-            C=np.array(e["C"], dtype=float),
-            sigma_w2=e.get("sigma_w2", 1.0),
-            sigma_v2=e.get("sigma_v2", 1.0),
-        )
+        doc = {"model": self.model_spec}
+        if "random" not in self.model_spec:
+            return SystemModel(**_section(doc, "model.explicit"))
+        args = _section(doc, "model.random")
+        args["seed"] += rep
+        if p is not None:
+            args["p"] = p
+        return make_random_stable_system(**args)
 
     def build_attack(self, model: SystemModel, rep_seed: int) -> AttackSpec:
         attacked = self.attack_attacked
@@ -130,179 +263,59 @@ class Scenario:
         return AttackSpec(attacked=attacked, strategy=self.attack_strategy)
 
     def default_horizon(self, model: SystemModel) -> int:
-        if self.horizon is not None:
-            return self.horizon
+        horizon = _read(self.raw, "horizon")
+        if horizon is not None:
+            return horizon
         return self.detector.t1 + self.detector.window_length(model.n) + model.n
 
     def default_burn_in(self, model: SystemModel) -> int:
-        return self.burn_in if self.burn_in is not None else 10 * model.n
-
-
-def _parse_gain(raw) -> float | tuple[float, ...]:
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(g) for g in raw)
-    return float(raw)
-
-
-_STRATEGIES: dict[str, Callable[[dict], Any]] = {
-    "none": lambda d: NoAttack(),
-    "zero_output": lambda d: ZeroOutput(),
-    "noise_linear": lambda d: NoiseLinear(gain=_parse_gain(d.get("gain", 1.0))),
-    "constant": lambda d: ConstantBias(bias=tuple(float(b) for b in d.get("bias", []))),
-    "seeded_random": lambda d: SeededRandom(amplitude=float(d.get("amplitude", 1.0))),
-}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    # an integer beyond the float range counts as infinite
-    return _is_number(value) and abs(value) <= sys.float_info.max
-
-
-def _is_ints(value) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
-
-
-def _is_numbers(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
-
-
-def _check(value, name: str, ok: Callable[[Any], bool], what: str) -> None:
-    """ScenarioError unless the optional field ``value`` is None or ``ok``."""
-    if value is not None and not ok(value):
-        raise ScenarioError(f"{name} must be {what}, got {value!r}")
+        burn_in = _read(self.raw, "burn_in")
+        return 10 * model.n if burn_in is None else burn_in
 
 
 def parse_scenario(doc: dict) -> Scenario:
+    """Check every field of ``doc`` and build its model, attack and detector
+    once, so that a malformed scenario is a ScenarioError before any run."""
+    if not isinstance(doc, dict):
+        raise ScenarioError("scenario root must be a JSON object")
+    values = {path: _read(doc, path) for path in _FIELDS}
+    model_spec = doc.get("model") or {}  # an object if present: _read checked it
+    if model_spec.get("random", model_spec.get("explicit")) is None:
+        raise ScenarioError("model needs a 'random' or 'explicit' section")
     try:
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario root must be a JSON object")
-        version = doc.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ScenarioError(f"unsupported schema_version {version}")
-        model_spec = doc["model"]
-        if "random" not in model_spec and "explicit" not in model_spec:
-            raise ScenarioError("model needs a 'random' or 'explicit' section")
-        attack_doc = doc.get("attack", {})
-        attacked_field = attack_doc.get("attacked", [])
-        if attacked_field == "random":
-            attacked = None
-        else:
-            _check(attacked_field, "attack.attacked", _is_ints, 'a list of integers or "random"')
-            attacked = tuple(attacked_field)
-        strategy_doc = attack_doc.get("strategy", {"type": "none"})
-        stype = strategy_doc.get("type", "none")
-        if stype not in _STRATEGIES:
-            raise ScenarioError(f"unknown attack strategy {stype!r}")
-        strategy = _STRATEGIES[stype](strategy_doc)
-
-        k, seed, repetitions = doc.get("k", 0), doc.get("seed", 0), doc.get("repetitions", 1)
-        for key, value in (("k", k), ("seed", seed), ("repetitions", repetitions)):
-            if not _is_int(value):  # required: an explicit null is no integer either
-                raise ScenarioError(f"{key} must be an integer, got {value!r}")
-        for key in ("horizon", "burn_in"):
-            _check(doc.get(key), key, _is_int, "an integer")
-        det = doc.get("detector", {})
-        for key in ("N", "t1"):
-            _check(det.get(key), f"detector.{key}", _is_int, "an integer")
-        _check(det.get("epsilon"), "detector.epsilon", _is_number, "a number")
-        eta = det.get("eta", "auto")
-        if eta != "auto":
-            _check(eta, "detector.eta", _is_number, 'a number or "auto"')
-        detector = DetectorConfig(
-            epsilon=float(det.get("epsilon", 1.0)),
-            N=det.get("N", 20000),
-            t1=det.get("t1", 200),
-            mode=det.get("mode", PREDICTION),
-            eta=None if eta == "auto" else float(eta),
-            k=k,
-        )
-        method = doc.get("search", "exhaustive")
-        if method not in ("exhaustive", "smt", "both"):
-            raise ScenarioError(f"unknown search method {method!r}")
-        if seed < 0:
-            raise ScenarioError(f"seed must be nonnegative, got {seed}")
-        if repetitions < 1:
-            raise ScenarioError(f"repetitions must be positive, got {repetitions}")
-        _check(doc.get("x0"), "x0", _is_numbers, "a list of numbers")
-        exp2 = doc.get("experiment2", {})
-        if not isinstance(exp2, dict):
-            raise ScenarioError(f"experiment2 must be an object, got {exp2!r}")
-        for key, ok, what in (
-            (
-                "p_values",
-                lambda v: _is_ints(v) and v and min(v) >= 2,  # k = max(1, p // 3) < p
-                "a nonempty list of integers >= 2",
-            ),
-            ("weak_last_gain", _is_finite, "a finite number"),
-        ):
-            if key in exp2 and not ok(exp2[key]):  # an explicit null has no default
-                raise ScenarioError(f"experiment2.{key} must be {what}, got {exp2[key]!r}")
-        noiseless = doc.get("noiseless") or {}
-        if "k" in noiseless and not _is_int(noiseless["k"]):
-            raise ScenarioError(f"noiseless.k must be an integer, got {noiseless['k']!r}")
-        _check(noiseless.get("x0"), "noiseless.x0", _is_numbers, "a list of numbers")
-        corrupt = noiseless.get("corrupt") or {}
-        if corrupt and not (
-            {"sensors", "state"} <= set(corrupt)
-            and _is_ints(corrupt["sensors"])
-            and _is_numbers(corrupt["state"])
-        ):
-            raise ScenarioError(
-                "noiseless.corrupt needs 'sensors', a list of integers, and 'state', "
-                f"a list of numbers, got {corrupt!r}"
-            )
-        subset = doc.get("subset")
-        _check(subset, "subset", _is_ints, "a list of integers")
+        strategy = _section(doc, "attack.strategy")
+        strategy_type = _STRATEGIES[strategy.pop("type")]
+        params = {f.name for f in fields(strategy_type)}
+        detector = _section(doc, "detector")
+        if detector["eta"] == "auto":
+            detector["eta"] = None
+        attacked = values["attack.attacked"]
         scenario = Scenario(
             raw=doc,
             model_spec=model_spec,
-            attack_attacked=attacked,
-            attack_strategy=strategy,
-            detector=detector,
-            search_method=method,
-            repetitions=repetitions,
-            seed=seed,
-            horizon=doc.get("horizon"),
-            burn_in=doc.get("burn_in"),
-            x0=doc.get("x0"),
-            subset=tuple(subset) if subset else None,
-            noiseless=doc.get("noiseless"),
+            attack_attacked=None if attacked == "random" else attacked,
+            attack_strategy=strategy_type(**{k: v for k, v in strategy.items() if k in params}),
+            detector=DetectorConfig(k=values["k"], **detector),
+            repetitions=values["repetitions"],
+            seed=values["seed"],
         )
-        model = scenario.build_model(0)  # a malformed model is a scenario error
+        model = scenario.build_model()
         n, p = model.n, model.p
-        for name, bound in (("k", k), ("noiseless.k", noiseless.get("k", 0))):
-            if not 0 <= bound < p:
-                raise ScenarioError(f"{name} must be in [0, p={p}), got {bound}")
-        for name, sensors in (
-            ("attack.attacked", attacked or ()),
-            ("subset", subset or ()),
-            ("noiseless.corrupt.sensors", corrupt.get("sensors", ())),
-        ):
-            if len(set(sensors)) < len(sensors) or not set(sensors) <= set(range(1, p + 1)):
+        for name in ("k", "noiseless.k"):
+            if not 0 <= values[name] < p:
+                raise ScenarioError(f"{name} must be in [0, p={p}), got {values[name]}")
+        for name in ("attack.attacked", "subset", "noiseless.corrupt.sensors"):
+            sensors = values[name]
+            if isinstance(sensors, tuple) and (
+                len(set(sensors)) < len(sensors) or not set(sensors) <= set(range(1, p + 1))
+            ):
                 raise ScenarioError(f"{name} must list distinct sensors in 1..{p}, got {sensors}")
-        for name, state in (
-            ("x0", doc.get("x0")),
-            ("noiseless.x0", noiseless.get("x0")),
-            ("noiseless.corrupt.state", corrupt.get("state")),
-        ):
-            if state is None:
-                continue
-            if len(state) != n:
-                raise ScenarioError(f"{name} must have n={n} entries, got {len(state)}")
-            if not all(map(_is_finite, state)):
-                raise ScenarioError(f"{name} must be finite, got {state}")
+        for name in ("x0", "noiseless.x0", "noiseless.corrupt.state"):
+            if values[name] is not None and len(values[name]) != n:
+                raise ScenarioError(f"{name} must have n={n} entries, got {len(values[name])}")
+        scenario.build_attack(model, scenario.seed)
         return scenario
-    except ScenarioError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+    except ConfigError as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
@@ -321,7 +334,6 @@ def default_experiment1_scenario() -> Scenario:
     subsets sit well below the threshold at N=20000."""
     return parse_scenario(
         {
-            "schema_version": SCHEMA_VERSION,
             "model": {
                 "random": {
                     "n": 20,
@@ -341,12 +353,9 @@ def default_experiment1_scenario() -> Scenario:
                 "eta": 0.7,
                 "N": 20000,
                 "t1": 200,
-                "mode": PREDICTION,
             },
             "k": 2,
-            "search": "exhaustive",
             "repetitions": 50,
-            "seed": 0,
         }
     )
 
@@ -357,7 +366,6 @@ def default_experiment2_scenario() -> Scenario:
     the clean complement is the last subset the plain enumeration visits.
     """
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "model": {
             "random": {
                 "n": 50,
@@ -374,12 +382,10 @@ def default_experiment2_scenario() -> Scenario:
             "eta": 15.0,
             "N": 300,
             "t1": 150,
-            "mode": PREDICTION,
         },
         "k": 1,
         "search": "both",
         "repetitions": 50,
-        "seed": 0,
         "experiment2": {"p_values": list(range(3, 13))},
     }
     return parse_scenario(doc)
@@ -420,18 +426,11 @@ def run_experiment1(scenario: Scenario) -> list[dict]:
         rep_seed = scenario.seed + rep
         model = scenario.build_model(rep)
         attack = scenario.build_attack(model, rep_seed)
-        cfg = scenario.detector
-        traj = simulate(
-            model,
-            attack,
-            scenario.default_horizon(model),
-            seed=rep_seed,
-            burn_in=scenario.default_burn_in(model),
-        )
+        traj = _simulate_scenario(scenario, model, attack, rep_seed)
         clean = tuple(
             i for i in range(1, model.p + 1) if i not in attack.attacked
         )
-        bank = SubsetBank(model, cfg)
+        bank = SubsetBank(model, scenario.detector)
         out = []
         for s in combinations(range(1, model.p + 1), model.p - scenario.k):
             flag, _, report = bank.detect(traj, s)
@@ -466,13 +465,11 @@ def run_experiment2(
 
     ``per_run``, when given, receives one record per repetition with the
     raw timings and both SearchOutcome objects (for audits)."""
-    exp2 = scenario.raw.get("experiment2", {})
-    p_values = exp2.get("p_values", list(range(3, 13)))
     if "random" not in scenario.model_spec:
         raise ScenarioError("experiment 2 needs a random model section")
 
     rows: list[dict] = []
-    for p in p_values:
+    for p in _read(scenario.raw, "experiment2.p_values"):
         k = max(1, p // 3)
         model = scenario.build_model(rep=p, p=p)
         cfg = replace(scenario.detector, k=k)
@@ -483,12 +480,9 @@ def run_experiment2(
         # rightly pass the test.
         strategy = scenario.attack_strategy
         if isinstance(strategy, NoiseLinear) and k >= 2 and not isinstance(strategy.gain, tuple):
-            weak = float(exp2.get("weak_last_gain", 0.5))
-            strategy = NoiseLinear(gain=(float(strategy.gain),) * (k - 1) + (weak,))
+            weak = _read(scenario.raw, "experiment2.weak_last_gain")
+            strategy = NoiseLinear(gain=(strategy.gain,) * (k - 1) + (weak,))
         attack = AttackSpec(attacked=tuple(range(1, k + 1)), strategy=strategy)
-        n = model.n
-        N = cfg.window_length(n)
-        horizon = cfg.t1 + N + n
         # Filters and expected matrices of every (p-k)-subset and the full
         # set are built before the timed searches, which then isolate
         # residue testing and search logic.
@@ -498,7 +492,7 @@ def run_experiment2(
 
         def one_rep(rep: int) -> dict:
             rep_seed = scenario.seed + rep
-            traj = simulate(model, attack, horizon, seed=rep_seed, burn_in=10 * model.n)
+            traj = _simulate_scenario(scenario, model, attack, rep_seed)
             detector = partial(bank.detect, traj)
             out_ex = exhaustive_search(model, traj, cfg, detector=detector)
             out_smt = smt_search(model, traj, cfg, detector=detector)
@@ -544,29 +538,32 @@ def run_experiment2(
 # One-shot scenario pipeline
 
 
-def _simulate_scenario(scenario: Scenario):
-    """The scenario's model, attack and trajectory at its seed."""
-    model = scenario.build_model()
-    attack = scenario.build_attack(model, scenario.seed)
-    traj = simulate(
+def _simulate_scenario(scenario: Scenario, model: SystemModel, attack: AttackSpec, seed: int):
+    """The trajectory of ``model`` under ``attack`` at ``seed``, over the
+    scenario's horizon, from its x0 and after its burn-in.  ``simulate`` is
+    looked up at each call."""
+    return simulate(
         model,
         attack,
         scenario.default_horizon(model),
-        x0=np.array(scenario.x0, dtype=float) if scenario.x0 else None,
-        seed=scenario.seed,
+        x0=_read(scenario.raw, "x0"),
+        seed=seed,
         burn_in=scenario.default_burn_in(model),
     )
-    return model, attack, traj
+
+
+def _simulate_at_seed(scenario: Scenario):
+    """The scenario's model, attack and trajectory at its seed."""
+    model = scenario.build_model()
+    attack = scenario.build_attack(model, scenario.seed)
+    return model, attack, _simulate_scenario(scenario, model, attack, scenario.seed)
 
 
 def run_scenario(scenario: Scenario) -> dict:
     """simulate -> search (per configured method) -> JSON-ready bundle."""
-    model, attack, traj = _simulate_scenario(scenario)
-    methods = (
-        ["exhaustive", "smt"]
-        if scenario.search_method == "both"
-        else [scenario.search_method]
-    )
+    model, attack, traj = _simulate_at_seed(scenario)
+    method = _read(scenario.raw, "search")
+    methods = ["exhaustive", "smt"] if method == "both" else [method]
     bundle: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "seed": scenario.seed,
@@ -649,19 +646,15 @@ def _load(args, default: Callable[[], Scenario] | None = None) -> Scenario:
     else:
         raise ScenarioError("--scenario is required for this subcommand")
     if args.seed is not None:
-        if args.seed < 0:
-            raise ScenarioError(f"--seed must be nonnegative, got {args.seed}")
-        scenario.seed = args.seed
+        scenario.seed = _read({"seed": args.seed}, "seed")
     if args.reps is not None:
-        if args.reps < 1:
-            raise ScenarioError(f"--reps must be positive, got {args.reps}")
-        scenario.repetitions = args.reps
+        scenario.repetitions = _read({"repetitions": args.reps}, "repetitions")
     return scenario
 
 
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
-    _, attack, traj = _simulate_scenario(scenario)
+    _, attack, traj = _simulate_at_seed(scenario)
     rows = [
         {
             "t": t,
@@ -687,8 +680,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_detect(args) -> int:
     scenario = _load(args)
-    model, _, traj = _simulate_scenario(scenario)
-    subset = scenario.subset or full_subset(model.p)
+    model, _, traj = _simulate_at_seed(scenario)
+    subset = _read(scenario.raw, "subset") or full_subset(model.p)
     flag, _, report = attack_detect(model, traj, subset, scenario.detector)
     rows = [
         {
@@ -765,29 +758,22 @@ def _cmd_exp2(args) -> int:
 def _cmd_decode_noiseless(args) -> int:
     scenario = _load(args)
     model = scenario.build_model()
-    spec = scenario.noiseless or {}
-    k = spec.get("k", scenario.k)
-    if spec.get("x0") is not None:
-        x0 = np.array(spec["x0"], dtype=float)
-    else:
-        rng = np.random.Generator(np.random.PCG64(scenario.seed))
-        x0 = rng.standard_normal(model.n)
+    x0 = _read(scenario.raw, "noiseless.x0")
+    if x0 is None:
+        x0 = np.random.Generator(np.random.PCG64(scenario.seed)).standard_normal(model.n)
+    x0 = np.array(x0, dtype=float)
     obs = encode(model, x0)
-    corrupt = spec.get("corrupt")
-    corrupted_true: list[int] = []
-    if corrupt:
-        x_alt = np.array(corrupt["state"], dtype=float)
-        alt = encode(model, x_alt)
-        replacements = {int(d): alt.symbols[int(d) - 1] for d in corrupt["sensors"]}
-        obs = obs.with_symbols(replacements)
-        corrupted_true = [int(d) for d in corrupt["sensors"]]
+    corrupted = _read(scenario.raw, "noiseless.corrupt.sensors") or ()
+    if corrupted:
+        alt = encode(model, np.array(_read(scenario.raw, "noiseless.corrupt.state"), dtype=float))
+        obs = obs.with_symbols({d: alt.symbols[d - 1] for d in corrupted})
     detected = detect_corruption(model, obs)
-    result = decode(model, obs, k)
+    result = decode(model, obs, _read(scenario.raw, "noiseless.k"))
     obj = {
         "schema_version": SCHEMA_VERSION,
         "corruption_detected": detected,
         "declared_corrupted": list(result.corrupted),
-        "actually_corrupted": corrupted_true,
+        "actually_corrupted": list(corrupted),
         "unique": result.unique,
         "state": result.state.tolist(),
         "true_state": x0.tolist(),

@@ -86,16 +86,16 @@ class DetectorConfig:
     k: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.N < 1 or self.t1 < 0:
             raise ConfigError("N must be >= 1 and t1 >= 0")
         if self.mode not in (PREDICTION, FILTERING):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.eta is None and self.k is None:
             raise ConfigError("either eta or k (for the auto threshold) is required")
-        if self.eta is not None and self.eta <= 0:
-            raise ConfigError("eta must be positive")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
         if self.k is not None and self.k < 0:
             raise ConfigError(f"k must be nonnegative, got {self.k}")
 

@@ -262,19 +262,19 @@ def cross_covariance_correction(
     Because only the first sample of each sensor's window coincides with
     the noise entering the filter update, the correction has the closed
     form sigma_v2 * E1 @ L' @ O_s', with E1 the selector that places a
-    one at each sensor's window start.
+    one at each sensor's window start.  So the only nonzero rows are the
+    window starts, row c * n holding sigma_v2 * (L' O_s')[c], and they are
+    written directly.
     """
     subset = normalize_subset(s, model.p)
     if flt.mode != FILTERING:
         raise ConfigError("cross_covariance_correction needs a filtering-mode filter")
     if flt.subset != subset:
         raise ConfigError("filter subset does not match s")
-    n, m = model.n, len(subset)
-    E1 = np.zeros((n * m, m))
-    for c in range(m):
-        E1[c * n, c] = 1.0
-    Os = observability_matrix(model, subset)
-    return model.sigma_v2 * E1 @ flt.gain.T @ Os.T
+    nm = model.n * len(subset)
+    D = np.zeros((nm, nm))
+    D[:: model.n] = model.sigma_v2 * flt.gain.T @ observability_matrix(model, subset).T
+    return D
 
 
 def worst_subset(model: SystemModel, k: int) -> tuple[SensorSubset, float]:

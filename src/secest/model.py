@@ -15,7 +15,7 @@ Sensor indices are 1-based throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -97,6 +97,16 @@ class SystemModel:
 # time t is built only from quantities available at time t.
 
 
+class _FiniteParameters:
+    """Every dataclass field of a strategy is a finite number or a tuple of them."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{type(self).__name__} {f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NoAttack:
     pass
@@ -108,7 +118,7 @@ class ZeroOutput:
 
 
 @dataclass(frozen=True)
-class NoiseLinear:
+class NoiseLinear(_FiniteParameters):
     """Add gain * v_j(t) on each attacked sensor j.
 
     ``gain`` may be a single value or one value per attacked sensor
@@ -130,14 +140,14 @@ class NoiseLinear:
 
 
 @dataclass(frozen=True)
-class ConstantBias:
+class ConstantBias(_FiniteParameters):
     """Add a fixed bias per attacked sensor (aligned with AttackSpec.attacked)."""
 
     bias: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
-class SeededRandom:
+class SeededRandom(_FiniteParameters):
     """Add amplitude * iid standard normal draws from a dedicated stream."""
 
     amplitude: float = 1.0

@@ -1,10 +1,12 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from secest import cli
 from secest.cli import (
     default_experiment1_scenario,
     default_experiment2_scenario,
@@ -115,6 +117,10 @@ def test_cli_exit_codes(tmp_path):
     assert main(["search", "--scenario", scenario, "--out", str(tmp_path / "nope")]) == 4
 
 
+def _strategy(kind, **params):
+    return {"type": kind, **params}
+
+
 def _malformed(edit, base=SCALAR_SCENARIO):
     doc = json.loads(json.dumps(base))
     edit(doc)
@@ -149,6 +155,14 @@ def _malformed(edit, base=SCALAR_SCENARIO):
         _malformed(lambda d: d.update(x0=[float("nan")])),
         _malformed(lambda d: d.update(x0=[1.0, 2.0])),
         _malformed(lambda d: d.update(x0=[10**400])),
+        _malformed(lambda d: d.update(horizon=0)),
+        _malformed(lambda d: d.update(burn_in=-1)),
+        _malformed(
+            lambda d: d["attack"].update(attacked=[1], strategy=_strategy("noise_linear", gain=[1, 2]))
+        ),
+        _malformed(
+            lambda d: d["attack"].update(attacked=[1, 2], strategy=_strategy("constant", bias=[1]))
+        ),
     ],
     ids=[
         "string-spectral-radius",
@@ -173,6 +187,10 @@ def _malformed(edit, base=SCALAR_SCENARIO):
         "nan-x0",
         "long-x0",
         "huge-integer-x0",
+        "zero-horizon",
+        "negative-burn-in",
+        "two-gains-one-sensor",
+        "one-bias-two-sensors",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, doc):
@@ -212,6 +230,33 @@ def _random_model(doc):
         ("search", lambda d: d["detector"].update(eta=True)),
         ("search", lambda d: d["attack"].update(attacked=[1.5])),
         ("detect", lambda d: d.update(subset=["2"])),
+        ("search", lambda d: d["detector"].update(eta=float("nan"))),
+        ("search", lambda d: d["detector"].update(epsilon=float("nan"))),
+        ("search", lambda d: d["detector"].update(epsilon=float("inf"))),
+        ("search", lambda d: d["attack"].update(strategy=_strategy("noise_linear", gain="10"))),
+        ("search", lambda d: d["attack"].update(strategy=_strategy("noise_linear", gain=True))),
+        (
+            "search",
+            lambda d: d["attack"].update(strategy=_strategy("noise_linear", gain=float("nan"))),
+        ),
+        (
+            "search",
+            lambda d: d["attack"].update(
+                attacked=[1], strategy=_strategy("seeded_random", amplitude=float("inf"))
+            ),
+        ),
+        (
+            "search",
+            lambda d: d["attack"].update(
+                attacked=[1], strategy=_strategy("constant", bias=[float("nan")])
+            ),
+        ),
+        (
+            "search",
+            lambda d: d["attack"].update(attacked=[1], strategy=_strategy("constant", bias=["2"])),
+        ),
+        ("search", lambda d: d["model"]["explicit"].update(A=[["1.0"]])),
+        ("search", lambda d: d["model"]["explicit"].update(A=[[True]])),
     ],
     ids=[
         "string-horizon",
@@ -235,6 +280,17 @@ def _random_model(doc):
         "boolean-eta",
         "fractional-attacked",
         "string-subset",
+        "nan-eta",
+        "nan-epsilon",
+        "infinite-epsilon",
+        "string-gain",
+        "boolean-gain",
+        "nan-gain",
+        "infinite-amplitude",
+        "nan-bias",
+        "string-bias",
+        "string-matrix-entry",
+        "boolean-matrix-entry",
     ],
 )
 def test_mistyped_field_exits_2(tmp_path, command, edit):
@@ -257,7 +313,8 @@ _FUZZ_FIELDS = [
     ("model", "random", "spectral_radius"), ("model", "random", "sigma_w2"),
     ("model", "random", "sigma_v2"),
     ("attack", "attacked"), ("attack", "strategy"), ("attack", "strategy", "type"),
-    ("attack", "strategy", "gain"), ("detector", "epsilon"), ("detector", "eta"),
+    ("attack", "strategy", "gain"), ("attack", "strategy", "bias"),
+    ("attack", "strategy", "amplitude"), ("detector", "epsilon"), ("detector", "eta"),
     ("detector", "N"), ("detector", "t1"), ("detector", "mode"),
     ("noiseless",), ("noiseless", "x0"), ("noiseless", "k"), ("noiseless", "corrupt"),
     ("noiseless", "corrupt", "sensors"), ("noiseless", "corrupt", "state"),
@@ -334,6 +391,71 @@ def test_mutated_scenario_keeps_exit_code_contract(command, random_model, edits)
         scenario = Path(out) / "scenario.json"
         scenario.write_text(json.dumps(doc))
         assert main([command, "--scenario", str(scenario), "--out", out]) in (0, 2, 3, 4)
+
+
+def _number_paths(node, path=()):
+    """The path to every number in a scenario document, list and matrix
+    entries included."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _number_paths(child, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+@pytest.mark.parametrize("base", ["search", "decode-noiseless", "exp2"])
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda v: float("nan"), lambda v: float("inf"), str, lambda v: True],
+    ids=["nan", "infinity", "numeric-string", "true"],
+)
+def test_every_mutated_number_exits_2(tmp_path, base, mutate):
+    # the scalar, noiseless and exp2 fuzz bases: each number, replaced,
+    # is a scenario error on every subcommand
+    failures = []
+    for path in _number_paths(_FUZZ_BASES[base]):
+        doc = json.loads(json.dumps(_FUZZ_BASES[base]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = mutate(parent[path[-1]])
+        scenario = write_scenario(tmp_path, doc)
+        for command in _FUZZ_BASES:
+            code = main([command, "--scenario", scenario, "--out", str(tmp_path)])
+            if code != 2:
+                failures.append((path, command, code))
+    assert failures == []
+
+
+def test_runners_simulate_with_the_scenario_horizon_x0_and_burn_in(monkeypatch):
+    doc = {
+        "model": {"random": {"n": 3, "p": 3, "seed": 3, "sigma_w2": 0.001, "sigma_v2": 1.0}},
+        "attack": {"attacked": [1], "strategy": {"type": "noise_linear", "gain": 10.0}},
+        "detector": {"epsilon": 1.0, "eta": 8.0, "N": 60, "t1": 30},
+        "k": 1,
+        "horizon": 200,
+        "x0": [5, 5, 5],
+        "burn_in": 0,
+        "experiment2": {"p_values": [3]},
+    }
+    calls = []
+    simulate = cli.simulate
+
+    def recording_simulate(model, attack, horizon, x0=None, seed=0, burn_in=0):
+        calls.append((horizon, None if x0 is None else list(x0), burn_in))
+        return simulate(model, attack, horizon, x0=x0, seed=seed, burn_in=burn_in)
+
+    monkeypatch.setattr(cli, "simulate", recording_simulate)
+    for runner in (run_scenario, run_experiment1, run_experiment2):
+        runner(parse_scenario(doc))
+    assert calls == [(200, [5, 5, 5], 0)] * 3
+
+
+def test_readme_lists_every_scenario_field():
+    # the README's field table is the users' copy of cli._FIELDS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Scenario files", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == list(cli._FIELDS)
 
 
 def test_detect_and_obsv_subcommands(tmp_path):

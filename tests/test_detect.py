@@ -235,6 +235,11 @@ def test_config_validation():
         DetectorConfig(epsilon=1.0, eta=1.0, mode="smoothing")
     with pytest.raises(ConfigError):
         DetectorConfig(epsilon=1.0, eta=1.0, k=-1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            DetectorConfig(epsilon=bad, eta=1.0)
+        with pytest.raises(ConfigError):
+            DetectorConfig(epsilon=1.0, eta=bad)
 
 
 def _reference_obs_and_noise(m, s):

@@ -201,6 +201,20 @@ def test_cross_correction_scalar_window(triple_sensor_scalar):
     assert np.allclose(D, triple_sensor_scalar.sigma_v2 * flt.gain.T @ Os.T)
 
 
+def test_cross_correction_matches_selector_product():
+    # D's rows are written directly; the selector product E1 L' O_s' is the
+    # reference, equal up to the order of the final product's sums
+    m = make_random_stable_system(5, 4, 0.9, seed=3, sigma_w2=0.2, sigma_v2=0.7)
+    s = (1, 3, 4)
+    flt = solve_steady_state(m, s, FILTERING)
+    E1 = np.zeros((m.n * len(s), len(s)))
+    for c in range(len(s)):
+        E1[c * m.n, c] = 1.0
+    expected = m.sigma_v2 * E1 @ flt.gain.T @ observability_matrix(m, s).T
+    D = cross_covariance_correction(m, s, flt)
+    assert np.max(np.abs(D - expected)) <= 16 * np.finfo(float).eps * np.max(np.abs(expected))
+
+
 def test_cross_correction_zero_sensor_noise_limit():
     # as sigma_v2 -> 0 the correction scales to zero with it
     m = make_random_stable_system(3, 2, 0.8, seed=2, sigma_w2=1.0, sigma_v2=1e-9)

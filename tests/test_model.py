@@ -123,6 +123,14 @@ def test_validation_errors():
             SystemModel(A=[[1.0]], C=[[1.0]], sigma_w2=bad, sigma_v2=1.0)
         with pytest.raises(ConfigError):
             SystemModel(A=[[1.0]], C=[[1.0]], sigma_w2=1.0, sigma_v2=bad)
+        with pytest.raises(ConfigError):
+            NoiseLinear(gain=bad)
+        with pytest.raises(ConfigError):
+            NoiseLinear(gain=(1.0, bad))
+        with pytest.raises(ConfigError):
+            ConstantBias(bias=(bad,))
+        with pytest.raises(ConfigError):
+            SeededRandom(amplitude=bad)
     m = SystemModel(A=[[1.0]], C=[[1.0]], sigma_w2=1.0, sigma_v2=1.0)
     with pytest.raises(ConfigError):
         simulate(m, AttackSpec((2,), ZeroOutput()), horizon=5, seed=0)
