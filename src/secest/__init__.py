@@ -48,6 +48,7 @@ from .noiseless import (
 )
 from .observability import (
     NoiseStructure,
+    block_output_gram,
     block_output_matrix,
     full_subset,
     is_observable,

@@ -14,17 +14,19 @@ Sensor indices are 1-based and matrices row-major, and every emitted
 artifact carries a schema_version.
 
 Subcommands: simulate, detect, search, exp1, exp2, decode-noiseless,
-obsv.  Exit codes: 0 success, 2 scenario/parse error, 3 analysis error,
-4 I/O error.  SECEST_THREADS caps repetition parallelism (default 1);
-wall-clock columns and fields are machine-dependent, so ``--no-timing``
-zeroes them, in CSV and JSON alike, for byte-reproducible artifacts.
+obsv.  Exit codes: 0 success, 2 scenario/parse error, 3 analysis error
+(a problem too large to allocate included), 4 I/O error.
+SECEST_THREADS caps repetition parallelism (default 1); wall-clock
+columns and fields are machine-dependent, so ``--no-timing`` zeroes
+them, in CSV and JSON alike, for byte-reproducible artifacts.
 
 The scenario's ``k`` is stored once, as the detector configuration's
 attack bound, and every residue test runs through a
 `secest.detect.SubsetBank`: one per experiment-1 repetition, one
 prewarmed bank per experiment-2 sensor count, and one per search call in
-`run_scenario`.  Every runner simulates through `_simulate_scenario`,
-with the scenario's horizon, x0 and burn-in.
+`run_scenario`.  Each trajectory is tested through one detector of its
+bank, `SubsetBank.detector(traj)`.  Every runner simulates through
+`_simulate_scenario`, with the scenario's horizon, x0 and burn-in.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from itertools import combinations
 from typing import Any, Callable
 
@@ -430,10 +431,10 @@ def run_experiment1(scenario: Scenario) -> list[dict]:
         clean = tuple(
             i for i in range(1, model.p + 1) if i not in attack.attacked
         )
-        bank = SubsetBank(model, scenario.detector)
+        detector = SubsetBank(model, scenario.detector).detector(traj)
         out = []
         for s in combinations(range(1, model.p + 1), model.p - scenario.k):
-            flag, _, report = bank.detect(traj, s)
+            flag, _, report = detector(s)
             out.append(
                 {
                     "rep_seed": rep_seed,
@@ -483,9 +484,9 @@ def run_experiment2(
             weak = _read(scenario.raw, "experiment2.weak_last_gain")
             strategy = NoiseLinear(gain=(strategy.gain,) * (k - 1) + (weak,))
         attack = AttackSpec(attacked=tuple(range(1, k + 1)), strategy=strategy)
-        # Filters and expected matrices of every (p-k)-subset and the full
-        # set are built before the timed searches, which then isolate
-        # residue testing and search logic.
+        # Filters of every (p-k)-subset and the full set are solved before
+        # the timed searches, which then isolate residue testing and
+        # search logic.
         bank = SubsetBank(model, cfg)
         bank.prewarm(combinations(range(1, p + 1), p - k))
         bank.prewarm([full_subset(p)])
@@ -493,7 +494,7 @@ def run_experiment2(
         def one_rep(rep: int) -> dict:
             rep_seed = scenario.seed + rep
             traj = _simulate_scenario(scenario, model, attack, rep_seed)
-            detector = partial(bank.detect, traj)
+            detector = bank.detector(traj)
             out_ex = exhaustive_search(model, traj, cfg, detector=detector)
             out_smt = smt_search(model, traj, cfg, detector=detector)
             return {
@@ -863,6 +864,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (AnalysisError, ConfigError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a horizon, burn-in or window too long to hold
+        print(f"analysis error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

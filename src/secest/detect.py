@@ -19,17 +19,34 @@ attack-free optimum by more than epsilon pushes some entry of the sample
 average up, so a suitably small eta catches it; `auto_threshold` applies
 the largest eta with that guarantee.
 
+The deviation (sample - expected) is computed without the (N, n|s|)
+residue matrix or the expected matrix.  With Ybar_s and X_hat the window
+outputs and estimates stacked by rows, F the covariance above (P or the
+filtered one) and
+
+    K = X_hat' Ybar_s / N - (X_hat' X_hat / N - F) O_s' / 2,
+
+the deviation is (Ybar' Ybar / N - M)[s, s] - O_s K - K' O_s'.  In
+filtering mode D + D' folds into the same product: K loses
+sigma_v2 L[:, c] in column c n, the start of sensor c's window.  The
+first term does not depend on the filter: its Gram Ybar' Ybar over all
+sensors is built once per trajectory (`block_output_gram`), and each
+subset reads its rows and columns.
+
 Every test runs through a `SubsetBank`, which owns the per-subset
 quantities of one model: O_s is a row selection of the model's
 observability stack and M_s of the full-sensor window noise covariance,
 and each subset's filter and threshold are computed once.
+`SubsetBank.detector(traj)` holds one trajectory's window moment
+Ybar' Ybar / N - M and tests subsets against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -46,7 +63,7 @@ from .kalman import (
 from .model import SystemModel, Trajectory
 from .observability import (
     SensorSubset,
-    block_output_matrix,
+    block_output_gram,
     full_subset,
     min_gram_eigenvalue,
     normalize_subset,
@@ -106,18 +123,32 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class ResidueReport:
-    """Outcome of one residue test."""
+    """Outcome of one residue test.
+
+    ``sample_matrix`` and ``expected_matrix`` are built on first read,
+    the latter by ``expectation``; the test itself only needs
+    ``deviation``."""
 
     subset: SensorSubset
     mode: str
-    sample_matrix: np.ndarray    # (n|s|, n|s|) sample average of r r'
-    expected_matrix: np.ndarray  # attack-free expectation of r r'
-    max_deviation: float         # max entry of sample - expected
+    deviation: np.ndarray        # (n|s|, n|s|) sample - expected average of r r'
+    max_deviation: float         # max entry of deviation
     eta: float
     passed: bool
     per_sensor_mu: dict[int, float]  # normalized per-sensor residue scores
     n_samples: int
     t1: int
+    expectation: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def expected_matrix(self) -> np.ndarray:
+        """Attack-free expectation of r r'."""
+        return self.expectation()
+
+    @cached_property
+    def sample_matrix(self) -> np.ndarray:
+        """Sample average of r r' over the window."""
+        return self.deviation + self.expected_matrix
 
     def to_dict(self) -> dict:
         return {
@@ -171,17 +202,29 @@ def expected_residue_matrix(
     return Os @ flt.filtered_cov @ Os.T + M - D - D.T
 
 
-class SubsetBank:
-    """Steady-state Kalman filters over the sensor subsets of one model,
-    and the attack-free residue expectations they are tested against.
+def _expected_matrix(
+    model: SystemModel, cov: np.ndarray, flt: SteadyStateFilter
+) -> np.ndarray:
+    """`expected_residue_matrix` of the filter's subset, with M_s selected
+    from the all-sensor window noise covariance ``cov``."""
+    n, s = model.n, flt.subset
+    rows = np.concatenate([np.arange((i - 1) * n, i * n) for i in s])
+    return expected_residue_matrix(
+        model, s, flt, observability_matrix(model, s), cov[np.ix_(rows, rows)]
+    )
 
-    The full-sensor window noise covariance and each sensor's
+
+class SubsetBank:
+    """Steady-state Kalman filters and thresholds over the sensor subsets
+    of one model, and the residue test against them.
+
+    The full-sensor window noise covariance M and each sensor's
     lambda_max(O_i' O_i) are built once; a subset's M_s is a row
-    selection of that covariance and its O_s of the model's observability
-    stack.  Filters and thresholds are kept on first use.  An expected
-    matrix is kept when `prewarm` asks for it or when its subset is
-    requested a second time: within one search no subset is tested twice,
-    so keeping every first request would only hold memory.
+    selection of M and its O_s of the model's observability stack.
+    Filters and thresholds are kept on first use; nothing of size
+    (n|s|)^2 is kept.  `detector(traj)` tests subsets of one trajectory:
+    it holds that trajectory's window moment, so detectors of different
+    trajectories can share one bank, from several threads too.
     """
 
     def __init__(self, model: SystemModel, cfg: DetectorConfig):
@@ -195,8 +238,6 @@ class SubsetBank:
             self.gram_maxima[i] = float(np.linalg.eigvalsh(Oi.T @ Oi)[-1])
         self._filters: dict[SensorSubset, SteadyStateFilter] = {}
         self._etas: dict[SensorSubset, float] = {}
-        self._expected: dict[SensorSubset, np.ndarray] = {}
-        self._requested: set[SensorSubset] = set()
 
     def filter(self, s: SensorSubset) -> SteadyStateFilter:
         flt = self._filters.get(s)
@@ -216,88 +257,107 @@ class SubsetBank:
             self._etas[s] = eta
         return eta
 
-    def expected(self, s: SensorSubset) -> np.ndarray:
-        exp = self._expected.get(s)
-        if exp is None:
-            n = self.model.n
-            rows = np.concatenate([np.arange((i - 1) * n, i * n) for i in s])
-            exp = expected_residue_matrix(
-                self.model,
-                s,
-                self.filter(s),
-                observability_matrix(self.model, s),
-                self._cov[np.ix_(rows, rows)],
-            )
-            if s in self._requested:
-                self._expected[s] = exp
-            self._requested.add(s)
-        return exp
-
     def prewarm(self, subsets: Iterable[Iterable[int]]) -> None:
-        """Solve and keep the filters and expected matrices of ``subsets``."""
+        """Solve and keep the filters of ``subsets``."""
         for s in subsets:
-            subset = normalize_subset(s, self.model.p)
-            self._requested.add(subset)
-            self.expected(subset)
+            self.filter(normalize_subset(s, self.model.p))
+
+    def window_moment(self, traj: Trajectory) -> np.ndarray:
+        """Ybar' Ybar / N - M over all sensors for the test window of
+        ``traj``: the part of every subset's deviation that does not
+        depend on its filter.  Raises ConfigError when the window and its
+        n - 1 lookahead do not fit in the trajectory."""
+        moment = block_output_gram(traj, self.cfg.t1, self.N)
+        moment /= self.N
+        moment -= self._cov
+        return moment
+
+    def detector(
+        self, traj: Trajectory
+    ) -> Callable[[Iterable[int]], tuple[int, FilterRun, ResidueReport]]:
+        """Residue test of subsets of ``traj``: the returned detector maps
+        a subset to (flag, run, report), flag 0 meaning no effective
+        attack was detected and flag 1 that the subset failed the test.
+        The window moment is computed here, once."""
+        moment = self.window_moment(traj)
+        t1, N, p = self.cfg.t1, self.N, self.model.p
+
+        def detect(s: Iterable[int]) -> tuple[int, FilterRun, ResidueReport]:
+            subset = normalize_subset(s, p)
+            run = run_filter(self.filter(subset), traj, t1, t1 + N - 1)
+            report = residue_report(self, traj, subset, run, moment)
+            return (0 if report.passed else 1), run, report
+
+        return detect
 
     def detect(
         self, traj: Trajectory, s: Iterable[int]
     ) -> tuple[int, FilterRun, ResidueReport]:
-        """Run the residue test for subset s; flag 0 means no effective
-        attack was detected, flag 1 means the subset failed the test."""
-        subset = normalize_subset(s, self.model.p)
-        t1 = self.cfg.t1
-        need = t1 + self.N + self.model.n - 1
-        if traj.horizon < need:
-            raise ConfigError(
-                f"horizon {traj.horizon} too short: window needs at least {need} steps"
-            )
-        run = run_filter(self.filter(subset), traj, t1, t1 + self.N - 1)
-        report = residue_report(self, traj, subset, run)
-        return (0 if report.passed else 1), run, report
+        """One residue test of subset s; to test several subsets of one
+        trajectory, use one `detector(traj)`."""
+        return self.detector(traj)(s)
 
 
 def residue_report(
-    bank: SubsetBank, traj: Trajectory, s: Iterable[int], run: FilterRun
+    bank: SubsetBank,
+    traj: Trajectory,
+    s: Iterable[int],
+    run: FilterRun,
+    moment: np.ndarray | None = None,
 ) -> ResidueReport:
     """Residue test of subset s on one trajectory, given its filter run.
 
     ``run`` must cover the window [t1, t1 + N - 1] of the bank's
-    detector configuration.
+    detector configuration.  ``moment`` is ``bank.window_moment(traj)``,
+    computed here when not given.
     """
     model, cfg = bank.model, bank.cfg
     subset = normalize_subset(s, model.p)
-    n = model.n
-    N = bank.N
+    n, N = model.n, bank.N
     eta = bank.eta(subset)
-    ybar = block_output_matrix(traj, subset, cfg.t1, N)
+    if moment is None:
+        moment = bank.window_moment(traj)
+    flt = bank.filter(subset)
+    Os = observability_matrix(model, subset)
     est = run.window(cfg.t1, N)
-    residues = ybar - est @ observability_matrix(model, subset).T  # (N, n|s|)
-    sample = residues.T @ residues / N
-    expected = bank.expected(subset)
-    deviation = sample - expected
+
+    # Kt = K' (see the module docstring); Ybar_s' X_hat from the n lagged
+    # output slices, lagged[j] = y_s(t1 + j .. t1 + j + N - 1)'
+    cols = [i - 1 for i in subset]
+    outputs = traj.outputs[cfg.t1 : cfg.t1 + N + n - 1, cols]
+    lagged = np.lib.stride_tricks.sliding_window_view(outputs, N, axis=0)
+    Kt = (lagged @ est).transpose(1, 0, 2).reshape(n * len(subset), n)
+    F = flt.error_cov if flt.mode == PREDICTION else flt.filtered_cov
+    Kt -= Os @ (0.5 * (est.T @ est) - 0.5 * N * F)
+    Kt /= N
+    if flt.mode == FILTERING:
+        Kt[::n] -= model.sigma_v2 * flt.gain.T
+    OK = Os @ Kt.T
+    p, m = model.p, n * len(subset)
+    deviation = moment.reshape(p, n, p * n).take(cols, axis=0)  # the rows of s
+    deviation = deviation.reshape(m, p, n).take(cols, axis=1).reshape(m, m)
+    deviation -= OK
+    deviation -= OK.T
     max_dev = float(deviation.max())
-    passed = max_dev <= eta
 
     # Per-sensor scores for conflict localization: trace deviation on the
     # sensor's diagonal block, offset by eta*n and normalized by the
     # sensor's observability energy.
-    mu: dict[int, float] = {}
-    for idx, i in enumerate(subset):
-        block = slice(idx * n, (idx + 1) * n)
-        tr_dev = float(np.trace(deviation[block, block]))
-        mu[i] = abs(tr_dev - eta * n) / bank.gram_maxima[i]
+    traces = np.diagonal(deviation).reshape(len(subset), n).sum(axis=1)
+    mu = {
+        i: abs(float(tr) - eta * n) / bank.gram_maxima[i] for i, tr in zip(subset, traces)
+    }
     return ResidueReport(
         subset=subset,
         mode=cfg.mode,
-        sample_matrix=sample,
-        expected_matrix=expected,
+        deviation=deviation,
         max_deviation=max_dev,
         eta=eta,
-        passed=passed,
+        passed=max_dev <= eta,
         per_sensor_mu=mu,
         n_samples=N,
         t1=cfg.t1,
+        expectation=partial(_expected_matrix, model, bank._cov, flt),
     )
 
 
@@ -310,7 +370,7 @@ def attack_detect(
     """One-shot residue test of subset s through a fresh `SubsetBank`;
     flag 0 means no effective attack was detected, flag 1 means the
     subset failed the test."""
-    return SubsetBank(model, cfg).detect(traj, s)
+    return SubsetBank(model, cfg).detector(traj)(s)
 
 
 def effective_attack_oracle(

@@ -34,6 +34,7 @@ __all__ = [
     "min_gram_eigenvalue",
     "noise_structure",
     "block_output_matrix",
+    "block_output_gram",
 ]
 
 SensorSubset = tuple[int, ...]
@@ -157,6 +158,16 @@ def noise_structure(model: SystemModel, s: Iterable[int]) -> NoiseStructure:
     return NoiseStructure(subset=subset, J=J, cov=cov)
 
 
+def _check_window(traj: Trajectory, t_start: int, count: int) -> None:
+    if t_start < 0 or count < 1:
+        raise ConfigError("window start/count out of range")
+    if t_start + count - 1 + traj.n - 1 >= traj.horizon:
+        raise ConfigError(
+            f"output window [{t_start}, {t_start + count - 1}] + {traj.n - 1} lookahead "
+            f"exceeds horizon {traj.horizon}"
+        )
+
+
 def block_output_matrix(
     traj: Trajectory, s: Sequence[int], t_start: int, count: int
 ) -> np.ndarray:
@@ -166,13 +177,7 @@ def block_output_matrix(
     [y_i(t), ..., y_i(t+n-1)]; shape (count, n * len(s))."""
     subset = normalize_subset(s, traj.p)
     n = traj.n
-    if t_start < 0 or count < 1:
-        raise ConfigError("window start/count out of range")
-    if t_start + count - 1 + n - 1 >= traj.horizon:
-        raise ConfigError(
-            f"output window [{t_start}, {t_start + count - 1}] + {n - 1} lookahead "
-            f"exceeds horizon {traj.horizon}"
-        )
+    _check_window(traj, t_start, count)
     # sliding_window_view -> (T - n + 1, p, n); selecting sensors keeps
     # sensor-major, time-minor order after the reshape.
     windows = np.lib.stride_tricks.sliding_window_view(traj.outputs, n, axis=0)
@@ -180,3 +185,37 @@ def block_output_matrix(
     block = windows[t_start : t_start + count, cols, :]
     return block.reshape(count, len(subset) * n)
 
+
+def block_output_gram(traj: Trajectory, t_start: int, count: int) -> np.ndarray:
+    """Gram matrix Ybar' Ybar of the all-sensor block-output matrix
+    Ybar = block_output_matrix(traj, full_subset(p), t_start, count),
+    shape (n p, n p), without forming Ybar.
+
+    With S_d the lag-d product, y(u) y(u + d)' summed over the count
+    steps from t_start, block (i, j) of the Gram (window rows i and j,
+    i <= j) is S_{j-i} over the steps shifted by i: S_{j-i} plus the i
+    products entering at the tail minus the i leaving at the head.  So
+    the Gram is the block Toeplitz matrix of S_0..S_{n-1} (n products of
+    count rows) plus tail' tail - head' head, where the (n - 1, n p)
+    factors hold the n - 1 output rows after the window and at its
+    start."""
+    _check_window(traj, t_start, count)
+    n, p = traj.n, traj.p
+    Y = traj.outputs
+    view = np.lib.stride_tricks.sliding_window_view
+    lagged = view(Y[t_start : t_start + count + n - 1], count, axis=0)
+    lags = lagged @ Y[t_start : t_start + count]  # [d] -> S_d'
+    stack = np.concatenate([lags[:0:-1], lags.transpose(0, 2, 1)])  # [n - 1 + d] -> S_d
+    toeplitz = view(stack, n, axis=0)[::-1]  # [i, a, b, j] -> S_{j-i}[a, b]
+
+    def edge(u0: int) -> np.ndarray:
+        # [r, (a, i)] -> y_a(u0 + i - 1 - r) for r < i, zero for r >= i
+        padded = np.zeros((2 * n - 1, p))
+        padded[n - 1 : 2 * n - 2] = Y[u0 : u0 + n - 1]
+        return view(padded, n, axis=0)[: n - 1][::-1].reshape(n - 1, p * n)
+
+    tail, head = edge(t_start + count), edge(t_start)
+    gram = tail.T @ tail
+    gram -= head.T @ head
+    gram.reshape(p, n, p, n)[...] += toeplitz.transpose(1, 0, 2, 3)
+    return gram

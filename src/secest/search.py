@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 # A detector maps a sensor subset to (flag, estimates, report); the
-# default tests against a SubsetBank made for the search call, and
-# experiment harnesses inject one backed by a prewarmed bank.
+# default is the detector of a SubsetBank made for the search call, and
+# experiment harnesses inject the detector of a prewarmed bank.
 Detector = Callable[[SensorSubset], tuple[int, FilterRun, ResidueReport]]
 
 
@@ -132,7 +132,7 @@ def _attack_bound(model: SystemModel, cfg: DetectorConfig) -> int:
 def _default_detector(
     model: SystemModel, traj: Trajectory, cfg: DetectorConfig
 ) -> Detector:
-    return partial(SubsetBank(model, cfg).detect, traj)
+    return SubsetBank(model, cfg).detector(traj)
 
 
 def exhaustive_search(

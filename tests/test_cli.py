@@ -117,6 +117,27 @@ def test_cli_exit_codes(tmp_path):
     assert main(["search", "--scenario", scenario, "--out", str(tmp_path / "nope")]) == 4
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["detector"].update(N=10**16),
+        lambda d: d.update(horizon=10**16),
+        lambda d: d.update(burn_in=10**16),
+    ],
+    ids=["window", "horizon", "burn-in"],
+)
+def test_oversized_scenario_exits_3(tmp_path, capsys, edit):
+    # 10**16 steps cannot be allocated even under overcommit, so numpy
+    # refuses before touching memory; main reports it in one line
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    edit(doc)
+    scenario = write_scenario(tmp_path, doc)
+    for command in ("simulate", "detect", "search", "exp1"):
+        assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error: out of memory: ") and err.count("\n") == 1
+
+
 def _strategy(kind, **params):
     return {"type": kind, **params}
 

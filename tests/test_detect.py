@@ -1,4 +1,3 @@
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -297,24 +296,139 @@ def test_bank_matches_from_scratch_reference(mode):
     assert checked == 15
 
 
-def test_bank_keeps_expected_matrices_on_prewarm_or_repeat():
+def test_bank_holds_filters_and_thresholds_only():
+    # after a prewarm and a search the bank keeps per-subset filters and
+    # thresholds; no expected or residue matrix outlives its test
     from secest import exhaustive_search
 
     m = make_random_stable_system(3, 4, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
-    cfg = _small_cfg(eta=1.0)
+    cfg = DetectorConfig(epsilon=50.0, N=3000, t1=80, k=1)  # auto thresholds
     atk = AttackSpec((1,), SeededRandom(amplitude=4.0))
     traj = simulate(m, atk, cfg.t1 + cfg.window_length(3) + 3, seed=3, burn_in=30)
 
     bank = SubsetBank(m, cfg)
-    outcome = exhaustive_search(m, traj, cfg, detector=partial(bank.detect, traj))
+    bank.prewarm([(2, 3, 4), (1, 2, 3, 4)])
+    assert set(bank._filters) == {(2, 3, 4), (1, 2, 3, 4)}
+    outcome = exhaustive_search(m, traj, cfg, detector=bank.detector(traj))
     assert outcome.found and outcome.theory_checks > 1
-    assert bank._expected == {}  # one search tests no subset twice
-    tested = tuple(outcome.trace[0]["subset"])
-    _, _, report = bank.detect(traj, tested)
-    assert bank._expected[tested] is report.expected_matrix
+    tested = {tuple(entry["subset"]) for entry in outcome.trace}
+    assert set(bank._filters) == tested | {(1, 2, 3, 4)}
+    assert set(bank._etas) == tested
+    assert set(vars(bank)) == {"model", "cfg", "N", "_cov", "gram_maxima", "_filters", "_etas"}
+    assert bank._cov.shape == (m.n * m.p, m.n * m.p)
 
-    warm = SubsetBank(m, cfg)
-    warm.prewarm([(2, 3, 4)])
-    assert set(warm._expected) == {(2, 3, 4)}
-    _, _, report = warm.detect(traj, (2, 3, 4))
-    assert report.expected_matrix is warm._expected[(2, 3, 4)]
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_detectors_of_two_trajectories_share_a_bank(mode):
+    # detectors of two trajectories from one bank, called interleaved,
+    # give what fresh banks give
+    m = make_random_stable_system(3, 4, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = _small_cfg(N=900, k=1, mode=mode)
+    horizon = cfg.t1 + cfg.window_length(3) + 3
+    trajs = [
+        simulate(m, AttackSpec((1,), SeededRandom(amplitude=4.0)), horizon, seed=3, burn_in=30),
+        simulate(m, AttackSpec(), horizon, seed=4, burn_in=30),
+    ]
+    bank = SubsetBank(m, cfg)
+    detectors = [bank.detector(traj) for traj in trajs]
+    subsets = [s for size in (2, 3, 4) for s in combinations(range(1, 5), size)]
+    flags = set()
+    for s in subsets:
+        for traj, detector in zip(trajs, detectors):
+            flag, _, report = detector(s)
+            fresh_flag, _, fresh = SubsetBank(m, cfg).detect(traj, s)
+            assert flag == fresh_flag
+            assert report.max_deviation == fresh.max_deviation
+            flags.add(flag)
+    assert flags == {0, 1}
+
+
+def test_experiment2_threads_match_serial(monkeypatch):
+    # one bank serves every repetition of a sensor count; with two
+    # threads the rows and outcomes are the serial ones, times apart
+    from secest.cli import parse_scenario, run_experiment2
+
+    scenario = parse_scenario(
+        {
+            "model": {"random": {"n": 3, "p": 3, "seed": 3, "sigma_w2": 0.001, "sigma_v2": 1.0}},
+            "attack": {"strategy": {"type": "noise_linear", "gain": 10.0}},
+            "detector": {"epsilon": 1.0, "eta": 8.0, "N": 300, "t1": 30},
+            "experiment2": {"p_values": [3, 6], "weak_last_gain": 0.5},
+            "repetitions": 4,
+        }
+    )
+
+    def run(threads):
+        monkeypatch.setenv("SECEST_THREADS", threads)
+        records = []
+        rows = run_experiment2(scenario, per_run=records.append)
+        untimed = [{k: v for k, v in row.items() if "time" not in k} for row in rows]
+        outcomes = [
+            {
+                key: {k: v for k, v in record[key].to_dict().items() if k != "wall_time"}
+                for key in ("outcome_exhaustive", "outcome_smt")
+            }
+            for record in records
+        ]
+        return untimed, outcomes
+
+    serial = run("1")
+    assert run("2") == serial
+    assert [row["p"] for row in serial[0]] == [3, 6]
+
+
+def test_large_bias_matches_direct_residue_formula():
+    # a 1e3 bias on sensor 2 makes Ybar'Ybar/N about 1e6 against a residue
+    # covariance of order one; the deviation taken from the window moment
+    # matches r'r/N - expected within 256 eps max|Ybar'Ybar/N|, and every
+    # flag and found subset is the direct formula's
+    from secest import (
+        ConstantBias,
+        block_output_gram,
+        block_output_matrix,
+        exhaustive_search,
+        noise_structure,
+        observability_matrix,
+        smt_search,
+    )
+    from secest.detect import ResidueReport, expected_residue_matrix
+
+    m = make_random_stable_system(3, 4, 0.85, seed=61, sigma_w2=0.5, sigma_v2=0.7)
+    for mode in (PREDICTION, FILTERING):
+        cfg = _small_cfg(N=3000, eta=1.0, k=1, mode=mode)
+        N = cfg.window_length(m.n)
+        atk = AttackSpec((2,), ConstantBias(bias=(1e3,)))
+        traj = simulate(m, atk, cfg.t1 + N + m.n, seed=8, burn_in=30)
+        bank = SubsetBank(m, cfg)
+        bound = 256 * np.finfo(float).eps * np.abs(block_output_gram(traj, cfg.t1, N)).max() / N
+        assert bound > 1e-9  # the moment is large
+
+        def direct(s):
+            s, n = tuple(s), m.n
+            flt = bank.filter(s)
+            run = run_filter(flt, traj, cfg.t1, cfg.t1 + N - 1)
+            Os = observability_matrix(m, s)
+            residues = block_output_matrix(traj, s, cfg.t1, N) - run.estimates @ Os.T
+            expected = expected_residue_matrix(m, s, flt, Os, noise_structure(m, s).cov)
+            deviation = residues.T @ residues / N - expected
+            traces = [np.trace(deviation[c * n : (c + 1) * n, c * n : (c + 1) * n]) for c in range(len(s))]
+            mu = {i: abs(tr - cfg.eta * n) / bank.gram_maxima[i] for i, tr in zip(s, traces)}
+            max_dev = float(deviation.max())
+            report = ResidueReport(
+                s, mode, deviation, max_dev, cfg.eta, max_dev <= cfg.eta, mu, N, cfg.t1, None
+            )
+            return int(not report.passed), run, report
+
+        detector = bank.detector(traj)
+        flags = []
+        for size in range(1, 5):
+            for s in combinations(range(1, 5), size):
+                flag, _, report = detector(s)
+                direct_flag, _, reference = direct(s)
+                assert flag == direct_flag
+                assert np.abs(report.deviation - reference.deviation).max() <= bound
+                flags.append(flag)
+        assert 0 < sum(flags) < len(flags)
+        for search in (exhaustive_search, smt_search):
+            found = search(m, traj, cfg, detector=detector)
+            assert found.subset == search(m, traj, cfg, detector=direct).subset == (1, 3, 4)

@@ -5,6 +5,7 @@ from secest import (
     AttackSpec,
     ConfigError,
     SystemModel,
+    block_output_gram,
     block_output_matrix,
     full_subset,
     is_observable,
@@ -230,3 +231,53 @@ def test_subset_validation():
         normalize_subset((4,), 3)
     assert normalize_subset((3, 1, 1), 3) == (1, 3)
     assert full_subset(4) == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "n, p, t_start, count, slack",
+    [
+        (3, 4, 0, 1, 2),
+        (4, 3, 2, 2, 0),
+        (3, 2, 1, 7, 0),
+        (5, 3, 6, 23, 4),
+        (1, 3, 4, 9, 0),
+        (4, 1, 0, 10, 0),
+        (1, 1, 0, 1, 0),
+    ],
+    ids=[
+        "start-0-count-1",
+        "count-below-n",
+        "count-not-multiple-of-n",
+        "interior-window",
+        "n-1",
+        "p-1",
+        "n-1-p-1-count-1",
+    ],
+)
+def test_block_output_gram_matches_direct_product(n, p, t_start, count, slack):
+    # slack 0 is the last admissible window: t_start + count + n - 1 == horizon.
+    # Both sides sum count + 2n - 2 products per entry, each bounded by the
+    # largest diagonal entry (Cauchy-Schwarz), so they differ by at most
+    # 2 (count + 2n) eps max(diag).
+    m = make_random_stable_system(n, p, 0.8, seed=3, sigma_w2=0.5, sigma_v2=0.7)
+    horizon = t_start + count + n - 1 + slack
+    traj = simulate(m, AttackSpec(), horizon, seed=5, burn_in=10)
+    ybar = block_output_matrix(traj, full_subset(p), t_start, count)
+    direct = ybar.T @ ybar
+    gram = block_output_gram(traj, t_start, count)
+    bound = 2 * (count + 2 * n) * np.finfo(float).eps * np.diag(direct).max()
+    assert gram.shape == (n * p, n * p)
+    assert np.abs(gram - direct).max() <= bound
+    assert np.array_equal(gram, gram.T)
+
+
+def test_block_output_gram_range_errors_match_block_output_matrix():
+    m = make_random_stable_system(3, 2, 0.8, seed=1)
+    traj = simulate(m, AttackSpec(), horizon=10, seed=0)
+    for t_start, count in [(-1, 2), (0, 0), (8, 1), (0, 9), (5, 4)]:
+        with pytest.raises(ConfigError) as direct:
+            block_output_matrix(traj, (1, 2), t_start, count)
+        with pytest.raises(ConfigError) as gram:
+            block_output_gram(traj, t_start, count)
+        assert str(gram.value) == str(direct.value)
+    block_output_gram(traj, 0, 8)  # the last admissible window

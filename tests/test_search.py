@@ -147,14 +147,14 @@ def _fake_report(subset, mu, eta=1.0):
     return ResidueReport(
         subset=subset,
         mode=PREDICTION,
-        sample_matrix=np.zeros((d, d)),
-        expected_matrix=np.zeros((d, d)),
+        deviation=np.zeros((d, d)),
         max_deviation=2.0,
         eta=eta,
         passed=False,
         per_sensor_mu=dict(mu),
         n_samples=100,
         t1=0,
+        expectation=None,
     )
 
 
