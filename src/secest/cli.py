@@ -60,8 +60,8 @@ from .model import (
 )
 from .noiseless import decode, detect_corruption, encode
 from .observability import (
+    _observable,
     full_subset,
-    is_observable,
     min_gram_eigenvalue,
     sparse_observability_index,
 )
@@ -800,9 +800,10 @@ def _cmd_obsv(args) -> int:
     scenario = _load(args)
     model = scenario.build_model()
     theta = sparse_observability_index(model)
+    alone = _observable(model, np.arange(model.p)[:, None])
     rows = [
-        {"sensor": i, "observable_alone": int(is_observable(model, (i,)))}
-        for i in range(1, model.p + 1)
+        {"sensor": i, "observable_alone": int(flag)}
+        for i, flag in enumerate(alone, start=1)
     ]
     obj: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,

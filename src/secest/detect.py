@@ -232,10 +232,9 @@ class SubsetBank:
         self.cfg = cfg
         self.N = cfg.window_length(model.n)
         self._cov = noise_structure(model, full_subset(model.p)).cov
-        self.gram_maxima: dict[int, float] = {}
-        for i in full_subset(model.p):
-            Oi = observability_matrix(model, (i,))
-            self.gram_maxima[i] = float(np.linalg.eigvalsh(Oi.T @ Oi)[-1])
+        blocks = model.observability_stack.reshape(model.p, model.n, model.n)
+        maxima = np.linalg.eigvalsh(np.stack([Oi.T @ Oi for Oi in blocks]))[:, -1]
+        self.gram_maxima = {i: float(lam) for i, lam in enumerate(maxima, start=1)}
         self._filters: dict[SensorSubset, SteadyStateFilter] = {}
         self._etas: dict[SensorSubset, float] = {}
 

@@ -247,6 +247,11 @@ def simulate(
         raise ConfigError(f"x0 has length {x0.shape[0]}, expected {n}")
 
     total = burn_in + horizon
+    if total * max(n, p) > np.iinfo(np.intp).max // 8:
+        # numpy raises ValueError, not MemoryError, past its largest array
+        raise MemoryError(
+            f"{total} steps of {max(n, p)} float64 values exceed the largest possible array"
+        )
     w_rng, v_rng, a_rng = [
         np.random.Generator(np.random.PCG64(ss))
         for ss in np.random.SeedSequence(seed).spawn(3)

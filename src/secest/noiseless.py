@@ -12,7 +12,6 @@ detectable, and fewer than (theta + 1)/2 are correctable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -20,6 +19,8 @@ from .errors import AnalysisError, ConfigError
 from .model import SystemModel
 from .observability import (
     SensorSubset,
+    _stacked_blocks,
+    _subset_slices,
     full_subset,
     is_observable,
     observability_matrix,
@@ -101,6 +102,20 @@ def detect_corruption(model: SystemModel, obs: SymbolObservation) -> bool:
     return residual > CONSISTENCY_RTOL * (1.0 + float(np.linalg.norm(Y)))
 
 
+def _stacked_fits(O: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fits of the stacked systems O[j] x = Y[j] from one
+    batched SVD, with lstsq's ``rcond=None`` cutoff (singular values up to
+    eps * max(rows, cols) * the largest count as zero): the states (S, n)
+    and the residual norms (S,)."""
+    U, sv, Vh = np.linalg.svd(O, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(O.shape[1:]) * sv[:, :1]
+    inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
+    coef = (Y[:, None, :] @ U)[:, 0] * inverse
+    x = (coef[:, None, :] @ Vh)[:, 0]
+    residual = np.linalg.norm((O @ x[:, :, None])[:, :, 0] - Y, axis=1)
+    return x, residual
+
+
 def decode(
     model: SystemModel,
     obs: SymbolObservation,
@@ -112,39 +127,50 @@ def decode(
     Scans subsets of p - k sensors in lexicographic order for one whose
     symbols lie in the range of its stacked observability matrix; the
     first consistent subset supplies the state and its complement is
-    reported as corrupted.  With ``complete`` (the default) the whole
-    enumeration runs and ``unique`` records whether every consistent
-    subset agrees on the state; ambiguous observations are reported, not
-    hidden.  Raises AnalysisError when no subset is consistent.
+    reported as corrupted.  With ``complete`` (the default) the scan goes
+    on, and ``unique`` records whether every consistent subset agrees on
+    the state (the scan stops at the first that does not); ambiguous
+    observations are reported, not hidden.  Raises AnalysisError when no
+    subset is consistent.
+
+    Subsets are fitted SUBSET_SLICE at a time by one batched SVD, and the
+    consistency and agreement checks use those fits; without
+    ``complete`` the scan ends with the slice that holds the first
+    consistent subset.  The reported state is that subset's `lstsq` fit.
     """
     if obs.p != model.p:
         raise ConfigError("observation does not match the model's sensor count")
     if not 0 <= k < model.p:
         raise ConfigError(f"need 0 <= k < p, got k={k}, p={model.p}")
-    first_state: np.ndarray | None = None
     first_subset: SensorSubset | None = None
+    first_fit = np.empty(0)
     unique = True
-    for s in combinations(range(1, model.p + 1), model.p - k):
-        stacked_O = observability_matrix(model, s)
-        stacked_Y = obs.symbols[[d - 1 for d in s]].reshape(-1)
-        x, residual = _fit(stacked_O, stacked_Y)
-        if residual > CONSISTENCY_RTOL * (1.0 + float(np.linalg.norm(stacked_Y))):
+    for chunk in _subset_slices(full_subset(model.p), model.p - k):
+        Y = obs.symbols[chunk].reshape(len(chunk), -1)
+        x, residual = _stacked_fits(_stacked_blocks(model, chunk), Y)
+        bound = CONSISTENCY_RTOL * (1.0 + np.linalg.norm(Y, axis=1))
+        hits = np.flatnonzero(~(residual > bound))
+        if hits.size == 0:
             continue
-        if first_state is None:
-            first_state = x
-            first_subset = s
+        if first_subset is None:
+            first_subset = tuple(int(i) + 1 for i in chunk[hits[0]])
+            first_fit = x[hits[0]]
             if not complete:
                 break
-        elif np.linalg.norm(x - first_state) > STATE_MATCH_RTOL * (
-            1.0 + float(np.linalg.norm(first_state))
-        ):
+        gaps = np.linalg.norm(x[hits] - first_fit, axis=1)
+        if np.any(gaps > STATE_MATCH_RTOL * (1.0 + float(np.linalg.norm(first_fit)))):
             unique = False
-    if first_state is None or first_subset is None:
+            break  # nothing later changes the result
+    if first_subset is None:
         raise AnalysisError(
             f"no subset of {model.p - k} sensors is consistent with the observation"
         )
+    state, _ = _fit(
+        observability_matrix(model, first_subset),
+        obs.symbols[[d - 1 for d in first_subset]].reshape(-1),
+    )
     corrupted = tuple(i for i in range(1, model.p + 1) if i not in first_subset)
-    return DecodeResult(state=first_state, corrupted=corrupted, unique=unique)
+    return DecodeResult(state=state, corrupted=corrupted, unique=unique)
 
 
 def min_symbol_distance(model: SystemModel) -> int:

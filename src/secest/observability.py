@@ -9,14 +9,20 @@ sensor order.  The same window view induces a noise structure: the
 stacked window outputs are O_s x(t) + J_s wbar(t) + vbar_s(t), where wbar
 stacks the process noise over the window and vbar_s the sensor noise.
 
-Rank decisions use singular values with a relative floor; see RANK_RTOL.
+Every rank decision goes through one stacked helper, `_observable`: it
+gathers the O_s of a stack of equal-size subsets from the model's stack
+in one index, (S, |s| n, n), and counts the singular values of one
+batched SVD above the relative floor RANK_RTOL.  Enumerations over
+subsets (`sparse_observability_index`, `min_gram_eigenvalue`, and the
+noiseless decoder) hand it SUBSET_SLICE subsets at a time, in
+lexicographic order, so memory stays bounded at any level size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import chain, combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +48,9 @@ SensorSubset = tuple[int, ...]
 # Singular values above RANK_RTOL * max(1, largest singular value) count
 # toward rank.
 RANK_RTOL = 1e-8
+
+# Subset enumerations decide this many subsets per batched call.
+SUBSET_SLICE = 64
 
 # sparse_observability_index enumerates all subsets; cap the sensor count
 # so a typo cannot trigger a 2^p blowup.
@@ -76,24 +85,47 @@ class NoiseStructure:
     cov: np.ndarray  # (n * len(subset), n * len(subset))
 
 
+def _stacked_blocks(model: SystemModel, subsets: np.ndarray) -> np.ndarray:
+    """O_s of every row of ``subsets`` (ascending 0-based sensor indices,
+    shape (S, |s|)), gathered from the model's stack: (S, n |s|, n)."""
+    n = model.n
+    blocks = model.observability_stack.reshape(model.p, n, n)
+    return blocks[subsets].reshape(len(subsets), -1, n)
+
+
+def _subset_slices(sensors: Sequence[int], size: int) -> Iterator[np.ndarray]:
+    """The size-subsets of ``sensors`` (1-based, ascending) in
+    lexicographic order, SUBSET_SLICE at a time, as arrays of 0-based
+    sensor indices of shape (<= SUBSET_SLICE, size)."""
+    combos = combinations([i - 1 for i in sensors], size)
+    while True:
+        flat = np.fromiter(
+            chain.from_iterable(islice(combos, SUBSET_SLICE)), dtype=np.intp
+        )
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, size)
+
+
+def _observable(model: SystemModel, subsets: np.ndarray) -> np.ndarray:
+    """Observability of every row of ``subsets`` (as in `_stacked_blocks`),
+    shape (S,): rank n, counting singular values of O_s above
+    RANK_RTOL * max(1, largest singular value)."""
+    sv = np.linalg.svd(_stacked_blocks(model, subsets), compute_uv=False)
+    floor = RANK_RTOL * np.maximum(1.0, sv[:, :1])
+    return np.count_nonzero(sv > floor, axis=1) == model.n
+
+
 def observability_matrix(model: SystemModel, s: Iterable[int]) -> np.ndarray:
     """Stacked observability matrix O_s, shape (n * |s|, n): the blocks of
     the sensors in s, ascending, selected from the model's stack."""
     subset = normalize_subset(s, model.p)
-    n = model.n
-    blocks = model.observability_stack.reshape(model.p, n, n)
-    return blocks[[i - 1 for i in subset]].reshape(-1, n)
-
-
-def _rank(matrix: np.ndarray) -> int:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * max(1.0, float(sv[0]))))
+    return _stacked_blocks(model, np.subtract([subset], 1))[0]
 
 
 def is_observable(model: SystemModel, s: Iterable[int]) -> bool:
-    return _rank(observability_matrix(model, s)) == model.n
+    subset = normalize_subset(s, model.p)
+    return bool(_observable(model, np.subtract([subset], 1))[0])
 
 
 def sparse_observability_index(
@@ -102,7 +134,10 @@ def sparse_observability_index(
     """Largest theta such that every subset of p - theta sensors is
     observable; -1 when even the full set is not.
 
-    Exhaustive over subsets, with early exit at the first failing level.
+    Exhaustive over subsets, level by level from p - 1 sensors down,
+    with early exit at the first failing level: each level is decided
+    SUBSET_SLICE subsets per batched rank call, and no slice after a
+    failing one is decided.
     """
     p = model.p
     if p > max_sensors:
@@ -111,16 +146,11 @@ def sparse_observability_index(
         )
     if not is_observable(model, full_subset(p)):
         return -1
-    theta = 0
     for removed in range(1, p):
-        size = p - removed
-        if all(
-            is_observable(model, s) for s in combinations(range(1, p + 1), size)
-        ):
-            theta = removed
-        else:
-            break
-    return theta
+        slices = _subset_slices(full_subset(p), p - removed)
+        if not all(_observable(model, chunk).all() for chunk in slices):
+            return removed - 1
+    return p - 1
 
 
 def min_gram_eigenvalue(model: SystemModel, s: Iterable[int], k: int) -> float:
@@ -128,18 +158,20 @@ def min_gram_eigenvalue(model: SystemModel, s: Iterable[int], k: int) -> float:
     matrix over all ways to drop k sensors from s.  Zero (not negative)
     when some reduced subset is unobservable, as `is_observable` decides
     it: the eigenvalue of a rank-deficient Gram can round to a tiny
-    positive value."""
+    positive value.
+
+    The reduced subsets are taken SUBSET_SLICE at a time: one batched
+    rank call, then one `eigvalsh` over the slice's Grams O_s' O_s."""
     subset = normalize_subset(s, model.p)
     if k < 0 or k >= len(subset):
         raise ConfigError(f"need 0 <= k < |s|, got k={k}, |s|={len(subset)}")
     best = np.inf
-    for s1 in combinations(subset, len(subset) - k):
-        if not is_observable(model, s1):
+    for chunk in _subset_slices(subset, len(subset) - k):
+        if not _observable(model, chunk).all():
             return 0.0
-        stacked = observability_matrix(model, s1)
-        gram = stacked.T @ stacked
-        lam = float(np.linalg.eigvalsh(gram)[0])
-        best = min(best, lam)
+        # one product per subset: a batched matmul rounds differently
+        grams = np.stack([Os.T @ Os for Os in _stacked_blocks(model, chunk)])
+        best = min(best, float(np.linalg.eigvalsh(grams)[:, 0].min()))
     return max(best, 0.0)
 
 

@@ -123,12 +123,16 @@ def test_cli_exit_codes(tmp_path):
         lambda d: d["detector"].update(N=10**16),
         lambda d: d.update(horizon=10**16),
         lambda d: d.update(burn_in=10**16),
+        lambda d: d["detector"].update(N=10**19),
+        lambda d: d.update(horizon=10**19),
+        lambda d: d.update(burn_in=10**19),
     ],
-    ids=["window", "horizon", "burn-in"],
+    ids=["window", "horizon", "burn-in", "window-1e19", "horizon-1e19", "burn-in-1e19"],
 )
 def test_oversized_scenario_exits_3(tmp_path, capsys, edit):
     # 10**16 steps cannot be allocated even under overcommit, so numpy
-    # refuses before touching memory; main reports it in one line
+    # refuses before touching memory; 10**19 exceeds numpy's largest array
+    # size, which it reports as a ValueError.  main reports both in one line
     doc = json.loads(json.dumps(SCALAR_SCENARIO))
     edit(doc)
     scenario = write_scenario(tmp_path, doc)

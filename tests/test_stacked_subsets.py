@@ -1,0 +1,235 @@
+"""Batched subset decisions against per-subset reference loops.
+
+`sparse_observability_index`, `min_gram_eigenvalue` and `decode` decide
+SUBSET_SLICE subsets per batched SVD.  The references below keep the
+one-call-per-subset loops (one `svd`, `eigvalsh` or `lstsq` per subset,
+O_s cut straight from the model's stack) and the results must match
+them exactly: theta, the Gram eigenvalue bitwise, and the decoder's
+corrupted set, `unique` flag and state bitwise.
+"""
+
+import math
+import tracemalloc
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from secest import (
+    AnalysisError,
+    SystemModel,
+    decode,
+    encode,
+    full_subset,
+    make_random_stable_system,
+    min_gram_eigenvalue,
+    sparse_observability_index,
+)
+from secest.noiseless import CONSISTENCY_RTOL, STATE_MATCH_RTOL
+from secest.observability import RANK_RTOL, SUBSET_SLICE
+
+
+def blocks(m, s):
+    return np.vstack([m.observability_stack[(i - 1) * m.n : i * m.n] for i in s])
+
+
+def reference_observable(m, s):
+    sv = np.linalg.svd(blocks(m, s), compute_uv=False)
+    return int(np.sum(sv > RANK_RTOL * max(1.0, float(sv[0])))) == m.n
+
+
+def reference_index(m):
+    p = m.p
+    if not reference_observable(m, full_subset(p)):
+        return -1
+    theta = 0
+    for removed in range(1, p):
+        if not all(reference_observable(m, s) for s in combinations(range(1, p + 1), p - removed)):
+            break
+        theta = removed
+    return theta
+
+
+def reference_min_gram(m, s, k):
+    best = np.inf
+    for s1 in combinations(s, len(s) - k):
+        if not reference_observable(m, s1):
+            return 0.0
+        Os = blocks(m, s1)
+        best = min(best, float(np.linalg.eigvalsh(Os.T @ Os)[0]))
+    return max(best, 0.0)
+
+
+def reference_decode(m, obs, k, complete=True):
+    """(first consistent subset, unique, its lstsq state), or None."""
+    first = None
+    unique = True
+    for s in combinations(range(1, m.p + 1), m.p - k):
+        Os = blocks(m, s)
+        Y = obs.symbols[[d - 1 for d in s]].reshape(-1)
+        x, *_ = np.linalg.lstsq(Os, Y, rcond=None)
+        if np.linalg.norm(Os @ x - Y) > CONSISTENCY_RTOL * (1.0 + np.linalg.norm(Y)):
+            continue
+        if first is None:
+            first = (s, x)
+            if not complete:
+                break
+        elif np.linalg.norm(x - first[1]) > STATE_MATCH_RTOL * (1.0 + np.linalg.norm(first[1])):
+            unique = False
+    return None if first is None else (first[0], unique, first[1])
+
+
+def assert_decode_matches(m, obs, k, complete=True):
+    expected = reference_decode(m, obs, k, complete)
+    if expected is None:
+        with pytest.raises(AnalysisError):
+            decode(m, obs, k, complete=complete)
+        return None
+    subset, unique, state = expected
+    result = decode(m, obs, k, complete=complete)
+    assert result.corrupted == tuple(i for i in range(1, m.p + 1) if i not in subset)
+    assert result.unique == unique
+    assert result.state.tobytes() == state.tobytes()
+    return result
+
+
+def plane_plant(p, seen_by):
+    """Noiseless n=4 plant whose first two state coordinates span an
+    A-invariant plane that only the sensors in ``seen_by`` observe, so
+    every subset without them is unobservable."""
+    rng = np.random.default_rng(p)
+
+    def rotation(radius, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return radius * np.array([[c, -s], [s, c]])
+
+    A = np.zeros((4, 4))
+    A[:2, :2] = rotation(0.9, 0.7)
+    A[2:, 2:] = rotation(0.8, 1.9)
+    C = rng.standard_normal((p, 4))
+    C[[i - 1 for i in range(1, p + 1) if i not in seen_by], :2] = 0.0
+    return SystemModel(A=A, C=C, sigma_w2=0.0, sigma_v2=0.0)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_plants_match_reference(seed):
+    m = make_random_stable_system(6, 12, 0.85, seed=seed, sigma_w2=0.0, sigma_v2=0.0)
+    theta = sparse_observability_index(m)
+    assert theta == reference_index(m)
+    for s, k in ((full_subset(12), 0), (full_subset(12), 3), ((1, 3, 4, 6, 8, 9, 12), 4)):
+        assert min_gram_eigenvalue(m, s, k) == reference_min_gram(m, s, k)
+
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(6)
+    clean = encode(m, x0)
+    alt = encode(m, rng.standard_normal(6) + 1.0)
+    k = theta // 2
+    pattern = sorted(int(d) + 1 for d in rng.choice(12, size=k, replace=False))
+    obs = clean.with_symbols({d: alt.symbols[d - 1] for d in pattern})
+    for complete in (True, False):
+        result = assert_decode_matches(m, obs, k, complete)
+        assert set(result.corrupted) >= set(pattern) and result.unique
+    assert_decode_matches(m, clean, 0)  # k = 0: only the full set
+    assert_decode_matches(m, obs, 0)  # no explanation: AnalysisError on both
+
+
+@pytest.mark.parametrize(
+    "p, seen_by, theta, svds",
+    [
+        # level 11 has 78 subsets; the first unobservable one, (3, ..., 13),
+        # is the last, in the second slice
+        (13, (1, 2), 1, 1 + 1 + 2),
+        # the first subset of level 11, (1, ..., 11), fails: its second
+        # slice is never decided
+        (13, (12, 13), 1, 1 + 1 + 1),
+        # 286 subsets at level 10; (2, ..., 6, 8, ..., 12), number 235,
+        # fails in the fourth slice and the fifth is never decided
+        (13, (1, 7, 13), 2, 1 + 1 + 2 + 4),
+    ],
+    ids=["last-subset-in-second-slice", "first-subset-fails", "three-sensor-plane"],
+)
+def test_failing_levels_match_reference(svd_calls, p, seen_by, theta, svds):
+    m = plane_plant(p, seen_by)
+    assert sparse_observability_index(m) == theta
+    assert len(svd_calls) == svds
+    assert theta == reference_index(m)
+    for k in (theta, theta + 1):
+        lam = min_gram_eigenvalue(m, full_subset(p), k)
+        assert lam == reference_min_gram(m, full_subset(p), k)
+        assert (lam > 0.0) == (k <= theta)
+
+
+def test_level_sizes_are_not_slice_multiples():
+    assert SUBSET_SLICE == 64
+    assert math.comb(13, 2) % SUBSET_SLICE and math.comb(13, 3) % SUBSET_SLICE
+
+
+def test_ambiguous_observation_matches_reference():
+    # every subset is consistent with a clean observation, and the ones
+    # without sensors 1 and 2 fit a minimum-norm state off the plane
+    m = plane_plant(13, (1, 2))
+    obs = encode(m, [1.0, -1.0, 0.5, 2.0])
+    for complete in (True, False):
+        result = assert_decode_matches(m, obs, 2, complete)
+        assert result.corrupted == (12, 13)
+    assert not decode(m, obs, 2).unique
+    assert decode(m, obs, 1).unique
+
+
+def test_incomplete_decode_stops_after_the_first_consistent_slice(svd_calls):
+    # C(13, 11) = 78 subsets in two slices; with sensor 13 corrupted the
+    # first consistent subset, (1, ..., 11), opens the first slice
+    m = plane_plant(13, (1, 2))
+    clean = encode(m, [1.0, -1.0, 0.5, 2.0])
+    obs = clean.with_symbols({13: clean.symbols[12] + 1.0})
+
+    def fits():
+        return sum(shape[1:] == (11 * 4, 4) for shape in svd_calls)
+
+    assert assert_decode_matches(m, obs, 2, complete=False).corrupted == (12, 13)
+    assert fits() == 1
+    assert assert_decode_matches(m, obs, 2, complete=True).unique
+    assert fits() == 1 + 2
+
+
+def test_noiseless_ambiguity_plant_matches_reference():
+    A = np.diag([0.9, 0.5])
+    C = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0], [1.0, 2.0]])
+    m = SystemModel(A=A, C=C, sigma_w2=0.0, sigma_v2=0.0)
+    assert sparse_observability_index(m) == reference_index(m) == 3
+    alt = encode(m, [-3.0, 0.5])
+    obs = encode(m, [1.0, 2.0]).with_symbols({d: alt.symbols[d - 1] for d in (2, 3)})
+    for k in (1, 2, 3, 4):
+        for complete in (True, False):
+            assert_decode_matches(m, obs, k, complete)
+
+
+def test_index_is_sliced_not_per_subset(svd_calls):
+    # n=2, p=16: 65,536 subsets, every level observable, so every level
+    # is decided; one SVD per slice and a few slices' worth of memory
+    m = make_random_stable_system(2, 16, 0.85, seed=3, sigma_w2=0.0, sigma_v2=0.0)
+    m.observability_stack  # built outside the measured span
+    tracemalloc.start()
+    try:
+        theta = sparse_observability_index(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert theta == 15
+    slices = 1 + sum(math.ceil(math.comb(16, size) / SUBSET_SLICE) for size in range(1, 16))
+    assert len(svd_calls) <= slices < 2**16 // 32
+    # one level unsliced (12,870 stacked 16 x 2 blocks) peaks above 4 MB
+    assert peak < 1_000_000
