@@ -49,7 +49,6 @@ from .noiseless import (
 from .observability import (
     NoiseStructure,
     block_output_gram,
-    block_output_matrix,
     full_subset,
     is_observable,
     min_gram_eigenvalue,
@@ -64,7 +63,6 @@ from .pbsat import (
     PBFormula,
     at_least,
     at_most,
-    evaluate,
     solve,
 )
 from .search import SearchOutcome, exhaustive_search, generate_certificate, smt_search

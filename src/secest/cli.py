@@ -579,6 +579,7 @@ def run_scenario(scenario: Scenario) -> dict:
         if outcome.report is not None:
             entry["report"] = outcome.report.to_dict()
         bundle["methods"][method] = entry
+        del outcome  # its report holds the search's bank and filters
     return bundle
 
 
@@ -727,7 +728,7 @@ def _cmd_search(args) -> int:
 def _cmd_exp1(args) -> int:
     scenario = _load(args, default_experiment1_scenario)
     rows = run_experiment1(scenario)
-    path = _emit(args, "exp1", rows=rows, obj={"schema_version": SCHEMA_VERSION, "rows": rows})
+    path = _emit(args, "exp1", rows=rows)
     per_rep: dict[int, list[dict]] = {}
     for row in rows:
         per_rep.setdefault(row["rep_seed"], []).append(row)
@@ -746,7 +747,7 @@ def _cmd_exp1(args) -> int:
 def _cmd_exp2(args) -> int:
     scenario = _load(args, default_experiment2_scenario)
     rows = run_experiment2(scenario)
-    path = _emit(args, "exp2", rows=rows, obj={"schema_version": SCHEMA_VERSION, "rows": rows})
+    path = _emit(args, "exp2", rows=rows)
     for row in rows:
         print(
             f"p={row['p']} k={row['k']} checks: exhaustive={row['mean_checks_exhaustive']:.1f} "
@@ -866,7 +867,7 @@ def main(argv: list[str] | None = None) -> int:
     except (AnalysisError, ConfigError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:  # a horizon, burn-in or window too long to hold
+    except MemoryError as exc:  # a horizon, burn-in, window or model too large to hold
         print(f"analysis error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -35,10 +35,11 @@ subset reads its rows and columns.
 
 Every test runs through a `SubsetBank`, which owns the per-subset
 quantities of one model: O_s is a row selection of the model's
-observability stack and M_s of the full-sensor window noise covariance,
-and each subset's filter and threshold are computed once.
+observability stack, M_s is cut from M by the helper that cuts the
+moment's block, and each subset's filter and threshold are computed once.
 `SubsetBank.detector(traj)` holds one trajectory's window moment
-Ybar' Ybar / N - M and tests subsets against it.
+Ybar' Ybar / N - M and tests subsets against it; `attack_detect` tests
+one subset.
 """
 
 from __future__ import annotations
@@ -185,42 +186,13 @@ def auto_threshold(
     return lam * epsilon / (3.0 * model.n * (len(subset) - k))
 
 
-def expected_residue_matrix(
-    model: SystemModel,
-    s: SensorSubset,
-    flt: SteadyStateFilter,
-    Os: np.ndarray,
-    M: np.ndarray,
-) -> np.ndarray:
-    """Attack-free expectation of the window-residue outer product for
-    subset s, given its stacked observability matrix O_s and window noise
-    covariance M_s."""
-    if flt.mode == PREDICTION:
-        return Os @ flt.error_cov @ Os.T + M
-    assert flt.filtered_cov is not None
-    D = cross_covariance_correction(model, s, flt)
-    return Os @ flt.filtered_cov @ Os.T + M - D - D.T
-
-
-def _expected_matrix(
-    model: SystemModel, cov: np.ndarray, flt: SteadyStateFilter
-) -> np.ndarray:
-    """`expected_residue_matrix` of the filter's subset, with M_s selected
-    from the all-sensor window noise covariance ``cov``."""
-    n, s = model.n, flt.subset
-    rows = np.concatenate([np.arange((i - 1) * n, i * n) for i in s])
-    return expected_residue_matrix(
-        model, s, flt, observability_matrix(model, s), cov[np.ix_(rows, rows)]
-    )
-
-
 class SubsetBank:
     """Steady-state Kalman filters and thresholds over the sensor subsets
     of one model, and the residue test against them.
 
     The full-sensor window noise covariance M and each sensor's
-    lambda_max(O_i' O_i) are built once; a subset's M_s is a row
-    selection of M and its O_s of the model's observability stack.
+    lambda_max(O_i' O_i) are built once; a subset's M_s is its block of
+    M and its O_s a row selection of the model's observability stack.
     Filters and thresholds are kept on first use; nothing of size
     (n|s|)^2 is kept.  `detector(traj)` tests subsets of one trajectory:
     it holds that trajectory's window moment, so detectors of different
@@ -289,12 +261,27 @@ class SubsetBank:
 
         return detect
 
-    def detect(
-        self, traj: Trajectory, s: Iterable[int]
-    ) -> tuple[int, FilterRun, ResidueReport]:
-        """One residue test of subset s; to test several subsets of one
-        trajectory, use one `detector(traj)`."""
-        return self.detector(traj)(s)
+
+def _sensor_block(matrix: np.ndarray, n: int, subset: SensorSubset) -> np.ndarray:
+    """The rows and columns of the sensors in ``subset`` of an all-sensor
+    (n p, n p) window matrix, as a new (n |s|, n |s|) array."""
+    p, m, cols = matrix.shape[0] // n, n * len(subset), [i - 1 for i in subset]
+    block = matrix.reshape(p, n, p * n).take(cols, axis=0)
+    return block.reshape(m, p, n).take(cols, axis=1).reshape(m, m)
+
+
+def expected_residue_matrix(bank: SubsetBank, flt: SteadyStateFilter) -> np.ndarray:
+    """Attack-free expectation of the window-residue outer product for the
+    subset of ``flt``: O_s P O_s' + M_s in prediction mode and
+    O_s F O_s' + M_s - D - D' in filtering mode, with M_s the subset's
+    block of the bank's window noise covariance."""
+    model, s = bank.model, flt.subset
+    Os = observability_matrix(model, s)
+    M = _sensor_block(bank._cov, model.n, s)
+    if flt.mode == PREDICTION:
+        return Os @ flt.error_cov @ Os.T + M
+    D = cross_covariance_correction(model, s, flt)
+    return Os @ flt.filtered_cov @ Os.T + M - D - D.T
 
 
 def residue_report(
@@ -332,9 +319,7 @@ def residue_report(
     if flt.mode == FILTERING:
         Kt[::n] -= model.sigma_v2 * flt.gain.T
     OK = Os @ Kt.T
-    p, m = model.p, n * len(subset)
-    deviation = moment.reshape(p, n, p * n).take(cols, axis=0)  # the rows of s
-    deviation = deviation.reshape(m, p, n).take(cols, axis=1).reshape(m, m)
+    deviation = _sensor_block(moment, n, subset)
     deviation -= OK
     deviation -= OK.T
     max_dev = float(deviation.max())
@@ -356,7 +341,7 @@ def residue_report(
         per_sensor_mu=mu,
         n_samples=N,
         t1=cfg.t1,
-        expectation=partial(_expected_matrix, model, bank._cov, flt),
+        expectation=partial(expected_residue_matrix, bank, flt),
     )
 
 

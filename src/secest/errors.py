@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["SecestError", "ConfigError", "AnalysisError", "ScenarioError"]
+
 
 class SecestError(Exception):
     """Base class for errors raised by this package."""

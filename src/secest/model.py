@@ -76,9 +76,6 @@ class SystemModel:
     def p(self) -> int:
         return self.C.shape[0]
 
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.A))))
-
     @cached_property
     def observability_stack(self) -> np.ndarray:
         """Read-only rows C_i A^j (j = 0..n-1) of every sensor, sensor-major:
@@ -216,6 +213,15 @@ class Trajectory:
         return self.outputs.shape[1]
 
 
+def _check_array_size(rows: int, cols: int) -> None:
+    """Raise MemoryError for a (rows, cols) float64 array past numpy's
+    largest array, where numpy itself raises ValueError."""
+    if rows * cols > np.iinfo(np.intp).max // 8:
+        raise MemoryError(
+            f"{rows} x {cols} float64 values exceed the largest possible array"
+        )
+
+
 def simulate(
     model: SystemModel,
     attack: AttackSpec,
@@ -247,11 +253,7 @@ def simulate(
         raise ConfigError(f"x0 has length {x0.shape[0]}, expected {n}")
 
     total = burn_in + horizon
-    if total * max(n, p) > np.iinfo(np.intp).max // 8:
-        # numpy raises ValueError, not MemoryError, past its largest array
-        raise MemoryError(
-            f"{total} steps of {max(n, p)} float64 values exceed the largest possible array"
-        )
+    _check_array_size(total, max(n, p))
     w_rng, v_rng, a_rng = [
         np.random.Generator(np.random.PCG64(ss))
         for ss in np.random.SeedSequence(seed).spawn(3)
@@ -307,6 +309,7 @@ def make_random_stable_system(
         raise ConfigError("n and p must be positive")
     if not 0 < spectral_radius < 1:
         raise ConfigError("spectral_radius must lie in (0, 1)")
+    _check_array_size(max(n, p), n)
     rng = np.random.Generator(np.random.PCG64(seed))
     A = rng.standard_normal((n, n))
     rho = np.max(np.abs(np.linalg.eigvals(A)))

@@ -39,7 +39,6 @@ __all__ = [
     "sparse_observability_index",
     "min_gram_eigenvalue",
     "noise_structure",
-    "block_output_matrix",
     "block_output_gram",
 ]
 
@@ -190,38 +189,11 @@ def noise_structure(model: SystemModel, s: Iterable[int]) -> NoiseStructure:
     return NoiseStructure(subset=subset, J=J, cov=cov)
 
 
-def _check_window(traj: Trajectory, t_start: int, count: int) -> None:
-    if t_start < 0 or count < 1:
-        raise ConfigError("window start/count out of range")
-    if t_start + count - 1 + traj.n - 1 >= traj.horizon:
-        raise ConfigError(
-            f"output window [{t_start}, {t_start + count - 1}] + {traj.n - 1} lookahead "
-            f"exceeds horizon {traj.horizon}"
-        )
-
-
-def block_output_matrix(
-    traj: Trajectory, s: Sequence[int], t_start: int, count: int
-) -> np.ndarray:
-    """Stacked n-step output windows for t = t_start .. t_start+count-1.
-
-    Row t holds, per sensor in ascending order, the window
-    [y_i(t), ..., y_i(t+n-1)]; shape (count, n * len(s))."""
-    subset = normalize_subset(s, traj.p)
-    n = traj.n
-    _check_window(traj, t_start, count)
-    # sliding_window_view -> (T - n + 1, p, n); selecting sensors keeps
-    # sensor-major, time-minor order after the reshape.
-    windows = np.lib.stride_tricks.sliding_window_view(traj.outputs, n, axis=0)
-    cols = [i - 1 for i in subset]
-    block = windows[t_start : t_start + count, cols, :]
-    return block.reshape(count, len(subset) * n)
-
-
 def block_output_gram(traj: Trajectory, t_start: int, count: int) -> np.ndarray:
-    """Gram matrix Ybar' Ybar of the all-sensor block-output matrix
-    Ybar = block_output_matrix(traj, full_subset(p), t_start, count),
-    shape (n p, n p), without forming Ybar.
+    """Gram matrix Ybar' Ybar of the all-sensor block-output matrix,
+    shape (n p, n p), without forming Ybar.  Row t of Ybar holds the
+    n-step output windows for t = t_start .. t_start + count - 1, per
+    sensor in ascending order: [y_i(t), ..., y_i(t + n - 1)].
 
     With S_d the lag-d product, y(u) y(u + d)' summed over the count
     steps from t_start, block (i, j) of the Gram (window rows i and j,
@@ -231,8 +203,14 @@ def block_output_gram(traj: Trajectory, t_start: int, count: int) -> np.ndarray:
     count rows) plus tail' tail - head' head, where the (n - 1, n p)
     factors hold the n - 1 output rows after the window and at its
     start."""
-    _check_window(traj, t_start, count)
     n, p = traj.n, traj.p
+    if t_start < 0 or count < 1:
+        raise ConfigError("window start/count out of range")
+    if t_start + count - 1 + n - 1 >= traj.horizon:
+        raise ConfigError(
+            f"output window [{t_start}, {t_start + count - 1}] + {n - 1} lookahead "
+            f"exceeds horizon {traj.horizon}"
+        )
     Y = traj.outputs
     view = np.lib.stride_tricks.sliding_window_view
     lagged = view(Y[t_start : t_start + count + n - 1], count, axis=0)

@@ -29,7 +29,6 @@ __all__ = [
     "at_most",
     "at_least",
     "solve",
-    "evaluate",
 ]
 
 AT_MOST = "atmost"
@@ -67,9 +66,6 @@ class PBConstraint:
         total = (trues & self.mask).bit_count()
         return total <= self.bound if self.sense == AT_MOST else total >= self.bound
 
-    def satisfied_by(self, assignment: Assignment) -> bool:
-        return self.admits(sum(1 << i for i, value in enumerate(assignment) if value))
-
 
 def at_most(vars, bound: int) -> PBConstraint:
     return PBConstraint(tuple(vars), AT_MOST, bound)
@@ -98,12 +94,6 @@ class PBFormula:
 
     def with_constraints(self, cs) -> "PBFormula":
         return PBFormula(self.num_vars, self.constraints + tuple(cs))
-
-
-def evaluate(formula: PBFormula, assignment: Assignment) -> bool:
-    if len(assignment) != formula.num_vars:
-        raise ConfigError("assignment length does not match num_vars")
-    return all(c.satisfied_by(assignment) for c in formula.constraints)
 
 
 def _true_count_cap(formula: PBFormula) -> int:

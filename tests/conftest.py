@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from secest import SystemModel, make_random_stable_system
@@ -15,7 +16,11 @@ def desk_model() -> SystemModel:
     return make_random_stable_system(20, 5, 0.9, seed=100, sigma_w2=1.0, sigma_v2=1.0)
 
 
-def random_small_model(seed: int, n=3, p=3, sigma_w2=0.5, sigma_v2=0.7) -> SystemModel:
-    return make_random_stable_system(
-        n, p, 0.85, seed=seed, sigma_w2=sigma_w2, sigma_v2=sigma_v2
-    )
+def block_output_matrix(traj, s, t_start: int, count: int) -> np.ndarray:
+    """Reference block-output matrix, one window at a time: row t holds,
+    per sensor of s in ascending order, [y_i(t), ..., y_i(t + n - 1)] for
+    t = t_start .. t_start + count - 1; shape (count, n |s|)."""
+    cols = [i - 1 for i in sorted(s)]
+    windows = [traj.outputs[t : t + traj.n, cols] for t in range(t_start, t_start + count)]
+    assert t_start >= 0 and all(w.shape[0] == traj.n for w in windows)
+    return np.array([w.T.reshape(-1) for w in windows])

@@ -142,6 +142,31 @@ def test_oversized_scenario_exits_3(tmp_path, capsys, edit):
         assert err.startswith("analysis error: out of memory: ") and err.count("\n") == 1
 
 
+ALL_COMMANDS = ("simulate", "detect", "search", "exp1", "exp2", "decode-noiseless", "obsv")
+
+
+@pytest.mark.parametrize(
+    "edit, commands",
+    [
+        (lambda d: d["model"]["random"].update(n=10**10), ALL_COMMANDS),
+        (lambda d: d["model"]["random"].update(n=10**19), ALL_COMMANDS),
+        (lambda d: d["model"]["random"].update(p=10**19), ALL_COMMANDS),
+        (lambda d: d.update(experiment2={"p_values": [10**19]}), ("exp2",)),
+    ],
+    ids=["n-1e10", "n-1e19", "p-1e19", "exp2-p-1e19"],
+)
+def test_oversized_model_exits_3(tmp_path, capsys, edit, commands):
+    # an n x n or p x n draw past numpy's largest array, which numpy
+    # refuses before allocating with a ValueError
+    doc = {**json.loads(json.dumps(SCALAR_SCENARIO)), "model": {"random": {"n": 2, "p": 3}}}
+    edit(doc)
+    scenario = write_scenario(tmp_path, doc)
+    for command in commands:
+        assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error: out of memory: ") and err.count("\n") == 1
+
+
 def _strategy(kind, **params):
     return {"type": kind, **params}
 

@@ -26,6 +26,8 @@ from secest import (
 )
 from secest.detect import residue_report
 
+from conftest import block_output_matrix
+
 
 def test_auto_threshold_hand_value(triple_sensor_scalar):
     # three unit sensors: worst 2-subset gram eigenvalue is 2, n=1
@@ -133,7 +135,7 @@ def test_window_partition_consistency():
     n = m.n
     N = cfg.window_length(n)
     traj = simulate(m, AttackSpec(), cfg.t1 + N + n, seed=4, burn_in=30)
-    from secest import block_output_matrix, observability_matrix
+    from secest import observability_matrix
 
     flt = solve_steady_state(m, (1, 2), PREDICTION)
     run = run_filter(flt, traj, cfg.t1, cfg.t1 + N - 1)
@@ -259,14 +261,14 @@ def _reference_obs_and_noise(m, s):
 def test_bank_matches_from_scratch_reference(mode):
     # every subset of a p=4 plant: carved O_s and M_s reproduce the
     # quantities built directly for the subset
-    from secest import block_output_matrix, cross_covariance_correction
+    from secest import cross_covariance_correction
 
     m = make_random_stable_system(3, 4, 0.85, seed=61, sigma_w2=0.5, sigma_v2=0.7)
     cfg = _small_cfg(N=600, eta=1.0, mode=mode)
     N = cfg.window_length(m.n)
     atk = AttackSpec((2,), SeededRandom(amplitude=3.0))
     traj = simulate(m, atk, cfg.t1 + N + m.n, seed=8, burn_in=30)
-    bank = SubsetBank(m, cfg)
+    detector = SubsetBank(m, cfg).detector(traj)
     checked = 0
     for size in range(1, 5):
         for s in combinations(range(1, 5), size):
@@ -282,7 +284,7 @@ def test_bank_matches_from_scratch_reference(mode):
             deviation = residues.T @ residues / N - expected
             scale = np.abs(expected).max()
 
-            _, _, report = bank.detect(traj, s)
+            _, _, report = detector(s)
             assert np.abs(report.expected_matrix - expected).max() <= 1e-12 * scale
             assert abs(report.max_deviation - deviation.max()) <= 1e-12 * scale
             for idx, i in enumerate(s):
@@ -336,7 +338,7 @@ def test_detectors_of_two_trajectories_share_a_bank(mode):
     for s in subsets:
         for traj, detector in zip(trajs, detectors):
             flag, _, report = detector(s)
-            fresh_flag, _, fresh = SubsetBank(m, cfg).detect(traj, s)
+            fresh_flag, _, fresh = attack_detect(m, traj, s, cfg)
             assert flag == fresh_flag
             assert report.max_deviation == fresh.max_deviation
             flags.add(flag)
@@ -385,13 +387,13 @@ def test_large_bias_matches_direct_residue_formula():
     from secest import (
         ConstantBias,
         block_output_gram,
-        block_output_matrix,
+        cross_covariance_correction,
         exhaustive_search,
         noise_structure,
         observability_matrix,
         smt_search,
     )
-    from secest.detect import ResidueReport, expected_residue_matrix
+    from secest.detect import ResidueReport
 
     m = make_random_stable_system(3, 4, 0.85, seed=61, sigma_w2=0.5, sigma_v2=0.7)
     for mode in (PREDICTION, FILTERING):
@@ -409,7 +411,11 @@ def test_large_bias_matches_direct_residue_formula():
             run = run_filter(flt, traj, cfg.t1, cfg.t1 + N - 1)
             Os = observability_matrix(m, s)
             residues = block_output_matrix(traj, s, cfg.t1, N) - run.estimates @ Os.T
-            expected = expected_residue_matrix(m, s, flt, Os, noise_structure(m, s).cov)
+            F = flt.error_cov if mode == PREDICTION else flt.filtered_cov
+            expected = Os @ F @ Os.T + noise_structure(m, s).cov
+            if mode == FILTERING:
+                D = cross_covariance_correction(m, s, flt)
+                expected = expected - D - D.T
             deviation = residues.T @ residues / N - expected
             traces = [np.trace(deviation[c * n : (c + 1) * n, c * n : (c + 1) * n]) for c in range(len(s))]
             mu = {i: abs(tr - cfg.eta * n) / bank.gram_maxima[i] for i, tr in zip(s, traces)}

@@ -6,7 +6,6 @@ from secest import (
     ConfigError,
     SystemModel,
     block_output_gram,
-    block_output_matrix,
     full_subset,
     is_observable,
     make_random_stable_system,
@@ -17,6 +16,8 @@ from secest import (
     simulate,
     sparse_observability_index,
 )
+
+from conftest import block_output_matrix
 
 
 def test_scalar_blocks_and_stack(triple_sensor_scalar):
@@ -163,14 +164,6 @@ def test_block_outputs_noiseless_identity():
             assert np.max(np.abs(ybar - Os @ traj.states[t])) <= 1e-10
 
 
-def test_block_outputs_range_error():
-    m = make_random_stable_system(3, 2, 0.8, seed=1)
-    traj = simulate(m, AttackSpec(), horizon=10, seed=0)
-    with pytest.raises(ConfigError):
-        block_output_matrix(traj, (1,), 8, 1)  # needs t+n-1 = 10 >= horizon
-    assert block_output_matrix(traj, (1, 2), 0, 8).shape == (8, 6)
-
-
 def test_stack_union_consistency():
     m = make_random_stable_system(4, 5, 0.8, seed=6)
     whole = observability_matrix(m, (1, 3, 4))
@@ -271,13 +264,16 @@ def test_block_output_gram_matches_direct_product(n, p, t_start, count, slack):
     assert np.array_equal(gram, gram.T)
 
 
-def test_block_output_gram_range_errors_match_block_output_matrix():
+def test_block_output_gram_range_errors():
     m = make_random_stable_system(3, 2, 0.8, seed=1)
     traj = simulate(m, AttackSpec(), horizon=10, seed=0)
-    for t_start, count in [(-1, 2), (0, 0), (8, 1), (0, 9), (5, 4)]:
-        with pytest.raises(ConfigError) as direct:
-            block_output_matrix(traj, (1, 2), t_start, count)
-        with pytest.raises(ConfigError) as gram:
+    for t_start, count in [(-1, 2), (0, 0)]:
+        with pytest.raises(ConfigError, match=r"^window start/count out of range$"):
             block_output_gram(traj, t_start, count)
-        assert str(gram.value) == str(direct.value)
-    block_output_gram(traj, 0, 8)  # the last admissible window
+    # each window's last row, 8, needs n - 1 = 2 more outputs
+    for t_start, count in [(8, 1), (0, 9), (5, 4)]:
+        message = f"output window [{t_start}, 8] + 2 lookahead exceeds horizon 10"
+        with pytest.raises(ConfigError) as err:
+            block_output_gram(traj, t_start, count)
+        assert str(err.value) == message
+    assert block_output_gram(traj, 0, 8).shape == (6, 6)  # the last admissible window
