@@ -33,6 +33,11 @@ first term does not depend on the filter: its Gram Ybar' Ybar over all
 sensors is built once per trajectory (`block_output_gram`), and each
 subset reads its rows and columns.
 
+Nearly every tested subset fails, so a test first screens the deviation's
+diagonal, diag(moment)[s] - 2 rowsum(O_s * K'), and fails at once on an
+entry above eta by more than its rounding bound; such a failure forms its
+deviation, bit for bit, only when read.  The flags are the full test's.
+
 Every test runs through a `SubsetBank`, which owns the per-subset
 quantities of one model: O_s is a row selection of the model's
 observability stack, M_s is cut from M by the helper that cuts the
@@ -45,7 +50,7 @@ one subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable
 
@@ -122,24 +127,33 @@ class DetectorConfig:
         return int(math.ceil(self.N / n) * n)
 
 
-@dataclass(frozen=True)
 class ResidueReport:
     """Outcome of one residue test.
 
-    ``sample_matrix`` and ``expected_matrix`` are built on first read,
-    the latter by ``expectation``; the test itself only needs
-    ``deviation``."""
+    ``deviation`` is the (n|s|)^2 sample - expected average of r r' and
+    ``max_deviation`` its largest entry.  A failure settled by the diagonal
+    screen gives None for both and a ``build``, which holds the window
+    moment; both are then formed on first read, as are ``sample_matrix``
+    and ``expected_matrix``."""
 
-    subset: SensorSubset
-    mode: str
-    deviation: np.ndarray        # (n|s|, n|s|) sample - expected average of r r'
-    max_deviation: float         # max entry of deviation
-    eta: float
-    passed: bool
-    per_sensor_mu: dict[int, float]  # normalized per-sensor residue scores
-    n_samples: int
-    t1: int
-    expectation: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    def __init__(
+        self, subset: SensorSubset, mode: str, deviation: np.ndarray | None,
+        max_deviation: float | None, eta: float, passed: bool, per_sensor_mu: dict[int, float],
+        n_samples: int, t1: int, expectation: Callable, build: Callable | None = None
+    ):
+        self.subset, self.mode, self.eta, self.passed = subset, mode, eta, passed
+        self.per_sensor_mu, self.n_samples, self.t1 = per_sensor_mu, n_samples, t1
+        self.expectation, self._build = expectation, build
+        if deviation is not None:
+            self.deviation, self.max_deviation = deviation, max_deviation
+
+    @cached_property
+    def deviation(self) -> np.ndarray:
+        return self._build()
+
+    @cached_property
+    def max_deviation(self) -> float:
+        return float(self.deviation.max())
 
     @cached_property
     def expected_matrix(self) -> np.ndarray:
@@ -318,16 +332,30 @@ def residue_report(
     Kt /= N
     if flt.mode == FILTERING:
         Kt[::n] -= model.sigma_v2 * flt.gain.T
-    OK = Os @ Kt.T
-    deviation = _sensor_block(moment, n, subset)
-    deviation -= OK
-    deviation -= OK.T
-    max_dev = float(deviation.max())
 
-    # Per-sensor scores for conflict localization: trace deviation on the
-    # sensor's diagonal block, offset by eta*n and normalized by the
+    # The screen.  With u = eps/2, b the moment's diagonal, g the product's
+    # diagonal and S = sum_j |O_s[i, j] Kt[i, j]|, a length-n dot product is
+    # within n u S / (1 - n u) of exact, so the row dot r is within 2 n u S
+    # of g; fl(fl(b - g) - g) and fl(fl(b - r) - r) each add up to u (2|b| +
+    # 3 S): 4 u |b| + (4 n + 6) u S to first order, under a third of the
+    # margin for any n, room for higher-order terms and the rounding of the
+    # margin and of ``diagonal - eta``.  Underflows add at most 2 n 2^-1074.
+    rows = np.diagonal(moment).reshape(model.p, n)[cols].ravel()
+    products = Os * Kt
+    dots = products.sum(axis=1)
+    diagonal = rows - dots - dots
+    bound = np.abs(rows) + 2.0 * np.abs(products).sum(axis=1)
+    margin = 8.0 * n * (np.finfo(float).eps * bound + np.finfo(float).smallest_subnormal)
+    build = partial(_deviation, moment, n, subset, Os, Kt)
+    deviation = max_dev = None  # a screened failure builds them on first read
+    if not np.any(diagonal - eta > margin):
+        deviation, build = build(), None
+        max_dev = float(deviation.max())
+
+    # Per-sensor scores for conflict localization: trace of the screened
+    # diagonal on the sensor's block, offset by eta*n and normalized by the
     # sensor's observability energy.
-    traces = np.diagonal(deviation).reshape(len(subset), n).sum(axis=1)
+    traces = diagonal.reshape(len(subset), n).sum(axis=1)
     mu = {
         i: abs(float(tr) - eta * n) / bank.gram_maxima[i] for i, tr in zip(subset, traces)
     }
@@ -337,12 +365,24 @@ def residue_report(
         deviation=deviation,
         max_deviation=max_dev,
         eta=eta,
-        passed=max_dev <= eta,
+        passed=max_dev is not None and max_dev <= eta,
         per_sensor_mu=mu,
         n_samples=N,
         t1=cfg.t1,
         expectation=partial(expected_residue_matrix, bank, flt),
+        build=build,
     )
+
+
+def _deviation(
+    moment: np.ndarray, n: int, subset: SensorSubset, Os: np.ndarray, Kt: np.ndarray
+) -> np.ndarray:
+    """The subset's block of ``moment`` minus O_s K and its transpose."""
+    OK = Os @ Kt.T
+    deviation = _sensor_block(moment, n, subset)
+    deviation -= OK
+    deviation -= OK.T
+    return deviation
 
 
 def attack_detect(

@@ -15,6 +15,7 @@ Sensor indices are 1-based throughout the package.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -215,11 +216,13 @@ class Trajectory:
 
 def _check_array_size(rows: int, cols: int) -> None:
     """Raise MemoryError for a (rows, cols) float64 array past numpy's
-    largest array, where numpy itself raises ValueError."""
-    if rows * cols > np.iinfo(np.intp).max // 8:
-        raise MemoryError(
-            f"{rows} x {cols} float64 values exceed the largest possible array"
-        )
+    largest array (numpy raises ValueError) or physical memory (whether
+    the allocation fails depends on the host's overcommit policy)."""
+    limit = np.iinfo(np.intp).max
+    if hasattr(os, "sysconf"):  # POSIX
+        limit = min(limit, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    if 8 * rows * cols > limit:
+        raise MemoryError(f"{rows} x {cols} float64 values exceed this host's {limit} bytes")
 
 
 def simulate(

@@ -152,17 +152,28 @@ ALL_COMMANDS = ("simulate", "detect", "search", "exp1", "exp2", "decode-noiseles
         (lambda d: d["model"]["random"].update(n=10**19), ALL_COMMANDS),
         (lambda d: d["model"]["random"].update(p=10**19), ALL_COMMANDS),
         (lambda d: d.update(experiment2={"p_values": [10**19]}), ("exp2",)),
+        (lambda d: d["model"]["random"].update(p=10**10), ALL_COMMANDS),
     ],
-    ids=["n-1e10", "n-1e19", "p-1e19", "exp2-p-1e19"],
+    ids=["n-1e10", "n-1e19", "p-1e19", "exp2-p-1e19", "p-1e10"],
 )
 def test_oversized_model_exits_3(tmp_path, capsys, edit, commands):
     # an n x n or p x n draw past numpy's largest array, which numpy
-    # refuses before allocating with a ValueError
+    # refuses before allocating with a ValueError, or past physical memory
+    # (p = 10**10 at n = 2 asks for 149 GiB), which the host may try to
+    # allocate; both are refused before anything is allocated
+    import tracemalloc
+
     doc = {**json.loads(json.dumps(SCALAR_SCENARIO)), "model": {"random": {"n": 2, "p": 3}}}
     edit(doc)
     scenario = write_scenario(tmp_path, doc)
     for command in commands:
-        assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 3
+        tracemalloc.start()
+        try:
+            code = main([command, "--scenario", scenario, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1 << 20
         err = capsys.readouterr().err
         assert err.startswith("analysis error: out of memory: ") and err.count("\n") == 1
 

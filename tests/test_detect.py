@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -438,3 +439,105 @@ def test_large_bias_matches_direct_residue_formula():
         for search in (exhaustive_search, smt_search):
             found = search(m, traj, cfg, detector=detector)
             assert found.subset == search(m, traj, cfg, detector=direct).subset == (1, 3, 4)
+
+
+# --- the diagonal screen ----------------------------------------------------
+
+
+def _screen_case(case, mode):
+    """Model, detector configuration and trajectory of the screen tests:
+    an n=6 plant under a random attack on sensor 2, or the 1e3-bias plant
+    of the test above, whose window moment is about 1e6."""
+    from secest import ConstantBias
+
+    if case == "bias":
+        m = make_random_stable_system(3, 4, 0.85, seed=61, sigma_w2=0.5, sigma_v2=0.7)
+        cfg, strategy = _small_cfg(N=3000, eta=1.0, mode=mode), ConstantBias(bias=(1e3,))
+    else:
+        m = make_random_stable_system(6, 4, 0.85, seed=62, sigma_w2=0.5, sigma_v2=0.7)
+        cfg, strategy = _small_cfg(N=600, eta=1.0, mode=mode), SeededRandom(amplitude=3.0)
+    N = cfg.window_length(m.n)
+    traj = simulate(m, AttackSpec((2,), strategy), cfg.t1 + N + m.n, seed=8, burn_in=30)
+    return m, cfg, traj
+
+
+def _report(m, cfg, traj, s, moment, eta):
+    """The residue test of subset s with threshold eta."""
+    bank = SubsetBank(m, replace(cfg, eta=eta))
+    run = run_filter(bank.filter(s), traj, cfg.t1, cfg.t1 + bank.N - 1)
+    return residue_report(bank, traj, s, run, moment)
+
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+@pytest.mark.parametrize("case", ["random", "bias"])
+def test_screen_flags_match_full_path(case, mode):
+    # the full path's deviation comes from a threshold no diagonal can
+    # exceed; every flag, at eta = 1 and at eta on and next to each
+    # subset's largest diagonal and largest entry, is the full path's, and
+    # a screened failure builds the full path's deviation, and serializes
+    # as it, bit for bit on first read
+    m, cfg, traj = _screen_case(case, mode)
+    moment = SubsetBank(m, cfg).window_moment(traj)
+    screened = boundary_passes = boundary_fails = off_diagonal = 0
+    for size in range(1, m.p + 1):
+        for s in combinations(range(1, m.p + 1), size):
+            full = _report(m, cfg, traj, s, moment, 1e300)
+            report = _report(m, cfg, traj, s, moment, cfg.eta)
+            assert report.passed == (full.max_deviation <= cfg.eta)
+            if "deviation" not in vars(report):
+                screened += 1
+                assert not report.passed
+                assert report.deviation.tobytes() == full.deviation.tobytes()
+                assert report.max_deviation == full.max_deviation
+                d, ref = report.to_dict(), full.to_dict()
+                for key in ("sample_matrix", "expected_matrix", "max_deviation"):
+                    assert d[key] == ref[key]
+            top, peak = float(np.diagonal(full.deviation).max()), full.max_deviation
+            off_diagonal += peak > top
+            for eta in (np.nextafter(top, -np.inf), top, np.nextafter(top, np.inf),
+                        np.nextafter(peak, -np.inf), peak):
+                if eta > 0:
+                    passed = _report(m, cfg, traj, s, moment, float(eta)).passed
+                    assert passed == (full.max_deviation <= eta)
+                    boundary_passes += passed
+                    boundary_fails += not passed
+    assert screened > 0 and boundary_passes > 0 and boundary_fails > 0
+    assert off_diagonal > 0  # a pass on the diagonal alone would flip these
+
+
+def _reachable_arrays(root):
+    """Every numpy array reachable from ``root`` through object references,
+    not through functions, modules or classes."""
+    import gc
+    import types
+
+    seen, arrays, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (types.FunctionType, types.ModuleType, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+        stack.extend(gc.get_referents(obj))
+    return arrays
+
+
+def test_passing_reports_hold_no_window_moment():
+    # twenty kept passing reports of twenty trajectories reach no
+    # all-sensor window moment; the one (n p)^2 array they reach is the
+    # bank's noise covariance, shared by all
+    m = make_random_stable_system(3, 5, 0.85, seed=50, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = _small_cfg(N=600, eta=3.0)
+    bank = SubsetBank(m, cfg)
+    horizon = cfg.t1 + bank.N + m.n
+    reports = []
+    for seed in range(20):
+        traj = simulate(m, AttackSpec(), horizon, seed=seed, burn_in=30)
+        flag, _, report = bank.detector(traj)((1, 2, 3, 4))
+        assert flag == 0
+        reports.append(report)
+    squares = [a for a in _reachable_arrays(reports) if a.shape == (m.n * m.p,) * 2]
+    assert [id(a) for a in squares] == [id(bank._cov)]
