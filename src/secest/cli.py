@@ -15,8 +15,7 @@ artifact carries a schema_version.
 
 Subcommands: simulate, detect, search, exp1, exp2, decode-noiseless,
 obsv.  Exit codes: 0 success, 2 scenario/parse error, 3 analysis error
-(a problem too large to allocate included), 4 I/O error.
-SECEST_THREADS caps repetition parallelism (default 1); wall-clock
+(a problem too large to allocate included), 4 I/O error.  Wall-clock
 columns and fields are machine-dependent, so ``--no-timing`` zeroes
 them, in CSV and JSON alike, for byte-reproducible artifacts.
 
@@ -37,7 +36,6 @@ import json
 import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
 from typing import Any, Callable
@@ -307,6 +305,8 @@ def parse_scenario(doc: dict) -> Scenario:
                 raise ScenarioError(f"{name} must be in [0, p={p}), got {values[name]}")
         for name in ("attack.attacked", "subset", "noiseless.corrupt.sensors"):
             sensors = values[name]
+            if name == "subset" and sensors == ():
+                raise ScenarioError("subset must list at least one sensor, got []")
             if isinstance(sensors, tuple) and (
                 len(set(sensors)) < len(sensors) or not set(sensors) <= set(range(1, p + 1))
             ):
@@ -393,28 +393,6 @@ def default_experiment2_scenario() -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Parallel helpers
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SECEST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_reps(fn: Callable[[int], Any], reps: int) -> list:
-    """Apply fn to rep indices 0..reps-1, optionally in a thread pool;
-    results come back ordered by rep index regardless of schedule."""
-    threads = _thread_count()
-    if threads <= 1 or reps <= 1:
-        return [fn(i) for i in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(reps)))
-
-
-# ---------------------------------------------------------------------------
 # Experiment 1: residue test across all subsets
 
 
@@ -422,8 +400,7 @@ def run_experiment1(scenario: Scenario) -> list[dict]:
     """One row per (repetition, subset): the subset's max residue
     deviation against the threshold and whether it passed."""
     rows: list[dict] = []
-
-    def one_rep(rep: int) -> list[dict]:
+    for rep in range(scenario.repetitions):
         rep_seed = scenario.seed + rep
         model = scenario.build_model(rep)
         attack = scenario.build_attack(model, rep_seed)
@@ -432,10 +409,9 @@ def run_experiment1(scenario: Scenario) -> list[dict]:
             i for i in range(1, model.p + 1) if i not in attack.attacked
         )
         detector = SubsetBank(model, scenario.detector).detector(traj)
-        out = []
         for s in combinations(range(1, model.p + 1), model.p - scenario.k):
             flag, _, report = detector(s)
-            out.append(
+            rows.append(
                 {
                     "rep_seed": rep_seed,
                     "attacked": "-".join(str(i) for i in attack.attacked),
@@ -446,10 +422,7 @@ def run_experiment1(scenario: Scenario) -> list[dict]:
                     "is_clean_complement": int(s == clean),
                 }
             )
-        return out
-
-    for rep_rows in _map_reps(one_rep, scenario.repetitions):
-        rows.extend(rep_rows)
+        del traj, detector  # not held while the next repetition simulates
     return rows
 
 
@@ -464,8 +437,9 @@ def run_experiment2(
     """Per sensor count p: mean/sd of wall time and detector-invocation
     counts for both search methods over the configured repetitions.
 
-    ``per_run``, when given, receives one record per repetition with the
-    raw timings and both SearchOutcome objects (for audits)."""
+    ``per_run``, when given, receives each repetition's record, with the
+    raw timings and both SearchOutcome objects (for audits), as soon as
+    the repetition finishes."""
     if "random" not in scenario.model_spec:
         raise ScenarioError("experiment 2 needs a random model section")
 
@@ -491,13 +465,14 @@ def run_experiment2(
         bank.prewarm(combinations(range(1, p + 1), p - k))
         bank.prewarm([full_subset(p)])
 
-        def one_rep(rep: int) -> dict:
+        reps = []
+        for rep in range(scenario.repetitions):
             rep_seed = scenario.seed + rep
             traj = _simulate_scenario(scenario, model, attack, rep_seed)
             detector = bank.detector(traj)
             out_ex = exhaustive_search(model, traj, cfg, detector=detector)
             out_smt = smt_search(model, traj, cfg, detector=detector)
-            return {
+            record = {
                 "p": p,
                 "k": k,
                 "seed": rep_seed,
@@ -506,11 +481,10 @@ def run_experiment2(
                 "outcome_exhaustive": out_ex,
                 "outcome_smt": out_smt,
             }
-
-        reps = _map_reps(one_rep, scenario.repetitions)
-        if per_run is not None:
-            for record in reps:
+            reps.append(record)
+            if per_run is not None:
                 per_run(record)
+            del traj, detector  # not held while the next repetition simulates
         times_ex = [r["time_exhaustive"] for r in reps]
         times_smt = [r["time_smt"] for r in reps]
         outs_ex = [r["outcome_exhaustive"] for r in reps]

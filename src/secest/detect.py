@@ -210,7 +210,7 @@ class SubsetBank:
     Filters and thresholds are kept on first use; nothing of size
     (n|s|)^2 is kept.  `detector(traj)` tests subsets of one trajectory:
     it holds that trajectory's window moment, so detectors of different
-    trajectories can share one bank, from several threads too.
+    trajectories can share one bank.
     """
 
     def __init__(self, model: SystemModel, cfg: DetectorConfig):

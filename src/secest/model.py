@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import AnalysisError, ConfigError
 
 __all__ = [
     "SystemModel",
@@ -225,6 +225,7 @@ def _check_array_size(rows: int, cols: int) -> None:
         raise MemoryError(f"{rows} x {cols} float64 values exceed this host's {limit} bytes")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def simulate(
     model: SystemModel,
     attack: AttackSpec,
@@ -242,6 +243,8 @@ def simulate(
 
     Deterministic given (model, attack, horizon, x0, seed): noise and
     attack draws come from independent PCG64 child streams of ``seed``.
+    States or outputs past the float64 range, as an unstable plant gives
+    over a long run, are an AnalysisError.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
@@ -293,6 +296,8 @@ def simulate(
             raise ConfigError(f"unknown attack strategy {strat!r}")
 
     outputs = clean + V + a
+    if not (np.isfinite(X).all() and np.isfinite(outputs).all()):
+        raise AnalysisError("the simulated states or outputs overflow float64")
     for arr in (X, clean, outputs, a):
         arr.setflags(write=False)
     return Trajectory(states=X, clean_outputs=clean, outputs=outputs, attack=a, seed=seed)

@@ -83,21 +83,16 @@ class SearchOutcome:
 
 
 class _CountingDetector:
-    """Wraps a detector with invocation counters and an audit log, and
-    reports them as a search outcome timed from the wrapper's creation."""
+    """Wraps a detector with an audit log of its calls, and reports their
+    counts as a search outcome timed from the wrapper's creation."""
 
     def __init__(self, inner: Detector):
         self.inner = inner
-        self.hypothesis_checks = 0
-        self.total_calls = 0
         self.log: list[dict] = []
         self.start = time.perf_counter()
 
     def __call__(self, s: SensorSubset, phase: str = "search"):
         flag, run, report = self.inner(s)
-        self.total_calls += 1
-        if phase == "search":
-            self.hypothesis_checks += 1
         self.log.append({"subset": list(s), "flag": flag, "phase": phase})
         return flag, run, report
 
@@ -113,9 +108,9 @@ class _CountingDetector:
             found=subset is not None,
             subset=subset,
             estimates=run,
-            theory_checks=self.hypothesis_checks,
+            theory_checks=sum(entry["phase"] == "search" for entry in self.log),
             report=report,
-            detector_calls=self.total_calls,
+            detector_calls=len(self.log),
             certificates=list(certificates),
             wall_time=time.perf_counter() - self.start,
             trace=self.log,

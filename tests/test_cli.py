@@ -142,6 +142,24 @@ def test_oversized_scenario_exits_3(tmp_path, capsys, edit):
         assert err.startswith("analysis error: out of memory: ") and err.count("\n") == 1
 
 
+def test_overflowing_trajectory_exits_3(tmp_path, capsys):
+    # x(t+1) = 3 x(t) passes 1.8e308 within a few hundred of its 3,000
+    # steps; every command that simulates refuses the trajectory in one
+    # line and writes no artifact
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    doc["model"]["explicit"]["A"] = [[3.0]]
+    doc["detector"]["N"] = 3000
+    scenario = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    for command in ("simulate", "detect", "search", "exp1"):
+        for fmt in ("csv", "json"):
+            assert main([command, "--scenario", scenario, "--out", str(out), "--format", fmt]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("analysis error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 ALL_COMMANDS = ("simulate", "detect", "search", "exp1", "exp2", "decode-noiseless", "obsv")
 
 
@@ -200,6 +218,7 @@ def _malformed(edit, base=SCALAR_SCENARIO):
         _malformed(lambda d: d.update(k=-1)),
         _malformed(lambda d: d["attack"].update(attacked=[7])),
         _malformed(lambda d: d.update(subset=[9])),
+        _malformed(lambda d: d.update(subset=[])),
         _malformed(lambda d: d.update(k=5)),
         _malformed(lambda d: d["attack"].update(attacked=[1, 1])),
         _malformed(lambda d: d["noiseless"].update(k=None), NOISELESS_SCENARIO),
@@ -235,6 +254,7 @@ def _malformed(edit, base=SCALAR_SCENARIO):
         "negative-k",
         "attacked-out-of-range",
         "subset-out-of-range",
+        "empty-subset",
         "k-not-below-p",
         "duplicate-attacked",
         "null-noiseless-k",

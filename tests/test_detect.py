@@ -346,9 +346,11 @@ def test_detectors_of_two_trajectories_share_a_bank(mode):
     assert flags == {0, 1}
 
 
-def test_experiment2_threads_match_serial(monkeypatch):
-    # one bank serves every repetition of a sensor count; with two
-    # threads the rows and outcomes are the serial ones, times apart
+def test_experiment2_reports_repetitions_in_seed_order(monkeypatch):
+    # one bank serves every repetition of a sensor count; per_run gets each
+    # repetition's record in seed order before the next one simulates, and
+    # a second run gives the same rows and outcomes, times apart
+    from secest import cli
     from secest.cli import parse_scenario, run_experiment2
 
     scenario = parse_scenario(
@@ -358,13 +360,32 @@ def test_experiment2_threads_match_serial(monkeypatch):
             "detector": {"epsilon": 1.0, "eta": 8.0, "N": 300, "t1": 30},
             "experiment2": {"p_values": [3, 6], "weak_last_gain": 0.5},
             "repetitions": 4,
+            "seed": 10,
         }
     )
 
-    def run(threads):
-        monkeypatch.setenv("SECEST_THREADS", threads)
-        records = []
-        rows = run_experiment2(scenario, per_run=records.append)
+    simulated = []
+    simulate = cli.simulate
+
+    def counting_simulate(*args, **kwargs):
+        simulated.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", counting_simulate)
+
+    def run():
+        simulated.clear()
+        records, simulated_before = [], []
+
+        def per_run(record):
+            records.append(record)
+            simulated_before.append(len(simulated))
+
+        rows = run_experiment2(scenario, per_run=per_run)
+        assert [(r["p"], r["seed"]) for r in records] == [
+            (p, seed) for p in (3, 6) for seed in range(10, 14)
+        ]
+        assert simulated_before == list(range(1, 9))
         untimed = [{k: v for k, v in row.items() if "time" not in k} for row in rows]
         outcomes = [
             {
@@ -375,9 +396,9 @@ def test_experiment2_threads_match_serial(monkeypatch):
         ]
         return untimed, outcomes
 
-    serial = run("1")
-    assert run("2") == serial
-    assert [row["p"] for row in serial[0]] == [3, 6]
+    first = run()
+    assert run() == first
+    assert [row["p"] for row in first[0]] == [3, 6]
 
 
 def test_large_bias_matches_direct_residue_formula():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from secest import (
+    AnalysisError,
     AttackSpec,
     ConfigError,
     ConstantBias,
@@ -142,6 +143,23 @@ def test_validation_errors():
         AttackSpec((1, 2), ConstantBias((0.5,)))
     with pytest.raises(ConfigError):
         make_random_stable_system(3, 2, 1.5, seed=0)
+
+
+def test_overflowing_trajectory_is_an_analysis_error():
+    # 3**t passes the float64 range near t = 646; a stable plant from the
+    # same huge state stays finite
+    unstable = SystemModel(A=[[3.0]], C=[[1.0], [1.0]], sigma_w2=1.0, sigma_v2=1.0)
+    with pytest.raises(AnalysisError, match="overflow"):
+        simulate(unstable, AttackSpec(), horizon=700, seed=0)
+    simulate(unstable, AttackSpec(), horizon=600, seed=0)
+    stable = SystemModel(A=[[0.5]], C=[[1.0], [1.0]], sigma_w2=1.0, sigma_v2=1.0)
+    assert np.isfinite(simulate(stable, AttackSpec(), horizon=50, x0=[1e300], seed=0).outputs).all()
+    # the product of a finite state and C, and an attack gain, overflow too
+    wide = SystemModel(A=[[0.5]], C=[[1e10]], sigma_w2=1.0, sigma_v2=1.0)
+    with pytest.raises(AnalysisError):
+        simulate(wide, AttackSpec(), horizon=5, x0=[1e300], seed=0)
+    with pytest.raises(AnalysisError):
+        simulate(stable, AttackSpec((1,), NoiseLinear(gain=1e308)), horizon=50, seed=0)
 
 
 def test_constant_bias_values():
