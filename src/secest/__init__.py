@@ -47,7 +47,6 @@ from .noiseless import (
     min_symbol_distance,
 )
 from .observability import (
-    NoiseStructure,
     block_output_gram,
     full_subset,
     is_observable,

@@ -217,7 +217,7 @@ class SubsetBank:
         self.model = model
         self.cfg = cfg
         self.N = cfg.window_length(model.n)
-        self._cov = noise_structure(model, full_subset(model.p)).cov
+        self._cov = noise_structure(model, full_subset(model.p))
         blocks = model.observability_stack.reshape(model.p, model.n, model.n)
         maxima = np.linalg.eigvalsh(np.stack([Oi.T @ Oi for Oi in blocks]))[:, -1]
         self.gram_maxima = {i: float(lam) for i, lam in enumerate(maxima, start=1)}
@@ -247,14 +247,18 @@ class SubsetBank:
         for s in subsets:
             self.filter(normalize_subset(s, self.model.p))
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
     def window_moment(self, traj: Trajectory) -> np.ndarray:
         """Ybar' Ybar / N - M over all sensors for the test window of
         ``traj``: the part of every subset's deviation that does not
         depend on its filter.  Raises ConfigError when the window and its
-        n - 1 lookahead do not fit in the trajectory."""
+        n - 1 lookahead do not fit in the trajectory, and AnalysisError
+        when the moment overflows float64."""
         moment = block_output_gram(traj, self.cfg.t1, self.N)
         moment /= self.N
         moment -= self._cov
+        if not np.isfinite(moment).all():
+            raise AnalysisError("window moment Ybar' Ybar / N overflows float64")
         return moment
 
     def detector(
@@ -294,7 +298,7 @@ def expected_residue_matrix(bank: SubsetBank, flt: SteadyStateFilter) -> np.ndar
     M = _sensor_block(bank._cov, model.n, s)
     if flt.mode == PREDICTION:
         return Os @ flt.error_cov @ Os.T + M
-    D = cross_covariance_correction(model, s, flt)
+    D = cross_covariance_correction(model, flt)
     return Os @ flt.filtered_cov @ Os.T + M - D - D.T
 
 
@@ -303,20 +307,18 @@ def residue_report(
     traj: Trajectory,
     s: Iterable[int],
     run: FilterRun,
-    moment: np.ndarray | None = None,
+    moment: np.ndarray,
 ) -> ResidueReport:
     """Residue test of subset s on one trajectory, given its filter run.
 
     ``run`` must cover the window [t1, t1 + N - 1] of the bank's
-    detector configuration.  ``moment`` is ``bank.window_moment(traj)``,
-    computed here when not given.
+    detector configuration, and ``moment`` is ``bank.window_moment(traj)``.
+    Raises AnalysisError when K overflows float64.
     """
     model, cfg = bank.model, bank.cfg
     subset = normalize_subset(s, model.p)
     n, N = model.n, bank.N
     eta = bank.eta(subset)
-    if moment is None:
-        moment = bank.window_moment(traj)
     flt = bank.filter(subset)
     Os = observability_matrix(model, subset)
     est = run.window(cfg.t1, N)
@@ -326,10 +328,13 @@ def residue_report(
     cols = [i - 1 for i in subset]
     outputs = traj.outputs[cfg.t1 : cfg.t1 + N + n - 1, cols]
     lagged = np.lib.stride_tricks.sliding_window_view(outputs, N, axis=0)
-    Kt = (lagged @ est).transpose(1, 0, 2).reshape(n * len(subset), n)
     F = flt.error_cov if flt.mode == PREDICTION else flt.filtered_cov
-    Kt -= Os @ (0.5 * (est.T @ est) - 0.5 * N * F)
-    Kt /= N
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        Kt = (lagged @ est).transpose(1, 0, 2).reshape(n * len(subset), n)
+        Kt -= Os @ (0.5 * (est.T @ est) - 0.5 * N * F)
+        Kt /= N
+    if not np.isfinite(Kt).all():
+        raise AnalysisError(f"window products of subset {subset} overflow float64")
     if flt.mode == FILTERING:
         Kt[::n] -= model.sigma_v2 * flt.gain.T
 

@@ -253,9 +253,7 @@ def run_filter(
     return FilterRun(estimates=est, t_start=t_start, t_end=t_end)
 
 
-def cross_covariance_correction(
-    model: SystemModel, s: Iterable[int], flt: SteadyStateFilter
-) -> np.ndarray:
+def cross_covariance_correction(model: SystemModel, flt: SteadyStateFilter) -> np.ndarray:
     """Correction term coupling the filtered estimate to same-time sensor
     noise in the window-residue covariance.
 
@@ -266,14 +264,11 @@ def cross_covariance_correction(
     window starts, row c * n holding sigma_v2 * (L' O_s')[c], and they are
     written directly.
     """
-    subset = normalize_subset(s, model.p)
     if flt.mode != FILTERING:
         raise ConfigError("cross_covariance_correction needs a filtering-mode filter")
-    if flt.subset != subset:
-        raise ConfigError("filter subset does not match s")
-    nm = model.n * len(subset)
+    nm = model.n * len(flt.subset)
     D = np.zeros((nm, nm))
-    D[:: model.n] = model.sigma_v2 * flt.gain.T @ observability_matrix(model, subset).T
+    D[:: model.n] = model.sigma_v2 * flt.gain.T @ observability_matrix(model, flt.subset).T
     return D
 
 

@@ -7,7 +7,8 @@ blocks of all sensors once per model, and every per-subset quantity here
 reads its rows from that stack: O_s stacks the blocks of s in ascending
 sensor order.  The same window view induces a noise structure: the
 stacked window outputs are O_s x(t) + J_s wbar(t) + vbar_s(t), where wbar
-stacks the process noise over the window and vbar_s the sensor noise.
+stacks the process noise over the window and vbar_s the sensor noise;
+`noise_structure` builds their covariance from O_s without forming J_s.
 
 Every rank decision goes through one stacked helper, `_observable`: it
 gathers the O_s of a stack of equal-size subsets from the model's stack
@@ -20,7 +21,6 @@ lexicographic order, so memory stays bounded at any level size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -33,7 +33,6 @@ __all__ = [
     "SensorSubset",
     "normalize_subset",
     "full_subset",
-    "NoiseStructure",
     "observability_matrix",
     "is_observable",
     "sparse_observability_index",
@@ -68,20 +67,6 @@ def normalize_subset(s: Iterable[int], p: int) -> SensorSubset:
 
 def full_subset(p: int) -> SensorSubset:
     return tuple(range(1, p + 1))
-
-
-@dataclass(frozen=True)
-class NoiseStructure:
-    """Noise geometry of the stacked output window for one subset.
-
-    J maps the stacked process-noise window (length n*n) into the
-    stacked outputs; cov is the stationary covariance of the window
-    noise, sigma_w2 * J @ J.T + sigma_v2 * I.
-    """
-
-    subset: SensorSubset
-    J: np.ndarray    # (n * len(subset), n * n)
-    cov: np.ndarray  # (n * len(subset), n * len(subset))
 
 
 def _stacked_blocks(model: SystemModel, subsets: np.ndarray) -> np.ndarray:
@@ -174,19 +159,22 @@ def min_gram_eigenvalue(model: SystemModel, s: Iterable[int], k: int) -> float:
     return max(best, 0.0)
 
 
-def noise_structure(model: SystemModel, s: Iterable[int]) -> NoiseStructure:
-    subset = normalize_subset(s, model.p)
-    n = model.n
-    Os = observability_matrix(model, subset)
-    J = np.zeros((n * len(subset), n * n))
-    # Window row j of a sensor sees w(t + m), m < j, through C_i A^(j-1-m):
-    # row j-1-m of the sensor's observability block.
-    for idx in range(len(subset)):
-        Oi = Os[idx * n : (idx + 1) * n]
-        for j in range(1, n):
-            J[idx * n + j, : j * n] = Oi[j - 1 :: -1].reshape(-1)
-    cov = model.sigma_w2 * (J @ J.T) + model.sigma_v2 * np.eye(J.shape[0])
-    return NoiseStructure(subset=subset, J=J, cov=cov)
+def noise_structure(model: SystemModel, s: Iterable[int]) -> np.ndarray:
+    """Covariance of the stacked window noise of subset s, sigma_w2 J_s J_s'
+    + sigma_v2 I, shape (n |s|, n |s|): window row a of sensor i sees
+    w(t + m), m < a, through C_i A^(a-1-m), so the process-noise part of
+    entry ((i, a), (j, b)) is that of ((i, a-1), (j, b-1)) plus the
+    product of rows (i, a-1) and (j, b-1) of O_s."""
+    Os = observability_matrix(model, s)
+    n, k = model.n, len(Os) // model.n
+    products = (Os @ Os.T).reshape(k, n, k, n)  # [i, a, j, b]: rows (i, a), (j, b)
+    cov = np.zeros((n * k, n * k))
+    grid = cov.reshape(k, n, k, n)  # cov's entries, indexed as products
+    for a in range(1, n):
+        grid[:, a, :, 1:] = grid[:, a - 1, :, :-1] + products[:, a - 1, :, :-1]
+    cov *= model.sigma_w2
+    cov.flat[:: n * k + 1] += model.sigma_v2
+    return cov
 
 
 def block_output_gram(traj: Trajectory, t_start: int, count: int) -> np.ndarray:

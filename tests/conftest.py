@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from secest import SystemModel, make_random_stable_system
+from secest import SystemModel, make_random_stable_system, normalize_subset, observability_matrix
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +24,20 @@ def block_output_matrix(traj, s, t_start: int, count: int) -> np.ndarray:
     windows = [traj.outputs[t : t + traj.n, cols] for t in range(t_start, t_start + count)]
     assert t_start >= 0 and all(w.shape[0] == traj.n for w in windows)
     return np.array([w.T.reshape(-1) for w in windows])
+
+
+def window_noise_map(model, s) -> np.ndarray:
+    """Reference map J_s of the stacked process-noise window (length n n)
+    into the stacked window outputs of s, shape (n |s|, n n): the window
+    noise covariance is sigma_w2 J_s J_s' + sigma_v2 I."""
+    subset = normalize_subset(s, model.p)
+    n = model.n
+    Os = observability_matrix(model, subset)
+    J = np.zeros((n * len(subset), n * n))
+    # Window row j of a sensor sees w(t + m), m < j, through C_i A^(j-1-m):
+    # row j-1-m of the sensor's observability block.
+    for idx in range(len(subset)):
+        Oi = Os[idx * n : (idx + 1) * n]
+        for j in range(1, n):
+            J[idx * n + j, : j * n] = Oi[j - 1 :: -1].reshape(-1)
+    return J

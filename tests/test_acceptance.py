@@ -28,7 +28,6 @@ from secest import (
     exhaustive_search,
     make_random_stable_system,
     min_symbol_distance,
-    noise_structure,
     observability_matrix,
     run_filter,
     simulate,
@@ -45,6 +44,8 @@ from secest.cli import (
 )
 from secest.detect import residue_report
 from secest.pbsat import AT_LEAST, AT_MOST, PBConstraint, PBFormula, solve as pb_solve
+
+from conftest import window_noise_map
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -153,7 +154,7 @@ def test_criterion_03_residue_expectation_identity():
             traj = simulate(m, AttackSpec(), horizon, seed=seed, burn_in=30)
             run = run_filter(flt, traj, t1, t1 + biggest - 1)
             for N in sizes:
-                rep = residue_report(banks[N], traj, (1, 2, 3), run)
+                rep = residue_report(banks[N], traj, (1, 2, 3), run, banks[N].window_moment(traj))
                 per_N[N].append(
                     float(np.abs(rep.sample_matrix - rep.expected_matrix).max())
                 )
@@ -183,8 +184,8 @@ def test_criterion_04_cross_correction_oracle():
         )
         s = (1, 2)
         flt = solve_steady_state(m, s, FILTERING)
-        D = cross_covariance_correction(m, s, flt)
-        ns = noise_structure(m, s)
+        D = cross_covariance_correction(m, flt)
+        J = window_noise_map(m, s)
         Os = observability_matrix(m, s)
         T = 10**6
         d = n * p
@@ -193,7 +194,7 @@ def test_criterion_04_cross_correction_oracle():
         for _ in range(10):
             W = np.sqrt(m.sigma_w2) * rng.standard_normal((100_000, n * n))
             Vb = np.sqrt(m.sigma_v2) * rng.standard_normal((100_000, d))
-            Z = W @ ns.J.T + Vb
+            Z = W @ J.T + Vb
             U = Vb[:, [c * n for c in range(p)]] @ (Os @ flt.gain).T
             mean += Z.T @ U
             meansq += (Z**2).T @ (U**2)

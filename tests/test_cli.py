@@ -160,6 +160,24 @@ def test_overflowing_trajectory_exits_3(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_overflowing_window_products_exit_3(tmp_path, capsys):
+    # a finite trajectory near 1e300 whose window products pass 1.8e308:
+    # the residue test refuses it in one line and writes no artifact
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    doc["model"]["explicit"]["A"] = [[0.5]]
+    doc.update(x0=[1e300], burn_in=0)
+    doc["detector"].update(eta=1.0, N=300, t1=0)
+    scenario = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    for command in ("detect", "search", "exp1"):
+        for fmt in ("csv", "json"):
+            assert main([command, "--scenario", scenario, "--out", str(out), "--format", fmt]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("analysis error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 ALL_COMMANDS = ("simulate", "detect", "search", "exp1", "exp2", "decode-noiseless", "obsv")
 
 

@@ -160,6 +160,19 @@ def test_window_rounding_and_horizon_guard():
         attack_detect(m, traj, (1, 2), cfg)
 
 
+def test_overflowing_window_products_raise():
+    # outputs near 1e300 are finite but their window products are not: the
+    # window moment is refused, and so is K against a finite moment
+    m = SystemModel(A=[[0.5]], C=[[1.0], [1.0], [1.0]], sigma_w2=1.0, sigma_v2=1.0)
+    bank = SubsetBank(m, DetectorConfig(epsilon=1.0, eta=1.0, N=300, t1=0))
+    traj = simulate(m, AttackSpec(), 300, x0=np.array([1e300]), burn_in=0)
+    with pytest.raises(AnalysisError, match="window moment"):
+        bank.detector(traj)
+    run = run_filter(bank.filter((1, 2)), traj, 0, 299)
+    with pytest.raises(AnalysisError, match="window products"):
+        residue_report(bank, traj, (1, 2), run, np.zeros((3, 3)))
+
+
 def test_report_serializes():
     m = make_random_stable_system(2, 2, 0.8, seed=1, sigma_w2=0.5, sigma_v2=0.5)
     cfg = _small_cfg(N=500, eta=2.0)
@@ -220,7 +233,7 @@ def test_false_alarm_rate_nonincreasing_in_window():
         flt = solve_steady_state(m, (1, 2, 3), PREDICTION)
         run = run_filter(flt, traj, t1, t1 + biggest - 1)
         for N in sizes:
-            rep = residue_report(banks[N], traj, (1, 2, 3), run)
+            rep = residue_report(banks[N], traj, (1, 2, 3), run, banks[N].window_moment(traj))
             flags[N] += 0 if rep.passed else 1
     rates = [flags[N] for N in sizes]
     assert rates[0] >= rates[1] >= rates[2]
@@ -278,7 +291,7 @@ def test_bank_matches_from_scratch_reference(mode):
             F = flt.error_cov if mode == PREDICTION else flt.filtered_cov
             expected = Os @ F @ Os.T + M
             if mode == FILTERING:
-                D = cross_covariance_correction(m, s, flt)
+                D = cross_covariance_correction(m, flt)
                 expected = expected - D - D.T
             run = run_filter(flt, traj, cfg.t1, cfg.t1 + N - 1)
             residues = block_output_matrix(traj, s, cfg.t1, N) - run.estimates @ Os.T
@@ -434,9 +447,9 @@ def test_large_bias_matches_direct_residue_formula():
             Os = observability_matrix(m, s)
             residues = block_output_matrix(traj, s, cfg.t1, N) - run.estimates @ Os.T
             F = flt.error_cov if mode == PREDICTION else flt.filtered_cov
-            expected = Os @ F @ Os.T + noise_structure(m, s).cov
+            expected = Os @ F @ Os.T + noise_structure(m, s)
             if mode == FILTERING:
-                D = cross_covariance_correction(m, s, flt)
+                D = cross_covariance_correction(m, flt)
                 expected = expected - D - D.T
             deviation = residues.T @ residues / N - expected
             traces = [np.trace(deviation[c * n : (c + 1) * n, c * n : (c + 1) * n]) for c in range(len(s))]

@@ -19,6 +19,8 @@ from secest import (
     worst_subset,
 )
 
+from conftest import window_noise_map
+
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
@@ -196,7 +198,7 @@ def test_cross_correction_scalar_window(triple_sensor_scalar):
     # window length one makes the selector the identity
     s = (1, 2)
     flt = solve_steady_state(triple_sensor_scalar, s, FILTERING)
-    D = cross_covariance_correction(triple_sensor_scalar, s, flt)
+    D = cross_covariance_correction(triple_sensor_scalar, flt)
     Os = observability_matrix(triple_sensor_scalar, s)
     assert np.allclose(D, triple_sensor_scalar.sigma_v2 * flt.gain.T @ Os.T)
 
@@ -211,7 +213,7 @@ def test_cross_correction_matches_selector_product():
     for c in range(len(s)):
         E1[c * m.n, c] = 1.0
     expected = m.sigma_v2 * E1 @ flt.gain.T @ observability_matrix(m, s).T
-    D = cross_covariance_correction(m, s, flt)
+    D = cross_covariance_correction(m, flt)
     assert np.max(np.abs(D - expected)) <= 16 * np.finfo(float).eps * np.max(np.abs(expected))
 
 
@@ -219,7 +221,7 @@ def test_cross_correction_zero_sensor_noise_limit():
     # as sigma_v2 -> 0 the correction scales to zero with it
     m = make_random_stable_system(3, 2, 0.8, seed=2, sigma_w2=1.0, sigma_v2=1e-9)
     flt = solve_steady_state(m, (1, 2), FILTERING)
-    D = cross_covariance_correction(m, (1, 2), flt)
+    D = cross_covariance_correction(m, flt)
     assert np.max(np.abs(D)) <= 1e-6
 
 
@@ -228,16 +230,14 @@ def test_cross_correction_monte_carlo():
     m = make_random_stable_system(3, 2, 0.8, seed=7, sigma_w2=0.4, sigma_v2=0.9)
     s = (1, 2)
     flt = solve_steady_state(m, s, FILTERING)
-    D = cross_covariance_correction(m, s, flt)
-    from secest import noise_structure
-
-    ns = noise_structure(m, s)
+    D = cross_covariance_correction(m, flt)
+    J = window_noise_map(m, s)
     Os = observability_matrix(m, s)
     n, ms = m.n, len(s)
     T = 200_000
     W = np.sqrt(m.sigma_w2) * rng.standard_normal((T, n * n))
     Vbar = np.sqrt(m.sigma_v2) * rng.standard_normal((T, n * ms))
-    Z = W @ ns.J.T + Vbar
+    Z = W @ J.T + Vbar
     vt = Vbar[:, [c * n for c in range(ms)]]
     U = vt @ (Os @ flt.gain).T
     est = Z.T @ U / T
@@ -248,7 +248,7 @@ def test_cross_correction_monte_carlo():
 def test_cross_correction_mode_error(triple_sensor_scalar):
     flt = solve_steady_state(triple_sensor_scalar, (1, 2), PREDICTION)
     with pytest.raises(ConfigError):
-        cross_covariance_correction(triple_sensor_scalar, (1, 2), flt)
+        cross_covariance_correction(triple_sensor_scalar, flt)
 
 
 def test_worst_subset_symmetric_tie(triple_sensor_scalar):

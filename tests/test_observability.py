@@ -17,7 +17,7 @@ from secest import (
     sparse_observability_index,
 )
 
-from conftest import block_output_matrix
+from conftest import block_output_matrix, window_noise_map
 
 
 def test_scalar_blocks_and_stack(triple_sensor_scalar):
@@ -120,25 +120,43 @@ def test_min_gram_eigenvalue_unobservable_subset():
 
 
 def test_noise_structure_scalar(triple_sensor_scalar):
-    ns = noise_structure(triple_sensor_scalar, (1, 2, 3))
-    assert np.array_equal(ns.J, np.zeros((3, 1)))
-    assert np.allclose(ns.cov, np.eye(3) * triple_sensor_scalar.sigma_v2)
+    assert np.array_equal(window_noise_map(triple_sensor_scalar, (1, 2, 3)), np.zeros((3, 1)))
+    cov = noise_structure(triple_sensor_scalar, (1, 2, 3))
+    assert np.allclose(cov, np.eye(3) * triple_sensor_scalar.sigma_v2)
 
 
 def test_noise_structure_block_pattern():
     m = SystemModel(A=np.eye(2), C=[[1.0, 0.0]], sigma_w2=0.5, sigma_v2=0.25)
-    ns = noise_structure(m, (1,))
     expected_J = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    assert np.array_equal(ns.J, expected_J)
+    assert np.array_equal(window_noise_map(m, (1,)), expected_J)
     expected_cov = 0.5 * np.array([[0.0, 0.0], [0.0, 1.0]]) + 0.25 * np.eye(2)
-    assert np.allclose(ns.cov, expected_cov)
+    assert np.allclose(noise_structure(m, (1,)), expected_cov)
 
 
 def test_noise_structure_psd_floor():
     m = make_random_stable_system(5, 3, 0.8, seed=4, sigma_w2=0.3, sigma_v2=0.9)
-    ns = noise_structure(m, (1, 2, 3))
-    eigs = np.linalg.eigvalsh(ns.cov)
+    eigs = np.linalg.eigvalsh(noise_structure(m, (1, 2, 3)))
     assert np.all(eigs >= 0.9 - 1e-10)
+
+
+def test_noise_covariance_matches_window_map():
+    # the diagonal recursion from O_s O_s' against sigma_w2 J J' + sigma_v2 I
+    # with J built row by row; every fifth plant has no process noise
+    rng = np.random.default_rng(14)
+    eps = np.finfo(float).eps
+    for idx in range(40):
+        n, p = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        sigma_w2 = 0.0 if idx % 5 == 0 else float(rng.uniform(0.1, 2.0))
+        m = make_random_stable_system(
+            n, p, 0.9, seed=300 + idx, sigma_w2=sigma_w2, sigma_v2=float(rng.uniform(0.1, 2.0))
+        )
+        size = int(rng.integers(1, p + 1))
+        s = tuple(sorted(rng.choice(np.arange(1, p + 1), size, replace=False).tolist()))
+        J = window_noise_map(m, s)
+        expected = m.sigma_w2 * (J @ J.T) + m.sigma_v2 * np.eye(n * len(s))
+        cov = noise_structure(m, s)
+        assert isinstance(cov, np.ndarray) and cov.shape == expected.shape
+        assert np.abs(cov - expected).max() <= 16 * eps * np.abs(cov).max()
 
 
 def test_block_outputs_scalar_window():
