@@ -20,27 +20,22 @@ and raises AnalysisError at once on a non-finite or numerically singular
 quantity.  Prediction mode returns the one-step-ahead gain; filtering
 mode returns the measurement-update gain and the filtered covariance.
 
-Both modes run the same estimate recursion x <- closed_loop x + gain y,
-as an exact two-level scan over its T rows.  With L = isqrt(T - 1) + 1
-rows per chunk and B = ceil(T / L) chunks, it runs the recursion inside
-every chunk at once from a zero state (L - 1 products of B rows), forms
-the powers closed_loop^1..L (L - 1 n x n products), carries the state
-across chunks (B - 1 vector products) and adds each carried state times
-the powers to its chunk in one product: about 2 sqrt(T) Python steps and
-3 T n^2 flops, with no term truncated.
+Both modes run the same estimate recursion x <- closed_loop x + gain y
+through the exact two-level chunked scan that also runs `simulate`'s
+state recursion (`secest.model._linear_scan`): over T rows it takes
+about 2 sqrt(T) Python steps and 3 T n^2 flops, with no term truncated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
 from typing import Iterable
 
 import numpy as np
 
 from .errors import AnalysisError, ConfigError
-from .model import SystemModel, Trajectory
+from .model import SystemModel, Trajectory, _linear_scan, _scan_buffer
 from .observability import (
     SensorSubset,
     is_observable,
@@ -225,29 +220,16 @@ def run_filter(
     if cols[-1] >= traj.p or flt.n != traj.n:
         raise ConfigError("filter does not match trajectory dimensions")
 
-    # Rows xs[r] = xs[r - 1] M + u[r], with M = closed_loop', u[0] = 0 and
-    # u[r] = (gain y_s(r - 1))', scanned in B chunks of L rows (see the
-    # module docstring).  A filtering estimate uses y_s(t), so x_hat(t) =
+    # Rows xs[r] = xs[r - 1] closed_loop' + u[r], with u[0] = 0 and u[r] =
+    # (gain y_s(r - 1))'.  A filtering estimate uses y_s(t), so x_hat(t) =
     # xs[t + 1]; a prediction estimate does not, so x_hat(t) = xs[t].  xs
     # is allocated before the temporaries, so freeing them can shrink the
     # heap.
-    n, lag = traj.n, int(flt.mode == FILTERING)
+    lag = int(flt.mode == FILTERING)
     T = t_end + 1 + lag
-    L = isqrt(T - 1) + 1
-    B = -(-T // L)
-    xs = np.zeros((B * L, n))  # rows T and above pad the last chunk
+    xs = _scan_buffer(T, traj.n)
     np.matmul(traj.outputs[: T - 1, cols], flt.gain.T, out=xs[1:T])
-    M = flt.closed_loop.T
-    chunks = xs.reshape(B, L, n)
-    powers = np.empty((n, L, n))  # powers[:, j] = M^(j + 1)
-    powers[:, 0] = M
-    for j in range(1, L):  # the recursion inside every chunk from a zero state
-        chunks[:, j] += chunks[:, j - 1] @ M
-        powers[:, j] = powers[:, j - 1] @ M
-    carry = np.zeros((B, n))  # carry[b] = xs[b L - 1], the state entering chunk b
-    for b in range(1, B):
-        carry[b] = carry[b - 1] @ powers[:, L - 1] + chunks[b - 1, L - 1]
-    xs.reshape(B, L * n)[1:] += carry[1:] @ powers.reshape(n, L * n)
+    _linear_scan(xs, flt.closed_loop.T)
     est = xs[t_start + lag : T]
     est.setflags(write=False)
     return FilterRun(estimates=est, t_start=t_start, t_end=t_end)

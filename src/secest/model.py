@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
@@ -191,8 +192,9 @@ class Trajectory:
     """Simulated run of the attacked plant.
 
     ``outputs = clean_outputs + sensor noise + attack`` holds row-wise;
-    the noise draws are recoverable from the stored arrays
-    (v = outputs - clean_outputs - attack, w = states[1:] - states[:-1] @ A.T).
+    the noise draws are recoverable from the stored arrays: v = outputs -
+    clean_outputs - attack exactly, w = states[1:] - states[:-1] @ A.T up
+    to the rounding of the state recursion.
     """
 
     states: np.ndarray          # (horizon, n)
@@ -212,6 +214,46 @@ class Trajectory:
     @property
     def p(self) -> int:
         return self.outputs.shape[1]
+
+
+def _scan_buffer(T: int, n: int) -> np.ndarray:
+    """A zero (B L, n) buffer for `_linear_scan` over T rows: B = ceil(T / L)
+    chunks of L = isqrt(T - 1) + 1 rows; rows T and above pad the last chunk."""
+    L = isqrt(T - 1) + 1
+    return np.zeros((-(-T // L) * L, n))
+
+
+def _linear_scan(xs: np.ndarray, M: np.ndarray) -> None:
+    """Run xs[r] = xs[r - 1] M + xs[r] for r >= 1 in place over a
+    `_scan_buffer`, whose row 0 holds the initial state and rows 1.. the
+    inputs.
+
+    An exact two-level scan: it runs the recursion inside every chunk at
+    once from a zero state (L - 1 products of B rows), forms the powers
+    M^1..L (L - 1 n x n products), carries the state across chunks (B - 1
+    vector products) and adds each carried state times the powers to its
+    chunk, in slices of chunk rows whose product stays within 256 KiB (one
+    slice on short runs): about 2 sqrt(T) Python steps and 3 T n^2 flops,
+    with no term truncated.  The pad rows continue the recursion with zero
+    input; they may overflow where the T rows do not.
+    """
+    n = M.shape[0]
+    # (L - 1)^2 < T <= B L <= L^2, so the buffer's row count gives back L
+    L = isqrt(xs.shape[0] - 1) + 1
+    B = xs.shape[0] // L
+    chunks = xs.reshape(B, L, n)
+    powers = np.empty((n, L, n))  # powers[:, j] = M^(j + 1)
+    powers[:, 0] = M
+    for j in range(1, L):  # the recursion inside every chunk from a zero state
+        chunks[:, j] += chunks[:, j - 1] @ M
+        powers[:, j] = powers[:, j - 1] @ M
+    carry = np.zeros((B, n))  # carry[b] = xs[b L - 1], the state entering chunk b
+    for b in range(1, B):
+        carry[b] = carry[b - 1] @ powers[:, L - 1] + chunks[b - 1, L - 1]
+    J = max(1, 2**15 // (B * n))  # chunk rows per product: at most 256 KiB of it
+    for j in range(0, L, J):
+        rows = chunks[1:, j : j + J]
+        rows += (carry[1:] @ powers[:, j : j + J].reshape(n, -1)).reshape(rows.shape)
 
 
 def _check_array_size(rows: int, cols: int) -> None:
@@ -266,16 +308,18 @@ def simulate(
     ]
     sw = float(np.sqrt(model.sigma_w2))
     sv = float(np.sqrt(model.sigma_v2))
-    W = sw * w_rng.standard_normal((total, n)) if sw > 0 else np.zeros((total, n))
+
+    # X[t + 1] = A X[t] + w(t) as rows: row 0 is x0 and row t + 1 is w(t)',
+    # drawn in place; w(total - 1) would only reach a state past the horizon
+    xs = _scan_buffer(total, n)
+    xs[0] = x0
+    if sw > 0:
+        w_rng.standard_normal(out=xs[1:total])
+        xs[1:total] *= sw
+    _linear_scan(xs, model.A.T)
+    X = xs[burn_in:total]
+
     V = sv * v_rng.standard_normal((total, p)) if sv > 0 else np.zeros((total, p))
-
-    X = np.empty((total, n))
-    X[0] = x0
-    A = model.A
-    for t in range(total - 1):
-        X[t + 1] = A @ X[t] + W[t]
-
-    X = X[burn_in:]
     V = V[burn_in:]
     clean = X @ model.C.T
     a = np.zeros((horizon, p))

@@ -155,6 +155,8 @@ def test_window_rounding_and_horizon_guard():
     m = make_random_stable_system(3, 2, 0.85, seed=9)
     cfg = DetectorConfig(epsilon=1.0, eta=1.0, N=1000, t1=10)
     assert cfg.window_length(3) == 1002
+    # integer rounding: a float quotient would give back 2**53 here
+    assert DetectorConfig(epsilon=1, eta=1, N=2**53 + 1).window_length(1) == 2**53 + 1
     traj = simulate(m, AttackSpec(), 500, seed=0)
     with pytest.raises(ConfigError):
         attack_detect(m, traj, (1, 2), cfg)
@@ -171,6 +173,35 @@ def test_overflowing_window_products_raise():
     run = run_filter(bank.filter((1, 2)), traj, 0, 299)
     with pytest.raises(AnalysisError, match="window products"):
         residue_report(bank, traj, (1, 2), run, np.zeros((3, 3)))
+
+
+# 16 n^2 rows is the size rule's edge at n=4; n=20, N=20000 and n=50,
+# N=300 are the experiment-1 and experiment-2 windows
+@pytest.mark.parametrize(
+    "n, s, N, axis", [(4, 2, 256, 1), (4, 2, 255, 0), (20, 3, 20000, 1), (50, 8, 300, 0)]
+)
+def test_lag_products_match_per_lag_loop(monkeypatch, n, s, N, axis):
+    # each layout is within the dot-product rounding bound 2 N eps |y|'|x|
+    # of a per-lag product; axis 1 slides the contiguous copy, 0 the outputs
+    from secest import detect
+
+    axes = []
+
+    def spy(x, window_shape, axis):
+        axes.append(axis)
+        return np.lib.stride_tricks.sliding_window_view(x, window_shape, axis=axis)
+
+    monkeypatch.setattr(detect, "sliding_window_view", spy)
+    rng = np.random.default_rng(n + N)
+    outputs = rng.standard_normal((N + n - 1, s + 2))[:, 1 : s + 1]
+    est = rng.standard_normal((N, n))
+    products = detect._lag_products(outputs, est)
+    assert axes == [axis]
+    assert products.shape == (s, n, n)
+    for j in range(n):
+        window = outputs[j : j + N]
+        bound = 2 * N * np.finfo(float).eps * (np.abs(window).T @ np.abs(est))
+        assert np.all(np.abs(products[:, j] - window.T @ est) <= bound)
 
 
 def test_report_serializes():

@@ -74,6 +74,47 @@ def test_determinism_bitwise():
         assert np.array_equal(x, y)
 
 
+def _long_double_states(model, horizon, x0, seed, burn_in):
+    """Reference: the state recursion one step at a time in long double,
+    from a fresh draw of the process-noise stream (the first of the three
+    PCG64 children of ``seed``).  Returns the recorded states and the w(t)
+    that enter them."""
+    n, total = model.n, burn_in + horizon
+    w_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(3)[0]))
+    W = float(np.sqrt(model.sigma_w2)) * w_rng.standard_normal((total, n))
+    A = model.A.astype(np.longdouble)
+    X = np.empty((total, n), dtype=np.longdouble)
+    X[0] = np.zeros(n) if x0 is None else x0
+    for t in range(total - 1):
+        X[t + 1] = A @ X[t] + W[t]
+    return X[burn_in:], W[burn_in : total - 1]
+
+
+# simulate scans burn_in + horizon rows in B chunks of L = isqrt(rows - 1) + 1
+# rows: 361 = 19 * 19 rows fill a square grid, 399 leave one pad row in a
+# 20 * 20 grid, and 421 put a single row in the last of 21 chunks of 21
+@pytest.mark.parametrize(
+    "n, p, sigma_w2, horizon, burn_in, x0",
+    [
+        (5, 4, 0.3, 341, 20, None),
+        (5, 4, 0.3, 379, 20, [3.0, -1.0, 0.5, 2.0, -4.0]),
+        (5, 4, 0.3, 421, 0, [3.0, -1.0, 0.5, 2.0, -4.0]),
+        (5, 4, 0.0, 399, 0, [3.0, -1.0, 0.5, 2.0, -4.0]),
+        (20, 5, 0.01, 20220, 200, None),  # the experiment-1 plant and horizon
+    ],
+)
+def test_simulate_matches_long_double_recursion(n, p, sigma_w2, horizon, burn_in, x0):
+    m = make_random_stable_system(n, p, 0.9, seed=100, sigma_w2=sigma_w2, sigma_v2=0.5)
+    traj = simulate(m, AttackSpec(), horizon=horizon, x0=x0, seed=4, burn_in=burn_in)
+    ref, W = _long_double_states(m, horizon, x0, 4, burn_in)
+    bound = 16 * np.finfo(float).eps * float(np.max(np.abs(ref)))
+    assert traj.states.shape == ref.shape
+    assert float(np.max(np.abs(traj.states - ref))) <= bound
+    # the noise draws are unchanged: w recovered from the states is the draw
+    recovered = traj.states[1:] - traj.states[:-1] @ m.A.T
+    assert float(np.max(np.abs(recovered - W))) <= bound
+
+
 def test_attack_support_confined():
     m = make_random_stable_system(3, 4, 0.8, seed=2)
     for strat in (ZeroOutput(), NoiseLinear(2.0), SeededRandom(0.5)):
@@ -151,7 +192,10 @@ def test_overflowing_trajectory_is_an_analysis_error():
     unstable = SystemModel(A=[[3.0]], C=[[1.0], [1.0]], sigma_w2=1.0, sigma_v2=1.0)
     with pytest.raises(AnalysisError, match="overflow"):
         simulate(unstable, AttackSpec(), horizon=700, seed=0)
-    simulate(unstable, AttackSpec(), horizon=600, seed=0)
+    # 640 rows scan as 25 chunks of 26: the 10 pad rows past the horizon
+    # overflow, the recorded ones do not
+    traj = simulate(unstable, AttackSpec(), horizon=640, seed=0)
+    assert np.isfinite(traj.outputs).all() and np.abs(traj.states).max() > 1e304
     stable = SystemModel(A=[[0.5]], C=[[1.0], [1.0]], sigma_w2=1.0, sigma_v2=1.0)
     assert np.isfinite(simulate(stable, AttackSpec(), horizon=50, x0=[1e300], seed=0).outputs).all()
     # the product of a finite state and C, and an attack gain, overflow too
