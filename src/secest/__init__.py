@@ -57,7 +57,6 @@ from .observability import (
     sparse_observability_index,
 )
 from .pbsat import (
-    Assignment,
     PBConstraint,
     PBFormula,
     at_least,

@@ -563,7 +563,7 @@ def run_scenario(scenario: Scenario) -> dict:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
 
 
@@ -598,13 +598,11 @@ def _strip_timing(obj):
 # Subcommands
 
 
-def _emit(args, name: str, rows: list[dict] | None = None, obj=None) -> str:
+def _emit(args, name: str, rows: list[dict], obj=None) -> str:
     """Write the artifact in the requested format and return its path."""
     if args.no_timing:
         rows, obj = _strip_timing(rows), _strip_timing(obj)
     if args.format == "csv":
-        if rows is None:
-            raise ScenarioError(f"{name} has no CSV rendering; use --format json")
         path = os.path.join(args.out, f"{name}.csv")
         write_csv(path, rows, name)
     else:

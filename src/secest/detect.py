@@ -51,6 +51,8 @@ Nearly every tested subset fails, so a test first screens the deviation's
 diagonal, diag(moment)[s] - 2 rowsum(O_s * K'), and fails at once on an
 entry above eta by more than its rounding bound; such a failure forms its
 deviation, bit for bit, only when read.  The flags are the full test's.
+Every test forms its per-sensor scores on first read; in a search only
+certificate shrinking reads them.
 
 Every test runs through a `SubsetBank`, which owns the per-subset
 quantities of one model: O_s is a row selection of the model's
@@ -145,30 +147,35 @@ class DetectorConfig:
 class ResidueReport:
     """Outcome of one residue test.
 
-    ``deviation`` is the (n|s|)^2 sample - expected average of r r' and
-    ``max_deviation`` its largest entry.  A failure settled by the diagonal
-    screen gives None for both and a ``build``, which holds the window
-    moment; both are then formed on first read, as are ``sample_matrix``
-    and ``expected_matrix``."""
+    ``passed`` is decided here: a test failed by the diagonal screen
+    (``screened``) fails, any other passes when ``max_deviation <= eta``.
+    The rest is formed on first read: ``deviation``, the (n|s|)^2 sample -
+    expected average of r r', by ``build``, which holds the window moment
+    until then, and from it ``max_deviation`` and ``sample_matrix``;
+    ``per_sensor_mu`` by ``scores``; ``expected_matrix`` by ``expectation``."""
 
     def __init__(
-        self, subset: SensorSubset, mode: str, deviation: np.ndarray | None,
-        max_deviation: float | None, eta: float, passed: bool, per_sensor_mu: dict[int, float],
-        n_samples: int, t1: int, expectation: Callable, build: Callable | None = None
+        self, subset: SensorSubset, mode: str, eta: float, n_samples: int, t1: int,
+        screened: bool, build: Callable, scores: Callable, expectation: Callable
     ):
-        self.subset, self.mode, self.eta, self.passed = subset, mode, eta, passed
-        self.per_sensor_mu, self.n_samples, self.t1 = per_sensor_mu, n_samples, t1
-        self.expectation, self._build = expectation, build
-        if deviation is not None:
-            self.deviation, self.max_deviation = deviation, max_deviation
+        self.subset, self.mode, self.eta = subset, mode, eta
+        self.n_samples, self.t1, self.expectation = n_samples, t1, expectation
+        self._build, self._scores = build, scores
+        self.passed = not screened and self.max_deviation <= eta
 
     @cached_property
     def deviation(self) -> np.ndarray:
-        return self._build()
+        deviation, self._build = self._build(), None  # drops the window moment
+        return deviation
 
     @cached_property
     def max_deviation(self) -> float:
         return float(self.deviation.max())
+
+    @cached_property
+    def per_sensor_mu(self) -> dict[int, float]:
+        """Residue score of each sensor of the subset (see `_sensor_scores`)."""
+        return self._scores()
 
     @cached_property
     def expected_matrix(self) -> np.ndarray:
@@ -364,32 +371,23 @@ def residue_report(
     diagonal = rows - dots - dots
     bound = np.abs(rows) + 2.0 * np.abs(products).sum(axis=1)
     margin = 8.0 * n * (np.finfo(float).eps * bound + np.finfo(float).smallest_subnormal)
-    build = partial(_deviation, moment, n, subset, Os, Kt)
-    deviation = max_dev = None  # a screened failure builds them on first read
-    if not np.any(diagonal - eta > margin):
-        deviation, build = build(), None
-        max_dev = float(deviation.max())
-
-    # Per-sensor scores for conflict localization: trace of the screened
-    # diagonal on the sensor's block, offset by eta*n and normalized by the
-    # sensor's observability energy.
-    traces = diagonal.reshape(len(subset), n).sum(axis=1)
-    mu = {
-        i: abs(float(tr) - eta * n) / bank.gram_maxima[i] for i, tr in zip(subset, traces)
-    }
     return ResidueReport(
-        subset=subset,
-        mode=cfg.mode,
-        deviation=deviation,
-        max_deviation=max_dev,
-        eta=eta,
-        passed=max_dev is not None and max_dev <= eta,
-        per_sensor_mu=mu,
-        n_samples=N,
-        t1=cfg.t1,
+        subset, cfg.mode, eta, N, cfg.t1,
+        screened=bool(np.any(diagonal - eta > margin)),
+        build=partial(_deviation, moment, n, subset, Os, Kt),
+        scores=partial(_sensor_scores, bank.gram_maxima, subset, diagonal, eta),
         expectation=partial(expected_residue_matrix, bank, flt),
-        build=build,
     )
+
+
+def _sensor_scores(maxima: dict, subset: SensorSubset, diagonal: np.ndarray, eta: float) -> dict:
+    """Per-sensor scores for conflict localization: the trace of the
+    screened diagonal on each sensor's block, offset by eta n and
+    normalized by the sensor's observability energy, ``maxima[i]`` =
+    lambda_max(O_i' O_i)."""
+    n = len(diagonal) // len(subset)
+    traces = diagonal.reshape(len(subset), n).sum(axis=1)
+    return {i: abs(float(tr) - eta * n) / maxima[i] for i, tr in zip(subset, traces)}
 
 
 def _lag_products(outputs: np.ndarray, est: np.ndarray) -> np.ndarray:

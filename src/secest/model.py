@@ -79,15 +79,19 @@ class SystemModel:
         return self.C.shape[0]
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
     def observability_stack(self) -> np.ndarray:
         """Read-only rows C_i A^j (j = 0..n-1) of every sensor, sensor-major:
         sensor i's n-row observability block starts at row (i - 1) * n.
         Every subset's O_s is a row selection of it; see
-        `secest.observability.observability_matrix`."""
+        `secest.observability.observability_matrix`.  Raises AnalysisError
+        when a row passes the float64 range."""
         powers = [np.eye(self.n)]
         for _ in range(self.n - 1):
             powers.append(powers[-1] @ self.A)
         stack = np.vstack([ci @ Aj for ci in self.C for Aj in powers])
+        if not np.isfinite(stack).all():
+            raise AnalysisError("the observability rows C_i A^j overflow float64")
         stack.setflags(write=False)
         return stack
 

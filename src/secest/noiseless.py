@@ -74,6 +74,7 @@ class DecodeResult:
     unique: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def encode(model: SystemModel, x0: np.ndarray) -> SymbolObservation:
     """Clean observation vector of initial state x0: Y_d = O_d x0."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -82,24 +83,34 @@ def encode(model: SystemModel, x0: np.ndarray) -> SymbolObservation:
     symbols = np.vstack(
         [observability_matrix(model, (d,)) @ x0 for d in range(1, model.p + 1)]
     )
-    return SymbolObservation(symbols)
+    return SymbolObservation(_finite(symbols, "symbols O_d x0"))
+
+
+def _finite(values, what: str):
+    """``values``, or AnalysisError when one is past the float64 range."""
+    if not np.isfinite(values).all():
+        raise AnalysisError(f"{what} overflow float64")
+    return values
 
 
 def _fit(stacked_O: np.ndarray, stacked_Y: np.ndarray) -> tuple[np.ndarray, float]:
     x, *_ = np.linalg.lstsq(stacked_O, stacked_Y, rcond=None)
     residual = float(np.linalg.norm(stacked_O @ x - stacked_Y))
-    return x, residual
+    return x, _finite(residual, "fit residuals")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused in _finite
 def detect_corruption(model: SystemModel, obs: SymbolObservation) -> bool:
-    """True when no single state explains all symbols simultaneously."""
+    """True when no single state explains all symbols simultaneously;
+    AnalysisError when their norm or fit residual overflows float64."""
     if obs.p != model.p:
         raise ConfigError("observation does not match the model's sensor count")
     if not is_observable(model, full_subset(model.p)):
         raise AnalysisError("full sensor set is not observable")
     Y = obs.symbols.reshape(-1)
     _, residual = _fit(observability_matrix(model, full_subset(model.p)), Y)
-    return residual > CONSISTENCY_RTOL * (1.0 + float(np.linalg.norm(Y)))
+    norm = _finite(float(np.linalg.norm(Y)), "symbol norms")
+    return residual > CONSISTENCY_RTOL * (1.0 + norm)
 
 
 def _stacked_fits(O: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,9 +124,10 @@ def _stacked_fits(O: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     coef = (Y[:, None, :] @ U)[:, 0] * inverse
     x = (coef[:, None, :] @ Vh)[:, 0]
     residual = np.linalg.norm((O @ x[:, :, None])[:, :, 0] - Y, axis=1)
-    return x, residual
+    return x, _finite(residual, "fit residuals")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused in _finite
 def decode(
     model: SystemModel,
     obs: SymbolObservation,
@@ -131,7 +143,7 @@ def decode(
     on, and ``unique`` records whether every consistent subset agrees on
     the state (the scan stops at the first that does not); ambiguous
     observations are reported, not hidden.  Raises AnalysisError when no
-    subset is consistent.
+    subset is consistent, or a symbol norm or fit residual overflows.
 
     Subsets are fitted SUBSET_SLICE at a time by one batched SVD, and the
     consistency and agreement checks use those fits; without
@@ -148,7 +160,7 @@ def decode(
     for chunk in _subset_slices(full_subset(model.p), model.p - k):
         Y = obs.symbols[chunk].reshape(len(chunk), -1)
         x, residual = _stacked_fits(_stacked_blocks(model, chunk), Y)
-        bound = CONSISTENCY_RTOL * (1.0 + np.linalg.norm(Y, axis=1))
+        bound = CONSISTENCY_RTOL * (1.0 + _finite(np.linalg.norm(Y, axis=1), "symbol norms"))
         hits = np.flatnonzero(~(residual > bound))
         if hits.size == 0:
             continue

@@ -112,9 +112,7 @@ def is_observable(model: SystemModel, s: Iterable[int]) -> bool:
     return bool(_observable(model, np.subtract([subset], 1))[0])
 
 
-def sparse_observability_index(
-    model: SystemModel, max_sensors: int = DEFAULT_SENSOR_CAP
-) -> int:
+def sparse_observability_index(model: SystemModel) -> int:
     """Largest theta such that every subset of p - theta sensors is
     observable; -1 when even the full set is not.
 
@@ -124,10 +122,8 @@ def sparse_observability_index(
     failing one is decided.
     """
     p = model.p
-    if p > max_sensors:
-        raise ConfigError(
-            f"p={p} exceeds the enumeration cap {max_sensors}; raise max_sensors explicitly"
-        )
+    if p > DEFAULT_SENSOR_CAP:
+        raise ConfigError(f"p={p} exceeds the enumeration cap {DEFAULT_SENSOR_CAP}")
     if not is_observable(model, full_subset(p)):
         return -1
     for removed in range(1, p):

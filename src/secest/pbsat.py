@@ -25,7 +25,6 @@ __all__ = [
     "AT_LEAST",
     "PBConstraint",
     "PBFormula",
-    "Assignment",
     "at_most",
     "at_least",
     "solve",
@@ -33,8 +32,6 @@ __all__ = [
 
 AT_MOST = "atmost"
 AT_LEAST = "atleast"
-
-Assignment = tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ def _true_count_cap(formula: PBFormula) -> int:
     return cap
 
 
-def solve(formula: PBFormula) -> Assignment | None:
+def solve(formula: PBFormula) -> tuple[bool, ...] | None:
     """Satisfying assignment with minimal true count (ties: smallest true
     index set, compared lexicographically), or None when unsatisfiable."""
     bits = [1 << i for i in range(formula.num_vars)]

@@ -10,14 +10,12 @@ space, so failed detector runs are reused to localize the conflict.
 
 The attack bound k is the detector configuration's ``k``, the one
 value that also drives the auto threshold; a search without it is a
-configuration error.  ``theory_checks`` counts the detector runs spent on
-search hypotheses; ``detector_calls`` additionally includes the
-certificate-shrinking runs, and the trace records every call for audits.
-``wall_time`` is the search's one clock, the seconds from the start of
-its subset tests to its outcome; experiment 2 reports it as is.  Unless a
-detector is injected, each search call tests every subset against one
-`SubsetBank` of its own, and certificate shrinking probes through the
-search's detector.
+configuration error.  An outcome's trace records every detector call for
+audits, and its counts are read from it.  ``wall_time`` is the search's
+one clock, the seconds from the start of its subset tests to its outcome;
+experiment 2 reports it as is.  Unless a detector is injected, each
+search call tests every subset against one `SubsetBank` of its own, and
+certificate shrinking probes through the search's detector.
 """
 
 from __future__ import annotations
@@ -52,20 +50,31 @@ Detector = Callable[[SensorSubset], tuple[int, FilterRun, ResidueReport]]
 
 @dataclass
 class SearchOutcome:
-    """``theory_checks`` counts detector runs on search hypotheses (for
-    the plain enumeration: subsets visited).  ``detector_calls``
-    additionally includes the runs spent shrinking certificates.
-    ``report`` is the residue report of the found subset."""
+    """``subset`` is the subset found, None when none passed, with its
+    filter run ``estimates`` and residue ``report``.  ``trace`` logs
+    every detector call with its phase, and the counts are read from it:
+    ``theory_checks`` counts the runs on search hypotheses (for the plain
+    enumeration: subsets visited), and ``detector_calls`` additionally
+    includes the runs spent shrinking certificates."""
 
-    found: bool
     subset: SensorSubset | None
     estimates: FilterRun | None
-    theory_checks: int
     report: ResidueReport | None = None
-    detector_calls: int = 0
     certificates: list[PBConstraint] = field(default_factory=list)
     wall_time: float = 0.0
     trace: list[dict] = field(default_factory=list)
+
+    @property
+    def found(self) -> bool:
+        return self.subset is not None
+
+    @property
+    def theory_checks(self) -> int:
+        return sum(entry["phase"] == "search" for entry in self.trace)
+
+    @property
+    def detector_calls(self) -> int:
+        return len(self.trace)
 
     def to_dict(self) -> dict:
         return {
@@ -83,8 +92,8 @@ class SearchOutcome:
 
 
 class _CountingDetector:
-    """Wraps a detector with an audit log of its calls, and reports their
-    counts as a search outcome timed from the wrapper's creation."""
+    """Wraps a detector with an audit log of its calls, and reports the
+    log as a search outcome timed from the wrapper's creation."""
 
     def __init__(self, inner: Detector):
         self.inner = inner
@@ -104,17 +113,8 @@ class _CountingDetector:
         certificates: Iterable[PBConstraint] = (),
     ) -> SearchOutcome:
         """The search's outcome so far; found when ``subset`` is given."""
-        return SearchOutcome(
-            found=subset is not None,
-            subset=subset,
-            estimates=run,
-            theory_checks=sum(entry["phase"] == "search" for entry in self.log),
-            report=report,
-            detector_calls=len(self.log),
-            certificates=list(certificates),
-            wall_time=time.perf_counter() - self.start,
-            trace=self.log,
-        )
+        elapsed = time.perf_counter() - self.start
+        return SearchOutcome(subset, run, report, list(certificates), elapsed, self.log)
 
 
 def _attack_bound(model: SystemModel, cfg: DetectorConfig) -> int:
@@ -122,12 +122,6 @@ def _attack_bound(model: SystemModel, cfg: DetectorConfig) -> int:
     if k is None or not 0 <= k < model.p:
         raise ConfigError(f"search needs DetectorConfig.k in [0, p), got k={k}, p={model.p}")
     return k
-
-
-def _default_detector(
-    model: SystemModel, traj: Trajectory, cfg: DetectorConfig
-) -> Detector:
-    return SubsetBank(model, cfg).detector(traj)
 
 
 def exhaustive_search(
@@ -139,7 +133,7 @@ def exhaustive_search(
     """Test all (p choose p-k) subsets, k = ``cfg.k``, in lexicographic
     order and return the first one the detector clears."""
     k = _attack_bound(model, cfg)
-    det = _CountingDetector(detector or _default_detector(model, traj, cfg))
+    det = _CountingDetector(detector or SubsetBank(model, cfg).detector(traj))
     for s in combinations(range(1, model.p + 1), model.p - k):
         flag, run, report = det(s)
         if flag == 0:
@@ -157,7 +151,7 @@ def smt_search(
     verify the complementary subset with the detector, and prune failed
     hypotheses via cardinality certificates until one clears."""
     k = _attack_bound(model, cfg)
-    det = _CountingDetector(detector or _default_detector(model, traj, cfg))
+    det = _CountingDetector(detector or SubsetBank(model, cfg).detector(traj))
     p = model.p
     formula = PBFormula(p, (at_most(range(1, p + 1), k),))
     certificates: list[PBConstraint] = []

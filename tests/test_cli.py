@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import tempfile
@@ -175,6 +176,38 @@ def test_overflowing_window_products_exit_3(tmp_path, capsys):
             assert main([command, "--scenario", scenario, "--out", str(out), "--format", fmt]) == 3
             err = capsys.readouterr().err
             assert err.startswith("analysis error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_overflowing_observability_rows_exit_3(tmp_path, capsys):
+    # C_1 A passes 1.8e308, so no rank can be decided: obsv used to report
+    # theta -1 and no sensor observable alone, though theta is 1
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    doc["model"]["explicit"].update(A=[[1e200, 0.0], [0.0, 0.5]], C=[[1e200, 1.0], [1.0, 1e-200]])
+    scenario = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["obsv", "--scenario", scenario, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_overflowing_symbol_norms_exit_3(tmp_path, capsys):
+    # finite symbols near 1e200 whose norm passes 1.8e308: the consistency
+    # bound used to become infinite, so the corrupted sensor 2 went
+    # undetected and sensor 3 was declared corrupted instead
+    doc = json.loads(json.dumps(NOISELESS_SCENARIO))
+    doc["model"]["explicit"].update(A=[[0.5]], C=[[1e200], [1e200], [1e200]])
+    doc["noiseless"] = {"x0": [1.0], "k": 1, "corrupt": {"sensors": [2], "state": [3.0]}}
+    scenario = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    for fmt in ("csv", "json"):
+        argv = ["decode-noiseless", "--scenario", scenario, "--out", str(out), "--format", fmt]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error: ") and err.count("\n") == 1
     assert list(out.iterdir()) == []
 
 
@@ -589,6 +622,34 @@ def test_simulate_determinism(tmp_path):
     for out in (a, b):
         assert main(["simulate", "--scenario", scenario, "--out", str(out), "--seed", "3"]) == 0
     assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
+
+
+def test_csv_cells_are_numbers_or_documented_tokens(tmp_path):
+    # every cell of every subcommand's CSV artifact is a plain number, a
+    # sensor list (1-based indices joined by "-", empty for none) or a
+    # search method name, as README's CLI section says
+    doc = {
+        "schema_version": 1,
+        "model": {"random": {"n": 3, "p": 4, "seed": 5, "sigma_w2": 0.01, "sigma_v2": 0.01}},
+        "attack": {"attacked": [2], "strategy": {"type": "seeded_random", "amplitude": 2.0}},
+        "detector": {"epsilon": 1.0, "eta": 0.7, "N": 600, "t1": 30},
+        "k": 1,
+        "search": "both",
+        "repetitions": 1,
+        "horizon": 700,
+        "experiment2": {"p_values": [3]},
+        "noiseless": {"k": 1},
+    }
+    scenario = write_scenario(tmp_path, doc)
+    names = {"decode-noiseless": "decode"}
+    for command in ALL_COMMANDS:
+        assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / f"{names.get(command, command)}.csv").read_text().splitlines()
+        cells = [cell for row in csv.reader(lines[2:]) for cell in row]
+        assert cells
+        for cell in cells:
+            if cell not in ("exhaustive", "smt") and not re.fullmatch(r"(\d+(-\d+)*)?", cell):
+                float(cell)
 
 
 def test_search_no_timing_determinism(tmp_path):

@@ -485,9 +485,9 @@ def test_large_bias_matches_direct_residue_formula():
             deviation = residues.T @ residues / N - expected
             traces = [np.trace(deviation[c * n : (c + 1) * n, c * n : (c + 1) * n]) for c in range(len(s))]
             mu = {i: abs(tr - cfg.eta * n) / bank.gram_maxima[i] for i, tr in zip(s, traces)}
-            max_dev = float(deviation.max())
             report = ResidueReport(
-                s, mode, deviation, max_dev, cfg.eta, max_dev <= cfg.eta, mu, N, cfg.t1, None
+                s, mode, cfg.eta, N, cfg.t1, screened=False,
+                build=lambda: deviation, scores=lambda: mu, expectation=None,
             )
             return int(not report.passed), run, report
 
@@ -606,3 +606,88 @@ def test_passing_reports_hold_no_window_moment():
         reports.append(report)
     squares = [a for a in _reachable_arrays(reports) if a.shape == (m.n * m.p,) * 2]
     assert [id(a) for a in squares] == [id(bank._cov)]
+
+
+def test_screened_failures_hold_no_window_moment_once_read():
+    # a failure settled by the diagonal screen holds its trajectory's window
+    # moment until its deviation is read, and then lets it go: twenty read
+    # reports of twenty trajectories reach no (n p)^2 array but the bank's
+    # noise covariance
+    m = make_random_stable_system(3, 5, 0.85, seed=50, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = _small_cfg(N=600, eta=3.0)
+    bank = SubsetBank(m, cfg)
+    horizon = cfg.t1 + bank.N + m.n
+    attack = AttackSpec((2,), SeededRandom(amplitude=5.0))
+
+    def squares(root):
+        return [a for a in _reachable_arrays(root) if a.shape == (m.n * m.p,) * 2]
+
+    reports = []
+    for seed in range(20):
+        traj = simulate(m, attack, horizon, seed=seed, burn_in=30)
+        flag, _, report = bank.detector(traj)((1, 2, 3, 4))
+        assert flag == 1 and "deviation" not in vars(report)  # screened
+        assert len(squares(report)) == 2  # the moment and the noise covariance
+        report.deviation
+        reports.append(report)
+    assert [id(a) for a in squares(reports)] == [id(bank._cov)]
+
+
+def _eager_scores(bank, traj, s):
+    """Per-sensor scores by the formula every residue test applied before
+    the scores became lazy: the trace of each sensor's block of the
+    screened diagonal diag(moment)[s] - 2 rowsum(O_s * K'), offset by eta n
+    and divided by lambda_max(O_i' O_i)."""
+    from secest import observability_matrix
+    from secest.detect import _lag_products
+
+    m, cfg, N = bank.model, bank.cfg, bank.N
+    n, cols, flt = m.n, [i - 1 for i in s], bank.filter(s)
+    Os = observability_matrix(m, s)
+    est = run_filter(flt, traj, cfg.t1, cfg.t1 + N - 1).window(cfg.t1, N)
+    F = flt.error_cov if flt.mode == PREDICTION else flt.filtered_cov
+    Kt = _lag_products(traj.outputs[cfg.t1 : cfg.t1 + N + n - 1, cols], est)
+    Kt = Kt.reshape(n * len(s), n)
+    Kt -= Os @ (0.5 * (est.T @ est) - 0.5 * N * F)
+    Kt /= N
+    if flt.mode == FILTERING:
+        Kt[::n] -= m.sigma_v2 * flt.gain.T
+    dots = (Os * Kt).sum(axis=1)
+    rows = np.diagonal(bank.window_moment(traj)).reshape(m.p, n)[cols].ravel()
+    traces = (rows - dots - dots).reshape(len(s), n).sum(axis=1)
+    eta = bank.eta(s)
+    return {i: abs(float(tr) - eta * n) / bank.gram_maxima[i] for i, tr in zip(s, traces)}
+
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_search_forms_scores_only_where_certificates_read_them(monkeypatch, mode):
+    # p=7, k=2: every failed hypothesis has 5 > p - 2k + 1 sensors, so its
+    # certificate reads the report's scores; no other report forms them, and
+    # the ones formed equal the eager formula's bit for bit
+    from secest import search, smt_search
+
+    m = make_random_stable_system(3, 7, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = _small_cfg(N=600, eta=1.0, k=2, mode=mode)
+    bank = SubsetBank(m, cfg)
+    traj = simulate(m, AttackSpec((1, 4), SeededRandom(amplitude=4.0)),
+                    cfg.t1 + bank.N + m.n, seed=2, burn_in=30)
+    inner, reports, certified = bank.detector(traj), [], []
+
+    def detector(s):
+        flag, run, report = inner(s)
+        reports.append(report)
+        return flag, run, report
+
+    def certificate(model, report, *args):
+        certified.append(report)
+        return generate_certificate(model, report, *args)
+
+    generate_certificate = search.generate_certificate
+    monkeypatch.setattr(search, "generate_certificate", certificate)
+    outcome = smt_search(m, traj, cfg, detector=detector)
+    assert outcome.subset == (2, 3, 5, 6, 7) and len(certified) == outcome.theory_checks - 1
+    assert len(reports) > outcome.theory_checks
+    scored = [r for r in reports if "per_sensor_mu" in vars(r)]
+    assert [id(r) for r in scored] == [id(r) for r in certified]
+    for report in scored:
+        assert report.per_sensor_mu == _eager_scores(bank, traj, report.subset)

@@ -91,12 +91,15 @@ def test_sparse_observability_degenerate():
     assert sparse_observability_index(m) == -1
 
 
-def test_sparse_observability_cap():
+def test_sparse_observability_cap(monkeypatch):
+    from secest import observability
+
     m = make_random_stable_system(2, 21, 0.5, seed=0)
     with pytest.raises(ConfigError):
         sparse_observability_index(m)
     degenerate = SystemModel(A=np.eye(2), C=np.zeros((21, 2)), sigma_w2=1, sigma_v2=1)
-    assert sparse_observability_index(degenerate, max_sensors=21) == -1
+    monkeypatch.setattr(observability, "DEFAULT_SENSOR_CAP", 21)
+    assert sparse_observability_index(degenerate) == -1
 
 
 def test_min_gram_eigenvalue_hand(triple_sensor_scalar):

@@ -147,13 +147,12 @@ def _fake_report(subset, mu, eta=1.0):
     return ResidueReport(
         subset=subset,
         mode=PREDICTION,
-        deviation=np.zeros((d, d)),
-        max_deviation=2.0,
         eta=eta,
-        passed=False,
-        per_sensor_mu=dict(mu),
         n_samples=100,
         t1=0,
+        screened=True,
+        build=lambda: np.full((d, d), 2.0),
+        scores=lambda: dict(mu),
         expectation=None,
     )
 
