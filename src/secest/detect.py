@@ -47,12 +47,14 @@ of it.  Unblocked, that copy is a 3.2 MB temporary per test at n=20,
 N=20000; under glibc its freed pages went back to the system and came
 back as about 700 page faults per test.
 
-Nearly every tested subset fails, so a test first screens the deviation's
-diagonal, diag(moment)[s] - 2 rowsum(O_s * K'), and fails at once on an
-entry above eta by more than its rounding bound; such a failure forms its
-deviation, bit for bit, only when read.  The flags are the full test's.
-Every test forms its per-sensor scores on first read; in a search only
-certificate shrinking reads them.
+Nearly every tested subset fails, so a test first forms only the
+deviation's diagonal, diag(moment)[s] - 2 rowsum(O_s * K'), from n-long
+row dot products, and fails at once on an entry above eta; such a failure
+forms its deviation only when read.  A formed deviation carries those same
+numbers on its diagonal, so the screen and the full test read one diagonal
+and the flags are the full test's by construction.  Every test forms its
+per-sensor scores, block traces of that diagonal, on first read; in a
+search only certificate shrinking reads them.
 
 Every test runs through a `SubsetBank`, which owns the per-subset
 quantities of one model: O_s is a row selection of the model's
@@ -358,23 +360,14 @@ def residue_report(
     if flt.mode == FILTERING:
         Kt[::n] -= model.sigma_v2 * flt.gain.T
 
-    # The screen.  With u = eps/2, b the moment's diagonal, g the product's
-    # diagonal and S = sum_j |O_s[i, j] Kt[i, j]|, a length-n dot product is
-    # within n u S / (1 - n u) of exact, so the row dot r is within 2 n u S
-    # of g; fl(fl(b - g) - g) and fl(fl(b - r) - r) each add up to u (2|b| +
-    # 3 S): 4 u |b| + (4 n + 6) u S to first order, under a third of the
-    # margin for any n, room for higher-order terms and the rounding of the
-    # margin and of ``diagonal - eta``.  Underflows add at most 2 n 2^-1074.
+    # The screen: the deviation's diagonal, which `_deviation` also carries
     rows = np.diagonal(moment).reshape(model.p, n)[cols].ravel()
-    products = Os * Kt
-    dots = products.sum(axis=1)
+    dots = (Os * Kt).sum(axis=1)
     diagonal = rows - dots - dots
-    bound = np.abs(rows) + 2.0 * np.abs(products).sum(axis=1)
-    margin = 8.0 * n * (np.finfo(float).eps * bound + np.finfo(float).smallest_subnormal)
     return ResidueReport(
         subset, cfg.mode, eta, N, cfg.t1,
-        screened=bool(np.any(diagonal - eta > margin)),
-        build=partial(_deviation, moment, n, subset, Os, Kt),
+        screened=bool(np.any(diagonal > eta)),
+        build=partial(_deviation, moment, n, subset, Os, Kt, diagonal),
         scores=partial(_sensor_scores, bank.gram_maxima, subset, diagonal, eta),
         expectation=partial(expected_residue_matrix, bank, flt),
     )
@@ -382,9 +375,12 @@ def residue_report(
 
 def _sensor_scores(maxima: dict, subset: SensorSubset, diagonal: np.ndarray, eta: float) -> dict:
     """Per-sensor scores for conflict localization: the trace of the
-    screened diagonal on each sensor's block, offset by eta n and
+    deviation's diagonal on each sensor's block, offset by eta n and
     normalized by the sensor's observability energy, ``maxima[i]`` =
-    lambda_max(O_i' O_i)."""
+    lambda_max(O_i' O_i).  Raises AnalysisError when that energy is zero."""
+    for i in subset:
+        if not maxima[i] > 0.0:
+            raise AnalysisError(f"sensor {i} has zero observability energy in float64")
     n = len(diagonal) // len(subset)
     traces = diagonal.reshape(len(subset), n).sum(axis=1)
     return {i: abs(float(tr) - eta * n) / maxima[i] for i, tr in zip(subset, traces)}
@@ -407,13 +403,16 @@ def _lag_products(outputs: np.ndarray, est: np.ndarray) -> np.ndarray:
 
 
 def _deviation(
-    moment: np.ndarray, n: int, subset: SensorSubset, Os: np.ndarray, Kt: np.ndarray
+    moment: np.ndarray, n: int, subset: SensorSubset, Os: np.ndarray, Kt: np.ndarray,
+    diagonal: np.ndarray,
 ) -> np.ndarray:
-    """The subset's block of ``moment`` minus O_s K and its transpose."""
+    """The subset's block of ``moment`` minus O_s K and its transpose, with
+    the screen's row-dot ``diagonal`` written over the GEMM's diagonal."""
     OK = Os @ Kt.T
     deviation = _sensor_block(moment, n, subset)
     deviation -= OK
     deviation -= OK.T
+    np.fill_diagonal(deviation, diagonal)
     return deviation
 
 

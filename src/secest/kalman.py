@@ -22,8 +22,7 @@ mode returns the measurement-update gain and the filtered covariance.
 
 Both modes run the same estimate recursion x <- closed_loop x + gain y
 through the exact two-level chunked scan that also runs `simulate`'s
-state recursion (`secest.model._linear_scan`): over T rows it takes
-about 2 sqrt(T) Python steps and 3 T n^2 flops, with no term truncated.
+state recursion (`secest.model._linear_scan`), with no term truncated.
 """
 
 from __future__ import annotations
@@ -227,9 +226,10 @@ def run_filter(
     # heap.
     lag = int(flt.mode == FILTERING)
     T = t_end + 1 + lag
-    xs = _scan_buffer(T, traj.n)
+    chunks = _scan_buffer(T, traj.n)
+    xs = chunks.reshape(-1, traj.n)
     np.matmul(traj.outputs[: T - 1, cols], flt.gain.T, out=xs[1:T])
-    _linear_scan(xs, flt.closed_loop.T)
+    _linear_scan(chunks, flt.closed_loop.T)
     est = xs[t_start + lag : T]
     est.setflags(write=False)
     return FilterRun(estimates=est, t_start=t_start, t_end=t_end)

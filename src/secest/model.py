@@ -221,31 +221,30 @@ class Trajectory:
 
 
 def _scan_buffer(T: int, n: int) -> np.ndarray:
-    """A zero (B L, n) buffer for `_linear_scan` over T rows: B = ceil(T / L)
-    chunks of L = isqrt(T - 1) + 1 rows; rows T and above pad the last chunk."""
-    L = isqrt(T - 1) + 1
-    return np.zeros((-(-T // L) * L, n))
+    """The zero (B, L, n) chunks of `_linear_scan` over T rows of length n:
+    B = ceil(T / L) chunks of L = min(isqrt(T - 1) + 1, T // n) rows, at
+    least 1, so that the scan's (n, L, n) powers take no more room than the
+    chunks once T >= n; rows T and above pad the last chunk."""
+    L = max(1, min(isqrt(T - 1) + 1, T // n))
+    return np.zeros((-(-T // L), L, n))
 
 
-def _linear_scan(xs: np.ndarray, M: np.ndarray) -> None:
-    """Run xs[r] = xs[r - 1] M + xs[r] for r >= 1 in place over a
-    `_scan_buffer`, whose row 0 holds the initial state and rows 1.. the
-    inputs.
+def _linear_scan(chunks: np.ndarray, M: np.ndarray) -> None:
+    """Run xs[r] = xs[r - 1] M + xs[r] for r >= 1 in place over the rows
+    xs of a `_scan_buffer`'s (B, L, n) ``chunks``, whose row 0 holds the
+    initial state and rows 1.. the inputs.
 
     An exact two-level scan: it runs the recursion inside every chunk at
     once from a zero state (L - 1 products of B rows), forms the powers
     M^1..L (L - 1 n x n products), carries the state across chunks (B - 1
     vector products) and adds each carried state times the powers to its
     chunk, in slices of chunk rows whose product stays within 256 KiB (one
-    slice on short runs): about 2 sqrt(T) Python steps and 3 T n^2 flops,
-    with no term truncated.  The pad rows continue the recursion with zero
-    input; they may overflow where the T rows do not.
+    slice on short runs): L + B Python steps, about 2 sqrt(T) (T / n + n
+    when T < n^2), and about 3 T n^2 flops, with no term truncated.  The
+    pad rows continue the recursion with zero input; they may overflow
+    where the T rows do not.
     """
-    n = M.shape[0]
-    # (L - 1)^2 < T <= B L <= L^2, so the buffer's row count gives back L
-    L = isqrt(xs.shape[0] - 1) + 1
-    B = xs.shape[0] // L
-    chunks = xs.reshape(B, L, n)
+    B, L, n = chunks.shape
     powers = np.empty((n, L, n))  # powers[:, j] = M^(j + 1)
     powers[:, 0] = M
     for j in range(1, L):  # the recursion inside every chunk from a zero state
@@ -315,12 +314,13 @@ def simulate(
 
     # X[t + 1] = A X[t] + w(t) as rows: row 0 is x0 and row t + 1 is w(t)',
     # drawn in place; w(total - 1) would only reach a state past the horizon
-    xs = _scan_buffer(total, n)
+    chunks = _scan_buffer(total, n)
+    xs = chunks.reshape(-1, n)
     xs[0] = x0
     if sw > 0:
         w_rng.standard_normal(out=xs[1:total])
         xs[1:total] *= sw
-    _linear_scan(xs, model.A.T)
+    _linear_scan(chunks, model.A.T)
     X = xs[burn_in:total]
 
     V = sv * v_rng.standard_normal((total, p)) if sv > 0 else np.zeros((total, p))

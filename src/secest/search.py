@@ -3,10 +3,11 @@
 Two strategies locate a subset of p - k sensors that passes the residue
 test: plain lexicographic enumeration, and a guided search that encodes
 "sensor i is hypothesized attacked" as a Boolean variable, asks the
-cardinality solver for a candidate, and prunes failed candidates with
-UNSAT certificates of the form "at least one sensor in s' is attacked".
-Shrinking the certificate subset s' prunes more of the Boolean search
-space, so failed detector runs are reused to localize the conflict.
+cardinality solver for a candidate, and prunes each failed candidate with
+one UNSAT certificate, "at least one sensor in s' is attacked".  Shrinking
+s' prunes more of the Boolean search space, so failed detector runs are
+reused to localize the conflict; s' is the smallest subset found failing,
+whose certificate implies those of the larger ones.
 
 The attack bound k is the detector configuration's ``k``, the one
 value that also drives the auto threshold; a search without it is a
@@ -153,8 +154,7 @@ def smt_search(
     k = _attack_bound(model, cfg)
     det = _CountingDetector(detector or SubsetBank(model, cfg).detector(traj))
     p = model.p
-    formula = PBFormula(p, (at_most(range(1, p + 1), k),))
-    certificates: list[PBConstraint] = []
+    formula = PBFormula(p, (at_most(range(1, p + 1), k),))  # then one certificate each
 
     # Every iteration excludes at least the current assignment, so the
     # number of iterations is bounded by the number of assignments with
@@ -163,14 +163,13 @@ def smt_search(
     for _ in range(max_iter):
         assignment = solve(formula)
         if assignment is None:
-            return det.outcome(certificates=certificates)
+            return det.outcome(certificates=formula.constraints[1:])
         hypothesis = tuple(i for i in range(1, p + 1) if not assignment[i - 1])
         flag, run, report = det(hypothesis)
         if flag == 0:
-            return det.outcome(hypothesis, run, report, certificates)
-        certs = generate_certificate(model, report, cfg, partial(det, phase="certificate"))
-        certificates.extend(certs)
-        formula = formula.with_constraints(certs)
+            return det.outcome(hypothesis, run, report, formula.constraints[1:])
+        cert = generate_certificate(model, report, cfg, partial(det, phase="certificate"))
+        formula = formula.with_constraints([cert])
     raise AnalysisError("guided search exceeded its iteration bound")
 
 
@@ -179,29 +178,26 @@ def generate_certificate(
     report: ResidueReport,
     cfg: DetectorConfig,
     detector: Detector,
-) -> list[PBConstraint]:
-    """Certificates explaining why the subset of ``report`` failed the
-    residue test, probing shrunken subsets with ``detector``.
+) -> PBConstraint:
+    """at_least(s*, 1): why the subset of ``report`` failed the residue
+    test, with s* the smallest subset that ``detector`` found failing.
 
-    Always starts with the full-subset certificate (excluding the current
-    hypothesis), then repeatedly drops the sensor with the lowest
-    residue score and re-runs the detector: every shrunken subset that
-    still fails yields a sharper certificate.  Stops at the first
-    passing subset, when the drop list is exhausted, or when the
-    shrunken subset can no longer support a threshold.  The residue
-    scores are the report's ``per_sensor_mu``.
+    s* starts as the failed subset.  The walk repeatedly drops the sensor
+    with the lowest residue score (the report's ``per_sensor_mu``) and
+    re-runs the detector; each shrunken subset that still fails becomes
+    s*.  It stops at the first passing subset, when the drop list is
+    exhausted, or when the shrunken subset can no longer support a
+    threshold.
     """
     k = _attack_bound(model, cfg)
-    subset = normalize_subset(report.subset, model.p)
-    certs = [at_least(subset, 1)]
-
+    failed = normalize_subset(report.subset, model.p)
     budget = model.p - 2 * k + 1
-    if budget < 1 or len(subset) <= budget:
-        return certs
+    if budget < 1 or len(failed) <= budget:
+        return at_least(failed, 1)
     scores = report.per_sensor_mu
-    drop_order = sorted(subset, key=lambda i: (scores[i], i))[:budget]
+    drop_order = sorted(failed, key=lambda i: (scores[i], i))[:budget]
 
-    current = list(subset)
+    current = list(failed)
     for sensor in drop_order:
         current.remove(sensor)
         shrunk = tuple(current)
@@ -211,8 +207,7 @@ def generate_certificate(
             flag, _, _ = detector(shrunk)
         except AnalysisError:
             break  # shrunken subset lost observability; stop shrinking
-        if flag == 1:
-            certs.append(at_least(shrunk, 1))
-        else:
+        if flag == 0:
             break
-    return certs
+        failed = shrunk
+    return at_least(failed, 1)

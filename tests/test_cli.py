@@ -179,6 +179,28 @@ def test_overflowing_window_products_exit_3(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("row", [0.0, 1e-170], ids=["zero", "underflowing-gram"])
+def test_zero_observability_energy_exits_3(tmp_path, capsys, row):
+    # sensor 2's lambda_max(O_2' O_2) is 0 in float64 (1e-170 squared
+    # underflows), so its residue score, which detect and both searches
+    # read, is undefined: it used to end in a ZeroDivisionError traceback.
+    # exp1 reads no score and still runs
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    doc["model"]["explicit"].update(A=[[0.9]], C=[[1.0], [row], [1.0]])
+    doc["attack"] = {"attacked": [1], "strategy": {"type": "constant", "bias": [50.0]}}
+    doc["detector"].update(eta=0.5, N=400, t1=20)
+    out = tmp_path / "out"
+    out.mkdir()
+    for command, method in (("detect", "smt"), ("search", "smt"), ("search", "exhaustive")):
+        doc["search"] = method
+        scenario = write_scenario(tmp_path, doc, f"{command}-{method}.json")
+        assert main([command, "--scenario", scenario, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error: sensor 2 ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+    assert main(["exp1", "--scenario", scenario, "--out", str(out)]) == 0
+
+
 def test_overflowing_observability_rows_exit_3(tmp_path, capsys):
     # C_1 A passes 1.8e308, so no rank can be decided: obsv used to report
     # theta -1 and no sensor observable alone, though theta is 1
@@ -462,7 +484,10 @@ _FUZZ_VALUES = st.one_of(
     st.sampled_from(["", "auto", "random", "filtering", "both", "zero_output", "noise_linear"]),
     st.lists(st.integers(-1, 4), max_size=4),
     st.lists(st.floats(-3, 3), max_size=3),
-    st.lists(st.lists(st.floats(-3, 3), max_size=2), max_size=3),
+    # matrix entries: 0.0 and 1e-170, whose square underflows, give a
+    # sensor no observability energy in float64
+    st.lists(st.lists(st.one_of(st.floats(-3, 3), st.sampled_from([0.0, 1e-170])), max_size=2),
+             max_size=3),
     st.dictionaries(st.sampled_from(["type", "gain", "explicit", "random"]), st.integers(0, 3)),
 )
 # search and detect run on the scalar plant, decode-noiseless and obsv on
@@ -498,6 +523,18 @@ _FUZZ_BASES = {
     command="decode-noiseless",
     random_model=False,
     edits=[(("noiseless", "corrupt", "sensors"), [9])],
+)
+# a sensor with no observability energy in float64 once ended in a
+# ZeroDivisionError when its residue score was read
+@example(
+    command="detect",
+    random_model=False,
+    edits=[(("model", "explicit", "C"), [[1.0], [0.0], [1.0]])],
+)
+@example(
+    command="detect",
+    random_model=False,
+    edits=[(("model", "explicit", "C"), [[1.0], [1e-170], [1.0]])],
 )
 # a null experiment2.p_values or weak_last_gain once ended in a TypeError
 @example(command="exp2", random_model=False, edits=[(("experiment2", "p_values"), None)])

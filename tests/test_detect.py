@@ -540,14 +540,18 @@ def test_screen_flags_match_full_path(case, mode):
     # exceed; every flag, at eta = 1 and at eta on and next to each
     # subset's largest diagonal and largest entry, is the full path's, and
     # a screened failure builds the full path's deviation, and serializes
-    # as it, bit for bit on first read
+    # as it, bit for bit on first read.  Every formed deviation carries the
+    # screen's row-dot diagonal bit for bit
     m, cfg, traj = _screen_case(case, mode)
-    moment = SubsetBank(m, cfg).window_moment(traj)
+    bank = SubsetBank(m, cfg)
+    moment = bank.window_moment(traj)
     screened = boundary_passes = boundary_fails = off_diagonal = 0
     for size in range(1, m.p + 1):
         for s in combinations(range(1, m.p + 1), size):
             full = _report(m, cfg, traj, s, moment, 1e300)
             report = _report(m, cfg, traj, s, moment, cfg.eta)
+            diagonal = _row_dot_diagonal(bank, traj, s).tobytes()
+            assert np.diagonal(full.deviation).tobytes() == diagonal
             assert report.passed == (full.max_deviation <= cfg.eta)
             if "deviation" not in vars(report):
                 screened += 1
@@ -557,6 +561,7 @@ def test_screen_flags_match_full_path(case, mode):
                 d, ref = report.to_dict(), full.to_dict()
                 for key in ("sample_matrix", "expected_matrix", "max_deviation"):
                     assert d[key] == ref[key]
+            assert np.diagonal(report.deviation).tobytes() == diagonal
             top, peak = float(np.diagonal(full.deviation).max()), full.max_deviation
             off_diagonal += peak > top
             for eta in (np.nextafter(top, -np.inf), top, np.nextafter(top, np.inf),
@@ -633,11 +638,9 @@ def test_screened_failures_hold_no_window_moment_once_read():
     assert [id(a) for a in squares(reports)] == [id(bank._cov)]
 
 
-def _eager_scores(bank, traj, s):
-    """Per-sensor scores by the formula every residue test applied before
-    the scores became lazy: the trace of each sensor's block of the
-    screened diagonal diag(moment)[s] - 2 rowsum(O_s * K'), offset by eta n
-    and divided by lambda_max(O_i' O_i)."""
+def _row_dot_diagonal(bank, traj, s):
+    """The deviation's diagonal diag(moment)[s] - 2 rowsum(O_s * K'), from
+    n-long row dot products, recomputed from the module docstring."""
     from secest import observability_matrix
     from secest.detect import _lag_products
 
@@ -654,7 +657,15 @@ def _eager_scores(bank, traj, s):
         Kt[::n] -= m.sigma_v2 * flt.gain.T
     dots = (Os * Kt).sum(axis=1)
     rows = np.diagonal(bank.window_moment(traj)).reshape(m.p, n)[cols].ravel()
-    traces = (rows - dots - dots).reshape(len(s), n).sum(axis=1)
+    return rows - dots - dots
+
+
+def _eager_scores(bank, traj, s):
+    """Per-sensor scores by the formula every residue test applied before
+    the scores became lazy: the trace of each sensor's block of the row-dot
+    diagonal, offset by eta n and divided by lambda_max(O_i' O_i)."""
+    n = bank.model.n
+    traces = _row_dot_diagonal(bank, traj, s).reshape(len(s), n).sum(axis=1)
     eta = bank.eta(s)
     return {i: abs(float(tr) - eta * n) / bank.gram_maxima[i] for i, tr in zip(s, traces)}
 

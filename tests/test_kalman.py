@@ -300,9 +300,10 @@ def _two_loop_run_filter(model, flt, traj, t_start, t_end, dtype=float):
 
 
 # run_filter scans T = t_end + 1 + lag rows (lag 1 in filtering mode) in
-# B chunks of L = isqrt(T - 1) + 1 rows: 361 = 19 * 19 rows fill a square
-# grid, 399 rows leave one pad row in a 20 * 20 grid, and 421 rows put a
-# single row in the last of 21 chunks of 21.
+# B chunks of L = min(isqrt(T - 1) + 1, T // n) rows; at n=5 the square
+# root binds: 361 = 19 * 19 rows fill a square grid, 399 rows leave one pad
+# row in a 20 * 20 grid, and 421 rows put a single row in the last of 21
+# chunks of 21.
 _FILTER_WINDOWS = [(0, 0), (0, 1), (0, 2), (3, 7), (37, 350), (0, 399)]
 _FILTER_ROWS = [361, 399, 421]
 # max|error| / max|x| allowed against the long-double recursion; on
@@ -339,6 +340,16 @@ def test_run_filter_matches_two_loop_reference_at_experiment1_size(mode):
     traj = simulate(m, AttackSpec(), horizon=20220, seed=0, burn_in=200)
     flt = solve_steady_state(m, (2, 4, 5), mode)
     _assert_filter_accuracy(m, flt, traj, 200, 20199)
+
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_run_filter_matches_two_loop_reference_at_experiment2_size(mode):
+    # n=50 over T=451 rows: T // n = 9 binds L instead of isqrt(450) + 1 =
+    # 22, so the 51 chunks of 9 rows outnumber the n powers
+    m = make_random_stable_system(50, 9, 0.9, seed=300, sigma_w2=0.001, sigma_v2=1.0)
+    traj = simulate(m, AttackSpec(), horizon=451, seed=1, burn_in=500)
+    flt = solve_steady_state(m, (4, 5, 6, 7, 8, 9), mode)
+    _assert_filter_accuracy(m, flt, traj, 150, 450 - int(mode == FILTERING))
 
 
 def test_run_filter_window_bounds():

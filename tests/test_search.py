@@ -112,12 +112,38 @@ def _search_phase(outcome):
     return [tuple(entry["subset"]) for entry in outcome.trace if entry["phase"] == "search"]
 
 
+def _trace(outcome):
+    return [(tuple(e["subset"]), e["flag"], e["phase"]) for e in outcome.trace]
+
+
+def _deepest_failures(outcome):
+    """For each failed hypothesis, the last failing trace entry before the
+    next hypothesis: the smallest subset its certificate walk saw fail."""
+    deepest = []
+    for subset, flag, phase in _trace(outcome):
+        if phase == "search" and flag == 1:
+            deepest.append(subset)
+        elif phase == "certificate" and flag == 1:
+            deepest[-1] = subset
+    return deepest
+
+
 def test_guided_hypothesis_sequence_pinned():
     # the solver's preference order fixes which subsets the guided search
-    # tests and in what order; certificates are left free to shorten
+    # tests and in what order, and the scores fix each certificate walk's
+    # probes; each failed hypothesis leaves one certificate, over the last
+    # subset its walk saw fail
     m, traj, cfg = small_setup(seed=3, attacked=(1,))
     sm = smt_search(m, traj, cfg)
+    assert _trace(sm) == [
+        ((1, 2, 3, 4), 1, "search"),
+        ((1, 3, 4), 1, "certificate"),
+        ((1, 4), 1, "certificate"),
+        ((1,), 1, "certificate"),
+        ((2, 3, 4), 0, "search"),
+    ]
     assert _search_phase(sm) == [(1, 2, 3, 4), (2, 3, 4)]
+    assert [c.vars for c in sm.certificates] == _deepest_failures(sm) == [(1,)]
     assert sm.subset == (2, 3, 4)
 
     # filtering mode, sensors 1-3 attacked, the third too weakly to fail
@@ -127,6 +153,27 @@ def test_guided_hypothesis_sequence_pinned():
     atk = AttackSpec((1, 2, 3), NoiseLinear((10.0, 10.0, 0.5)))
     traj = simulate(m, atk, cfg.t1 + cfg.window_length(n) + n, seed=1, burn_in=10 * n)
     sm = smt_search(m, traj, cfg)
+    assert _trace(sm) == [
+        ((1, 2, 3, 4, 5, 6, 7), 1, "search"),
+        ((1, 2, 4, 5, 6, 7), 1, "certificate"),
+        ((1, 2, 5, 6, 7), 1, "certificate"),
+        ((2, 3, 4, 5, 6, 7), 1, "search"),
+        ((2, 4, 5, 6, 7), 1, "certificate"),
+        ((2, 5, 6, 7), 1, "certificate"),
+        ((1, 3, 4, 5, 6, 7), 1, "search"),
+        ((1, 4, 5, 6, 7), 1, "certificate"),
+        ((1, 5, 6, 7), 1, "certificate"),
+        ((1, 2, 3, 4, 6, 7), 1, "search"),
+        ((1, 2, 4, 6, 7), 1, "certificate"),
+        ((1, 2, 6, 7), 1, "certificate"),
+        ((1, 2, 3, 4, 5, 7), 1, "search"),
+        ((1, 2, 4, 5, 7), 1, "certificate"),
+        ((1, 2, 5, 7), 1, "certificate"),
+        ((1, 2, 3, 4, 5, 6), 1, "search"),
+        ((1, 2, 4, 5, 6), 1, "certificate"),
+        ((1, 2, 5, 6), 1, "certificate"),
+        ((3, 4, 5, 6, 7), 0, "search"),
+    ]
     assert _search_phase(sm) == [
         (1, 2, 3, 4, 5, 6, 7),
         (2, 3, 4, 5, 6, 7),
@@ -135,6 +182,9 @@ def test_guided_hypothesis_sequence_pinned():
         (1, 2, 3, 4, 5, 7),
         (1, 2, 3, 4, 5, 6),
         (3, 4, 5, 6, 7),
+    ]
+    assert [c.vars for c in sm.certificates] == _deepest_failures(sm) == [
+        (1, 2, 5, 6, 7), (2, 5, 6, 7), (1, 5, 6, 7), (1, 2, 6, 7), (1, 2, 5, 7), (1, 2, 5, 6),
     ]
     assert sm.subset == (3, 4, 5, 6, 7)
 
@@ -175,14 +225,14 @@ class ScriptedDetector:
 
 def test_certificate_stops_at_first_passing_removal():
     # p=5, k=2: budget is p-2k+1 = 2 removals; dropping the lowest-score
-    # sensor already passes, so only the trivial certificate is emitted
+    # sensor already passes, so the certificate is the failed subset's
     m = make_random_stable_system(1, 5, 0.5, seed=0)
     cfg = DetectorConfig(epsilon=1.0, eta=1.0, N=4, t1=0, k=2)
     s = (1, 2, 3, 4, 5)
     report = _fake_report(s, {1: 5.0, 2: 0.1, 3: 4.0, 4: 3.0, 5: 2.0})
     det = ScriptedDetector(failing={s})  # every shrunken subset passes
-    certs = generate_certificate(m, report, cfg, det)
-    assert [c.vars for c in certs] == [s]
+    cert = generate_certificate(m, report, cfg, det)
+    assert (cert.vars, cert.sense, cert.bound) == (s, AT_LEAST, 1)
     assert det.calls == [(1, 3, 4, 5)]  # sensor 2 (lowest score) dropped first
 
 
@@ -192,34 +242,40 @@ def test_certificate_chain_emits_shrinking_subsets():
     s = (1, 2, 3, 4, 5)
     report = _fake_report(s, {1: 5.0, 2: 0.1, 3: 0.2, 4: 3.0, 5: 2.0})
     det = ScriptedDetector(failing={s, (1, 3, 4, 5), (1, 4, 5)})
-    certs = generate_certificate(m, report, cfg, det)
-    # trivial, then each still-failing shrunken subset (budget 2 walked fully)
-    assert [c.vars for c in certs] == [s, (1, 3, 4, 5), (1, 4, 5)]
+    cert = generate_certificate(m, report, cfg, det)
+    # the budget of 2 is walked fully; the deepest failing subset is kept,
+    # whose certificate implies those of s and (1, 3, 4, 5)
+    assert (cert.vars, cert.sense, cert.bound) == ((1, 4, 5), AT_LEAST, 1)
     assert det.calls == [(1, 3, 4, 5), (1, 4, 5)]
 
 
 def test_certificate_degenerate_small_subset():
-    # |s| <= p-2k+1 leaves no room to shrink: trivial certificate only
+    # |s| <= p-2k+1 leaves no room to shrink: the failed subset's certificate
     m = make_random_stable_system(1, 5, 0.5, seed=0)
     cfg = DetectorConfig(epsilon=1.0, eta=1.0, N=4, t1=0, k=1)
     s = (2, 4)  # p - 2k + 1 = 4 >= |s|
     report = _fake_report(s, {2: 1.0, 4: 2.0})
     det = ScriptedDetector(failing={s})
-    certs = generate_certificate(m, report, cfg, det)
-    assert [c.vars for c in certs] == [s]
+    cert = generate_certificate(m, report, cfg, det)
+    assert (cert.vars, cert.sense, cert.bound) == (s, AT_LEAST, 1)
     assert det.calls == []
 
 
 def test_certificate_auto_threshold_guard():
-    # with an auto threshold the loop must not probe subsets of size <= k
-    m = make_random_stable_system(1, 4, 0.5, seed=0)
-    cfg = DetectorConfig(epsilon=1.0, eta=None, N=4, t1=0, k=2)
-    s = (1, 2, 3, 4)
-    report = _fake_report(s, {1: 0.1, 2: 0.2, 3: 5.0, 4: 6.0})
-    det = ScriptedDetector(failing={s, (2, 3, 4), (3, 4)})
-    certs = generate_certificate(m, report, cfg, det)
-    # budget is p-2k+1 = 1, so only one removal is listed anyway
-    assert [c.vars for c in certs] == [s, (2, 3, 4)]
+    # p=5, k=1: the budget p-2k+1 = 4 walks a 5-sensor hypothesis down to
+    # one sensor, and every probe fails.  With an auto threshold the walk
+    # must not probe a subset of size <= k, so it stops after size 2; with
+    # a fixed eta the same walk probes the last sensor too
+    m = make_random_stable_system(1, 5, 0.5, seed=0)
+    s = (1, 2, 3, 4, 5)
+    report = _fake_report(s, {1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4, 5: 5.0})
+    walk = [(2, 3, 4, 5), (3, 4, 5), (4, 5), (5,)]
+    for eta, probed in ((None, walk[:3]), (1.0, walk)):
+        cfg = DetectorConfig(epsilon=1.0, eta=eta, N=4, t1=0, k=1)
+        det = ScriptedDetector(failing={s, *walk})
+        cert = generate_certificate(m, report, cfg, det)
+        assert det.calls == probed
+        assert (cert.vars, cert.sense, cert.bound) == (probed[-1], AT_LEAST, 1)
 
 
 def test_attacked_sensor_scores_highest():
