@@ -43,7 +43,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .detect import DetectorConfig, SubsetBank, attack_detect
-from .errors import AnalysisError, ConfigError, ScenarioError
+from .errors import AnalysisError, ConfigError, ScenarioError, _finite
 from .kalman import FILTERING, PREDICTION
 from .model import (
     AttackSpec,
@@ -743,6 +743,8 @@ def _cmd_decode_noiseless(args) -> int:
         obs = obs.with_symbols({d: alt.symbols[d - 1] for d in corrupted})
     detected = detect_corruption(model, obs)
     result = decode(model, obs, _read(scenario.raw, "noiseless.k"))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused in _finite
+        state_error = _finite(float(np.linalg.norm(result.state - x0)), "state error norms")
     obj = {
         "schema_version": SCHEMA_VERSION,
         "corruption_detected": detected,
@@ -751,7 +753,7 @@ def _cmd_decode_noiseless(args) -> int:
         "unique": result.unique,
         "state": result.state.tolist(),
         "true_state": x0.tolist(),
-        "state_error": float(np.linalg.norm(result.state - x0)),
+        "state_error": state_error,
     }
     rows = [
         {

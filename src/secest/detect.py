@@ -75,7 +75,7 @@ from typing import Callable, Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AnalysisError, ConfigError
+from .errors import AnalysisError, ConfigError, _finite
 from .kalman import (
     FILTERING,
     PREDICTION,
@@ -234,7 +234,8 @@ class SubsetBank:
     Filters and thresholds are kept on first use; nothing of size
     (n|s|)^2 is kept.  `detector(traj)` tests subsets of one trajectory:
     it holds that trajectory's window moment, so detectors of different
-    trajectories can share one bank.
+    trajectories can share one bank.  M or a per-sensor Gram O_i' O_i
+    past the float64 range is an AnalysisError.
     """
 
     def __init__(self, model: SystemModel, cfg: DetectorConfig):
@@ -243,7 +244,9 @@ class SubsetBank:
         self.N = cfg.window_length(model.n)
         self._cov = noise_structure(model, full_subset(model.p))
         blocks = model.observability_stack.reshape(model.p, model.n, model.n)
-        maxima = np.linalg.eigvalsh(np.stack([Oi.T @ Oi for Oi in blocks]))[:, -1]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused in _finite
+            grams = _finite(np.stack([Oi.T @ Oi for Oi in blocks]), "per-sensor Grams O_i' O_i")
+        maxima = np.linalg.eigvalsh(grams)[:, -1]
         self.gram_maxima = {i: float(lam) for i, lam in enumerate(maxima, start=1)}
         self._filters: dict[SensorSubset, SteadyStateFilter] = {}
         self._etas: dict[SensorSubset, float] = {}
@@ -281,9 +284,7 @@ class SubsetBank:
         moment = block_output_gram(traj, self.cfg.t1, self.N)
         moment /= self.N
         moment -= self._cov
-        if not np.isfinite(moment).all():
-            raise AnalysisError("window moment Ybar' Ybar / N overflows float64")
-        return moment
+        return _finite(moment, "entries of the window moment Ybar' Ybar / N")
 
     def detector(
         self, traj: Trajectory
@@ -355,8 +356,7 @@ def residue_report(
         Kt = _lag_products(outputs, est).reshape(n * len(subset), n)
         Kt -= Os @ (0.5 * (est.T @ est) - 0.5 * N * F)
         Kt /= N
-    if not np.isfinite(Kt).all():
-        raise AnalysisError(f"window products of subset {subset} overflow float64")
+    _finite(Kt, f"window products of subset {subset}")
     if flt.mode == FILTERING:
         Kt[::n] -= model.sigma_v2 * flt.gain.T
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one float64 overflow refusal."""
+
+import numpy as np
 
 __all__ = ["SecestError", "ConfigError", "AnalysisError", "ScenarioError"]
 
@@ -18,3 +20,10 @@ class AnalysisError(SecestError):
 
 class ScenarioError(SecestError):
     """A scenario file could not be parsed or fails validation."""
+
+
+def _finite(values, what: str):
+    """``values``, or AnalysisError when one is past the float64 range."""
+    if not np.isfinite(values).all():
+        raise AnalysisError(f"{what} overflow float64")
+    return values

@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigError
+from .errors import AnalysisError, ConfigError, _finite
 from .model import SystemModel, Trajectory, _linear_scan, _scan_buffer
 from .observability import (
     SensorSubset,
@@ -112,6 +112,7 @@ def _validate_mode(mode: str) -> str:
     return mode
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused in _finite
 def solve_steady_state(
     model: SystemModel,
     s: Iterable[int],
@@ -153,11 +154,7 @@ def solve_steady_state(
             Ak = Ak @ WA
             change = float(np.linalg.norm(dP, "fro"))
             size = float(np.linalg.norm(P, "fro"))  # finite only if P is
-            if not (np.isfinite(change) and np.isfinite(size)):
-                raise AnalysisError(
-                    f"Riccati doubling for subset {subset} overflowed: "
-                    f"change {change:.3e}, ||P||_F {size:.3e}"
-                )
+            _finite([change, size], f"Riccati doubling steps of subset {subset}")
             tol = max(RICCATI_TOL, floor * size)
             if change <= tol:
                 break
@@ -178,8 +175,7 @@ def solve_steady_state(
     except np.linalg.LinAlgError as exc:
         # a noise variance far from the scale of P loses I + G H or S to roundoff
         raise AnalysisError(f"Riccati solve for subset {subset} met a singular matrix") from exc
-    if not np.isfinite(residual):
-        raise AnalysisError(f"Riccati residual for subset {subset} is not finite")
+    _finite(residual, f"Riccati residual terms of subset {subset}")
     if mode == PREDICTION:
         gain = A @ L
         filtered = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigError
+from .errors import AnalysisError, ConfigError, _finite
 from .model import SystemModel
 from .observability import (
     SensorSubset,
@@ -84,13 +84,6 @@ def encode(model: SystemModel, x0: np.ndarray) -> SymbolObservation:
         [observability_matrix(model, (d,)) @ x0 for d in range(1, model.p + 1)]
     )
     return SymbolObservation(_finite(symbols, "symbols O_d x0"))
-
-
-def _finite(values, what: str):
-    """``values``, or AnalysisError when one is past the float64 range."""
-    if not np.isfinite(values).all():
-        raise AnalysisError(f"{what} overflow float64")
-    return values
 
 
 def _fit(stacked_O: np.ndarray, stacked_Y: np.ndarray) -> tuple[np.ndarray, float]:

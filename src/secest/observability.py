@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _finite
 from .model import SystemModel, Trajectory
 
 __all__ = [
@@ -133,12 +133,13 @@ def sparse_observability_index(model: SystemModel) -> int:
     return p - 1
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused in _finite
 def min_gram_eigenvalue(model: SystemModel, s: Iterable[int], k: int) -> float:
     """Worst-case smallest eigenvalue of the stacked observability Gram
     matrix over all ways to drop k sensors from s.  Zero (not negative)
     when some reduced subset is unobservable, as `is_observable` decides
     it: the eigenvalue of a rank-deficient Gram can round to a tiny
-    positive value.
+    positive value.  AnalysisError when a Gram passes the float64 range.
 
     The reduced subsets are taken SUBSET_SLICE at a time: one batched
     rank call, then one `eigvalsh` over the slice's Grams O_s' O_s."""
@@ -151,16 +152,19 @@ def min_gram_eigenvalue(model: SystemModel, s: Iterable[int], k: int) -> float:
             return 0.0
         # one product per subset: a batched matmul rounds differently
         grams = np.stack([Os.T @ Os for Os in _stacked_blocks(model, chunk)])
+        _finite(grams, "observability Grams O_s' O_s")
         best = min(best, float(np.linalg.eigvalsh(grams)[:, 0].min()))
     return max(best, 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused in _finite
 def noise_structure(model: SystemModel, s: Iterable[int]) -> np.ndarray:
     """Covariance of the stacked window noise of subset s, sigma_w2 J_s J_s'
     + sigma_v2 I, shape (n |s|, n |s|): window row a of sensor i sees
     w(t + m), m < a, through C_i A^(a-1-m), so the process-noise part of
     entry ((i, a), (j, b)) is that of ((i, a-1), (j, b-1)) plus the
-    product of rows (i, a-1) and (j, b-1) of O_s."""
+    product of rows (i, a-1) and (j, b-1) of O_s.  AnalysisError when an
+    entry passes the float64 range."""
     Os = observability_matrix(model, s)
     n, k = model.n, len(Os) // model.n
     products = (Os @ Os.T).reshape(k, n, k, n)  # [i, a, j, b]: rows (i, a), (j, b)
@@ -170,7 +174,7 @@ def noise_structure(model: SystemModel, s: Iterable[int]) -> np.ndarray:
         grid[:, a, :, 1:] = grid[:, a - 1, :, :-1] + products[:, a - 1, :, :-1]
     cov *= model.sigma_w2
     cov.flat[:: n * k + 1] += model.sigma_v2
-    return cov
+    return _finite(cov, "entries of the window noise covariance")
 
 
 def block_output_gram(traj: Trajectory, t_start: int, count: int) -> np.ndarray:

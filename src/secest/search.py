@@ -183,18 +183,21 @@ def generate_certificate(
     test, with s* the smallest subset that ``detector`` found failing.
 
     s* starts as the failed subset.  The walk repeatedly drops the sensor
-    with the lowest residue score (the report's ``per_sensor_mu``) and
-    re-runs the detector; each shrunken subset that still fails becomes
-    s*.  It stops at the first passing subset, when the drop list is
-    exhausted, or when the shrunken subset can no longer support a
-    threshold.
+    with the lowest residue score (the report's ``per_sensor_mu``; a
+    report whose scores raise AnalysisError gets no walk) and re-runs the
+    detector; each shrunken subset that still fails becomes s*.  It stops
+    at the first passing subset, when the drop list is exhausted, or when
+    the shrunken subset can no longer support a threshold.
     """
     k = _attack_bound(model, cfg)
     failed = normalize_subset(report.subset, model.p)
     budget = model.p - 2 * k + 1
     if budget < 1 or len(failed) <= budget:
         return at_least(failed, 1)
-    scores = report.per_sensor_mu
+    try:
+        scores = report.per_sensor_mu
+    except AnalysisError:
+        return at_least(failed, 1)  # no scores to order the walk by
     drop_order = sorted(failed, key=lambda i: (scores[i], i))[:budget]
 
     current = list(failed)

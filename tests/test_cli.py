@@ -233,6 +233,71 @@ def test_overflowing_symbol_norms_exit_3(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+# the five places where a finite scenario can pass float64 beyond the
+# checks above: a Riccati solve, the window noise covariance, the Grams of
+# the threshold and of the residue scores, and the decoded state's error.
+# Each used to print numpy RuntimeWarnings before its one-line error, or
+# exit 0 with Infinity in the artifact (obsv and decode-noiseless)
+@pytest.mark.parametrize(
+    "model, edits, commands",
+    [
+        (
+            {"A": [[1e100]]},
+            {"detector": {"eta": 1, "N": 1, "t1": 0}, "burn_in": 0},
+            ("detect", "search", "exp1"),
+        ),
+        (
+            {"A": [[0.5, 0.0], [0.0, 0.5]], "C": [[1e160, 0.0], [0.0, 1e160], [1.0, 1.0]],
+             "sigma_w2": 0.0},
+            {"detector": {"eta": 1, "N": 8, "t1": 2}},
+            ("detect", "exp1"),
+        ),
+        (
+            {"A": [[0.5, 0.0], [0.0, 0.25]],
+             "C": [[1e160, 2e160], [3e160, -1e160], [1e160, 1e160]]},
+            {},
+            ("obsv",),
+        ),
+        (
+            {"A": [[0.0]], "C": [[0.0], [1e80], [0.0]], "sigma_w2": 0.0, "sigma_v2": 0.0},
+            {"noiseless": {"x0": [1e200], "k": 1, "corrupt": {"sensors": [2], "state": [1.0]}}},
+            ("decode-noiseless",),
+        ),
+        (
+            {"A": [[0.5]], "C": [[1.0], [1.0], [1e160]], "sigma_w2": 0.0},
+            {
+                "attack": {"attacked": [3], "strategy": {"type": "constant", "bias": [50.0]}},
+                "detector": {"eta": 1, "N": 8, "t1": 2},
+            },
+            ("detect", "search", "exp1"),
+        ),
+    ],
+    ids=["riccati", "noise-covariance", "threshold-grams", "state-error", "sensor-grams"],
+)
+def test_overflow_past_float64_exits_3(tmp_path, capsys, model, edits, commands):
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    doc["model"]["explicit"].update(model)
+    doc.update(edits)
+    scenario = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    for command in commands:
+        for fmt in ("csv", "json"):
+            assert main([command, "--scenario", scenario, "--out", str(out), "--format", fmt]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("analysis error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_missing_scenario_and_explicit_exp2_model_exit_2(tmp_path, capsys):
+    assert main(["detect", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "scenario error: --scenario is required for this subcommand\n"
+    scenario = write_scenario(tmp_path, SCALAR_SCENARIO)
+    assert main(["exp2", "--scenario", scenario, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "scenario error: experiment 2 needs a random model section\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "scenario.json"]
+
+
 ALL_COMMANDS = ("simulate", "detect", "search", "exp1", "exp2", "decode-noiseless", "obsv")
 
 
@@ -485,9 +550,15 @@ _FUZZ_VALUES = st.one_of(
     st.lists(st.integers(-1, 4), max_size=4),
     st.lists(st.floats(-3, 3), max_size=3),
     # matrix entries: 0.0 and 1e-170, whose square underflows, give a
-    # sensor no observability energy in float64
-    st.lists(st.lists(st.one_of(st.floats(-3, 3), st.sampled_from([0.0, 1e-170])), max_size=2),
-             max_size=3),
+    # sensor no observability energy in float64; +-1e160 and -1e200, whose
+    # products pass it, overflow a Gram, a Riccati solve or a window product
+    st.lists(
+        st.lists(
+            st.one_of(st.floats(-3, 3), st.sampled_from([0.0, 1e-170, 1e160, -1e160, -1e200])),
+            max_size=2,
+        ),
+        max_size=3,
+    ),
     st.dictionaries(st.sampled_from(["type", "gain", "explicit", "random"]), st.integers(0, 3)),
 )
 # search and detect run on the scalar plant, decode-noiseless and obsv on
@@ -535,6 +606,25 @@ _FUZZ_BASES = {
     command="detect",
     random_model=False,
     edits=[(("model", "explicit", "C"), [[1.0], [1e-170], [1.0]])],
+)
+# observability Grams and a decoded state's error past float64 once exited
+# 0 with Infinity in the artifact
+@example(
+    command="obsv",
+    random_model=False,
+    edits=[
+        (("model", "explicit", "A"), [[0.5, 0.0], [0.0, 0.25]]),
+        (("model", "explicit", "C"), [[1e160, 2e160], [3e160, -1e160], [1e160, 1e160]]),
+    ],
+)
+@example(
+    command="decode-noiseless",
+    random_model=False,
+    edits=[
+        (("model", "explicit", "A"), [[0.0]]),
+        (("model", "explicit", "C"), [[0.0], [1e80], [0.0]]),
+        (("noiseless",), {"x0": [1e200], "k": 1, "corrupt": {"sensors": [2], "state": [1.0]}}),
+    ],
 )
 # a null experiment2.p_values or weak_last_gain once ended in a TypeError
 @example(command="exp2", random_model=False, edits=[(("experiment2", "p_values"), None)])

@@ -6,12 +6,14 @@ from secest import (
     FILTERING,
     AttackSpec,
     ConfigError,
+    ConstantBias,
     DetectorConfig,
     FilterRun,
     NoiseLinear,
     PREDICTION,
     ResidueReport,
     SeededRandom,
+    SystemModel,
     attack_detect,
     exhaustive_search,
     generate_certificate,
@@ -276,6 +278,19 @@ def test_certificate_auto_threshold_guard():
         cert = generate_certificate(m, report, cfg, det)
         assert det.calls == probed
         assert (cert.vars, cert.sense, cert.bound) == (probed[-1], AT_LEAST, 1)
+
+
+def test_search_past_a_sensor_without_observability_energy():
+    # sensor 2's zero C row has no observability energy, so no failed
+    # subset holding it has residue scores; the guided search keeps each
+    # such hypothesis's own certificate and finds what exhaustive finds
+    m = SystemModel(A=[[0.9]], C=[[1.0], [0.0], [1.0]], sigma_w2=1.0, sigma_v2=1.0)
+    cfg = DetectorConfig(epsilon=1.0, eta=0.5, N=400, t1=20, k=1)
+    traj = simulate(m, AttackSpec((1,), ConstantBias((50.0,))), 421, seed=7, burn_in=10)
+    assert exhaustive_search(m, traj, cfg).subset == (2, 3)
+    sm = smt_search(m, traj, cfg)
+    assert sm.subset == (2, 3) and sm.theory_checks == 2 and sm.detector_calls == 2
+    assert [(c.vars, c.sense, c.bound) for c in sm.certificates] == [((1, 2, 3), AT_LEAST, 1)]
 
 
 def test_attacked_sensor_scores_highest():
