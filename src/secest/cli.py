@@ -183,6 +183,22 @@ _FIELDS: dict[str, tuple[_Kind, Any]] = {
 }
 
 
+# Every dotted path a scenario document may hold: its fields and the
+# sections on their paths.
+_PATHS = {path.rsplit(".", depth)[0] for path in _FIELDS for depth in range(path.count(".") + 1)}
+
+
+def _check_keys(section: dict, prefix: str = "") -> None:
+    """ScenarioError naming, by its dotted path, a key of ``section`` that is
+    neither a field nor a section on a field's path, at any depth."""
+    for key, value in section.items():
+        path = prefix + key
+        if path not in _PATHS:
+            raise ScenarioError(f"unknown scenario key {path}")
+        if isinstance(value, dict) and path not in _FIELDS:
+            _check_keys(value, path + ".")
+
+
 def _read(doc: dict, path: str):
     """Field ``path`` of the scenario ``doc``, checked against its kind, or
     its default when absent.  An absent or null section leaves every field
@@ -277,6 +293,7 @@ def parse_scenario(doc: dict) -> Scenario:
     once, so that a malformed scenario is a ScenarioError before any run."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be a JSON object")
+    _check_keys(doc)
     values = {path: _read(doc, path) for path in _FIELDS}
     model_spec = doc.get("model") or {}  # an object if present: _read checked it
     if model_spec.get("random", model_spec.get("explicit")) is None:

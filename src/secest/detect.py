@@ -56,20 +56,44 @@ and the flags are the full test's by construction.  Every test forms its
 per-sensor scores, block traces of that diagonal, on first read; in a
 search only certificate shrinking reads them.
 
+Many failures are settled before the filter runs (378 of 486 per
+trajectory at experiment 2's p=12), by a lower bound on the diagonal's
+sum.  With G = Ybar' Ybar / N (the moment plus M), W_s =
+O_s' O_s and H_s = O_s' G_s O_s, the projection of ybar_s(t) off the
+range of O_s is the least any estimate leaves, so for every estimate
+sequence the diagonal sums to at least
+
+    LB = tr(G_s) - tr(W_s^-1 H_s) - tr(E_s),
+
+tr(E_s) = tr(F W_s) + tr(M_s), less 2 sigma_v2 sum_c C_c L[:, c] in
+filtering mode.  When LB exceeds n |s| eta by a margin, some diagonal
+entry exceeds eta, and the test fails with no run and no lag products.
+The margin is derived in `_TraceBound.terms`: it covers the bound's own
+rounding, which grows with the condition of W_s, the moment's rounding
+seen through the projector, and the full test's rounding in its row-dot
+diagonal, which it bounds through LB itself.  So the flags are the full
+test's.  The bank keeps each sensor's Gram O_c' O_c and noise trace
+tr(M_c); a detector keeps the blocks O_c' G_cd O_d for c <= d, built one
+sensor row of G at a time (1.5 MB at n=50, p=12), and per sensor the
+moment's diagonal sum and the outputs' mean square; a subset's bound is
+one weighted sum of those blocks, one n x n inverse and a few traces.  A
+bound-failed report runs its full test on the first read of its
+deviation or scores, and then equals the full test's bit for bit.
+
 Every test runs through a `SubsetBank`, which owns the per-subset
 quantities of one model: O_s is a row selection of the model's
 observability stack, M_s is cut from M by the helper that cuts the
 moment's block, and each subset's filter and threshold are computed once.
 `SubsetBank.detector(traj)` holds one trajectory's window moment
-Ybar' Ybar / N - M and tests subsets against it; `attack_detect` tests
-one subset.
+Ybar' Ybar / N - M and the bound's blocks, and tests subsets against
+them; `attack_detect` tests one subset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -149,21 +173,24 @@ class DetectorConfig:
 class ResidueReport:
     """Outcome of one residue test.
 
-    ``passed`` is decided here: a test failed by the diagonal screen
-    (``screened``) fails, any other passes when ``max_deviation <= eta``.
-    The rest is formed on first read: ``deviation``, the (n|s|)^2 sample -
-    expected average of r r', by ``build``, which holds the window moment
-    until then, and from it ``max_deviation`` and ``sample_matrix``;
-    ``per_sensor_mu`` by ``scores``; ``expected_matrix`` by ``expectation``."""
+    ``settled`` names what decided it: ``"bound"``, the trace bound, and
+    ``"screen"``, the diagonal screen, only fail a test; after
+    ``"full"``, the test passes when ``max_deviation <= eta``.  ``passed``
+    is decided here.  The rest is formed on first read: ``deviation``, the
+    (n|s|)^2 sample - expected average of r r', by ``build``, which holds
+    the window moment until then, and from it ``max_deviation`` and
+    ``sample_matrix``; ``per_sensor_mu`` by ``scores``;
+    ``expected_matrix`` by ``expectation``."""
 
     def __init__(
         self, subset: SensorSubset, mode: str, eta: float, n_samples: int, t1: int,
-        screened: bool, build: Callable, scores: Callable, expectation: Callable
+        settled: str, build: Callable, scores: Callable, expectation: Callable
     ):
         self.subset, self.mode, self.eta = subset, mode, eta
         self.n_samples, self.t1, self.expectation = n_samples, t1, expectation
         self._build, self._scores = build, scores
-        self.passed = not screened and self.max_deviation <= eta
+        self.settled = settled
+        self.passed = settled == "full" and self.max_deviation <= eta
 
     @cached_property
     def deviation(self) -> np.ndarray:
@@ -228,14 +255,15 @@ class SubsetBank:
     """Steady-state Kalman filters and thresholds over the sensor subsets
     of one model, and the residue test against them.
 
-    The full-sensor window noise covariance M and each sensor's
-    lambda_max(O_i' O_i) are built once; a subset's M_s is its block of
-    M and its O_s a row selection of the model's observability stack.
-    Filters and thresholds are kept on first use; nothing of size
-    (n|s|)^2 is kept.  `detector(traj)` tests subsets of one trajectory:
-    it holds that trajectory's window moment, so detectors of different
-    trajectories can share one bank.  M or a per-sensor Gram O_i' O_i
-    past the float64 range is an AnalysisError.
+    The full-sensor window noise covariance M and each sensor's Gram
+    O_i' O_i, its lambda_max and its noise trace tr(M_i) are built once;
+    a subset's M_s is its block of M and its O_s a row selection of the
+    model's observability stack.  Filters and thresholds are kept on
+    first use; nothing of size (n|s|)^2 is kept.  `detector(traj)` tests
+    subsets of one trajectory: it holds that trajectory's window moment
+    and trace-bound blocks, so detectors of different trajectories can
+    share one bank.  M or a per-sensor Gram O_i' O_i past the float64
+    range is an AnalysisError.
     """
 
     def __init__(self, model: SystemModel, cfg: DetectorConfig):
@@ -248,6 +276,8 @@ class SubsetBank:
             grams = _finite(np.stack([Oi.T @ Oi for Oi in blocks]), "per-sensor Grams O_i' O_i")
         maxima = np.linalg.eigvalsh(grams)[:, -1]
         self.gram_maxima = {i: float(lam) for i, lam in enumerate(maxima, start=1)}
+        self._grams = grams  # W_s of the trace bound is the sum of its sensors' Grams
+        self._cov_traces = np.diagonal(self._cov).reshape(model.p, model.n).sum(axis=1)
         self._filters: dict[SensorSubset, SteadyStateFilter] = {}
         self._etas: dict[SensorSubset, float] = {}
 
@@ -288,21 +318,192 @@ class SubsetBank:
 
     def detector(
         self, traj: Trajectory
-    ) -> Callable[[Iterable[int]], tuple[int, FilterRun, ResidueReport]]:
+    ) -> Callable[[Iterable[int]], tuple[int, FilterRun | None, ResidueReport]]:
         """Residue test of subsets of ``traj``: the returned detector maps
         a subset to (flag, run, report), flag 0 meaning no effective
         attack was detected and flag 1 that the subset failed the test.
-        The window moment is computed here, once."""
+        A failure settled by the trace bound has no run (None).  The window
+        moment and the bound's blocks are computed here, once."""
         moment = self.window_moment(traj)
-        t1, N, p = self.cfg.t1, self.N, self.model.p
+        bound = _TraceBound(self, traj, moment)
+        cfg, N, p = self.cfg, self.N, self.model.p
 
-        def detect(s: Iterable[int]) -> tuple[int, FilterRun, ResidueReport]:
+        def detect(s: Iterable[int]) -> tuple[int, FilterRun | None, ResidueReport]:
             subset = normalize_subset(s, p)
-            run = run_filter(self.filter(subset), traj, t1, t1 + N - 1)
+            flt = self.filter(subset)
+            eta = self.eta(subset)  # raises before the bound, as in the full test
+            lb, margin = bound.terms(subset, flt)
+            if lb - margin > self.model.n * len(subset) * eta:  # False on nan
+                full = _FullTest(self, traj, subset, moment)
+                return 1, None, ResidueReport(
+                    subset, cfg.mode, eta, N, cfg.t1,
+                    settled="bound",
+                    build=full.deviation,
+                    scores=full.scores,
+                    expectation=partial(expected_residue_matrix, self, flt),
+                )
+            run = run_filter(flt, traj, cfg.t1, cfg.t1 + N - 1)
             report = residue_report(self, traj, subset, run, moment)
             return (0 if report.passed else 1), run, report
 
         return detect
+
+
+_UNIT = np.finfo(float).eps / 2  # the unit roundoff u of float64
+
+
+def _gamma(k: int) -> float:
+    """Rounding growth of a k-term float64 sum or dot product, k u / (1 - k u)."""
+    return k * _UNIT / (1 - k * _UNIT)
+
+
+@cache
+def _pair_weights(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions (a, b), a <= b, of the sensor pairs of an m-sensor subset,
+    and the weight of Q_ab in the sum whose symmetric part is H_s: 1/2 on
+    the diagonal and 1 off it, as tr(W^-1 Q_ba) = tr(W^-1 Q_ab)."""
+    first, second = np.triu_indices(m)
+    weights = np.where(first == second, 0.5, 1.0)
+    for shared in (first, second, weights):
+        shared.setflags(write=False)
+    return first, second, weights
+
+
+class _TraceBound:
+    """The trace bound of one trajectory (see the module docstring): the
+    blocks Q_cd = O_c' G_cd O_d for sensors c <= d, flattened in row-major
+    pair order, and per sensor the diagonal sum of the window moment and
+    the mean square of its outputs over the window and its lookahead."""
+
+    def __init__(self, bank: SubsetBank, traj: Trajectory, moment: np.ndarray):
+        model, cfg, N = bank.model, bank.cfg, bank.N
+        n, p = model.n, model.p
+        self.bank = bank
+        self.moment_sums = np.diagonal(moment).reshape(p, n).sum(axis=1)
+        blocks = model.observability_stack.reshape(p, n, n)
+        self.pairs = np.empty((p * (p + 1) // 2, n * n))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound fails nothing
+            outputs = traj.outputs[cfg.t1 : cfg.t1 + N + n - 1]
+            self.output_squares = np.einsum("tc,tc->c", outputs, outputs) / N
+            start = 0
+            for c in range(p):
+                rows = moment[c * n : (c + 1) * n] + bank._cov[c * n : (c + 1) * n]  # G's rows
+                left = (blocks[c].T @ rows).reshape(n, p, n)[:, c:]  # [:, d - c] -> O_c' G_cd
+                out = self.pairs[start : start + p - c].reshape(p - c, n, n)
+                np.matmul(left.transpose(1, 0, 2), blocks[c:], out=out)
+                start += p - c
+
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound fails nothing
+    def terms(self, subset: SensorSubset, flt: SteadyStateFilter) -> tuple[float, float]:
+        """(LB, margin) of subset s with filter ``flt``: the diagonal of its
+        deviation, as the full test computes it, sums to at least
+        LB - margin for any estimates the filter run may give.  The margin
+        is infinite where its first-order derivation below does not
+        apply."""
+        bank, model = self.bank, self.bank.model
+        n, p, N = model.n, model.p, bank.N
+        cols = np.subtract(subset, 1)
+        m = len(cols)
+        first, second, weights = _pair_weights(m)
+        c, d = cols[first], cols[second]
+        half = (weights @ self.pairs[c * (2 * p - c + 1) // 2 + d - c]).reshape(n, n)
+        H = half + half.T  # H_s, symmetric
+        W = bank._grams[cols].sum(axis=0)
+        try:
+            inverse = np.linalg.inv(W)
+        except np.linalg.LinAlgError:
+            return math.nan, math.inf
+        Z = inverse @ H
+        F = flt.error_cov if flt.mode == PREDICTION else flt.filtered_cov
+        cross = cross_size = 0.0  # sigma_v2 sum_c C_c L[:, c], and a bound on its terms
+        if flt.mode == FILTERING:
+            Cs = model.C[cols]
+            cross = model.sigma_v2 * np.vdot(Cs, flt.gain.T)
+            cross_size = model.sigma_v2 * np.linalg.norm(Cs) * np.linalg.norm(flt.gain)
+        rows = self.moment_sums[cols].sum()  # tr(G_s) - tr(M_s)
+        expected = np.vdot(F, W) - 2 * cross  # tr(E_s) - tr(M_s)
+        lb = float(rows - np.trace(Z) - expected)
+
+        # The margin, to first order in the unit roundoff u, with g(k) =
+        # `_gamma(k)`.  Let TG = tr(G_s) and TM = tr(M_s), both >= 0,
+        # nu = ||W^-1||_F >= 1 / lambda_min(W_s), A = TG + TM + |tr(E_s) -
+        # TM|, and |D| = sigma_v2 ||C_s|| ||L||, which bounds the terms of D.
+        # (a) The bound's own arithmetic.  `inv` solves for each column
+        #     (W + dW_j)^-1 e_j, ||dW_j|| <= g(3n) n ||W||_F (|L||U| is
+        #     about n ||W|| for a positive definite W), so tr(W^-1 H) moves
+        #     by at most max ||dW_j|| nu ||W^-1 H||_F.  W_s = O_s' O_s, H_s =
+        #     O_s' G_s O_s and the product W^-1 H carry |O_s|' |O_s|,
+        #     |O_s|' |G_s| |O_s| and |W^-1| |H| times g(2n + m^2 + 1), of
+        #     Frobenius norms tr(W_s), tr(W_s) TG and nu tr(W_s) TG, which
+        #     the trace sees through nu and ||W^-1|| tr(W^-1 H) <= nu TG:
+        #     3 g(2n + m^2 + 1) tr(W_s) nu TG covers them and G's rows.  The
+        #     sums over sensors and entries add g(n + m) (TG + TM) and
+        #     2 g(n^2 + n + m) (||F|| tr(W_s) + |D|), the last subtractions
+        #     4 u A.
+        # (b) The window moment's rounding dG, seen through the projector
+        #     Pi_s: the full test reads the same moment diagonal, so only
+        #     tr(Pi_s dG_s) <= n ||dG_s|| is left.  Each Gram entry is a
+        #     signed sum of at most N + 2n products of outputs from the
+        #     window and its lookahead, whose absolute values sum to at most
+        #     3 N sqrt(Y_c Y_d), Y_c the mean square of sensor c's outputs
+        #     there; with the division by N and the subtraction of M,
+        #     ||dG_s||_F <= 3 g(N + 2n) n sum_c Y_c + 2 u (TG + TM).
+        # (c) The full test's rounding in its row-dot diagonal.  Its lag
+        #     products, X_hat' X_hat, O_s products and row dots move the
+        #     diagonal's sum by at most 2 g(N + n + 5) [sqrt(tr(W_s) TG X2) +
+        #     tr(W_s) X2 + tr(W_s) ||F|| + |D|] + 2 u (TG + TM), where X2 =
+        #     sum_t ||x_hat(t)||^2 / N, which the bound does not have.  But
+        #     ||x_hat||^2 <= nu |O_s x_hat|^2 and |O_s x_hat|^2 <= 2 |ybar_s|^2
+        #     + 2 |r|^2, so X2 <= 2 nu (TG + tr S) with tr S = sum_t |r(t)|^2 /
+        #     N, the exact diagonal sum plus tr(E_s) less tr(dG_s).  With
+        #     sqrt(ab) <= (a + b) / 2 and rho = 6 g(N + n + 5) tr(W_s) nu, the
+        #     computed sum is at least (1 - rho) times the exact one, less
+        #     rho A + g(N + n + 5) (TG + 2 tr(W_s) ||F|| + 2 |D|) + 2 u (TG + TM).
+        # By (a) and (b) the exact sum is at least LB less their terms, so the
+        # computed sum is at least LB - rho (|LB| + A) - (a) - (b) - (c).  The
+        # margin doubles that for the second-order terms, while rho < 1/4.
+        u = _UNIT
+        TM = bank._cov_traces[cols].sum()
+        TG = abs(rows + TM)
+        A = TG + TM + abs(expected)
+        trW, nu, normF = np.trace(W), np.linalg.norm(inverse), np.linalg.norm(F)
+        rho = 6 * _gamma(N + n + 5) * trW * nu
+        own = (
+            _gamma(3 * n) * n * np.linalg.norm(W) * nu * np.linalg.norm(Z)
+            + 3 * _gamma(2 * n + m * m + 1) * trW * nu * TG
+            + _gamma(n + m) * (TG + TM)
+            + 2 * _gamma(n * n + n + m) * (normF * trW + cross_size)
+            + 4 * u * A
+        )
+        squares = self.output_squares[cols].sum()
+        projected = n * (3 * _gamma(N + 2 * n) * n * squares + 2 * u * (TG + TM))
+        full = _gamma(N + n + 5) * (TG + 2 * trW * normF + 2 * cross_size) + 2 * u * (TG + TM)
+        margin = 2 * (rho * (abs(lb) + A) + own + projected + full)
+        return lb, (float(margin) if rho < 0.25 else math.inf)
+
+
+class _FullTest:
+    """The full residue test of a subset the trace bound failed, run on
+    the first read of its report's deviation or scores."""
+
+    def __init__(
+        self, bank: SubsetBank, traj: Trajectory, subset: SensorSubset, moment: np.ndarray
+    ):
+        self._inputs = (bank, traj, subset, moment)
+
+    @cached_property
+    def report(self) -> ResidueReport:
+        bank, traj, subset, moment = self._inputs
+        run = run_filter(bank.filter(subset), traj, bank.cfg.t1, bank.cfg.t1 + bank.N - 1)
+        report = residue_report(bank, traj, subset, run, moment)
+        self._inputs = None  # the report holds the moment until its deviation is read
+        return report
+
+    def deviation(self) -> np.ndarray:
+        return self.report.deviation
+
+    def scores(self) -> dict[int, float]:
+        return self.report.per_sensor_mu
 
 
 def _sensor_block(matrix: np.ndarray, n: int, subset: SensorSubset) -> np.ndarray:
@@ -366,7 +567,7 @@ def residue_report(
     diagonal = rows - dots - dots
     return ResidueReport(
         subset, cfg.mode, eta, N, cfg.t1,
-        screened=bool(np.any(diagonal > eta)),
+        settled="screen" if np.any(diagonal > eta) else "full",
         build=partial(_deviation, moment, n, subset, Os, Kt, diagonal),
         scores=partial(_sensor_scores, bank.gram_maxima, subset, diagonal, eta),
         expectation=partial(expected_residue_matrix, bank, flt),
@@ -424,8 +625,12 @@ def attack_detect(
 ) -> tuple[int, FilterRun, ResidueReport]:
     """One-shot residue test of subset s through a fresh `SubsetBank`;
     flag 0 means no effective attack was detected, flag 1 means the
-    subset failed the test."""
-    return SubsetBank(model, cfg).detector(traj)(s)
+    subset failed the test.  The run is returned for every subset."""
+    bank = SubsetBank(model, cfg)
+    flag, run, report = bank.detector(traj)(s)
+    if run is None:  # a failure settled by the trace bound
+        run = run_filter(bank.filter(report.subset), traj, cfg.t1, cfg.t1 + bank.N - 1)
+    return flag, run, report
 
 
 def effective_attack_oracle(

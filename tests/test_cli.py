@@ -517,6 +517,28 @@ def test_mistyped_field_exits_2(tmp_path, command, edit):
     assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda doc: doc.update(detecor={"eta": 5}), "detecor"),
+        (lambda doc: doc["detector"].update(ETA=9), "detector.ETA"),
+        (lambda doc: doc["model"]["explicit"].update(sigma=1.0), "model.explicit.sigma"),
+        (lambda doc: doc["attack"]["strategy"].update(bais=[1.0]), "attack.strategy.bais"),
+        (lambda doc: doc.update(noiseless={"corrupt": {"sensor": [1]}}), "noiseless.corrupt.sensor"),
+    ],
+    ids=["root", "detector", "model-explicit", "attack-strategy", "noiseless-corrupt"],
+)
+def test_unknown_scenario_key_exits_2(tmp_path, capsys, edit, path):
+    # a key that is neither a field nor a section on a field's path is a
+    # scenario error naming its dotted path, at any depth
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    edit(doc)
+    scenario = write_scenario(tmp_path, doc)
+    for command in ("search", "detect", "exp2", "decode-noiseless", "obsv"):
+        assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 2
+        assert f"scenario error: unknown scenario key {path}\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override", [["--seed", "-1"], ["--reps", "0"]])
 def test_out_of_range_override_exits_2(tmp_path, override):
     scenario = write_scenario(tmp_path, SCALAR_SCENARIO)

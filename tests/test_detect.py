@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from itertools import combinations
 
@@ -345,7 +346,8 @@ def test_bank_matches_from_scratch_reference(mode):
 
 def test_bank_holds_filters_and_thresholds_only():
     # after a prewarm and a search the bank keeps per-subset filters and
-    # thresholds; no expected or residue matrix outlives its test
+    # thresholds, and per sensor its Gram and noise trace; no expected or
+    # residue matrix outlives its test
     from secest import exhaustive_search
 
     m = make_random_stable_system(3, 4, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
@@ -361,8 +363,11 @@ def test_bank_holds_filters_and_thresholds_only():
     tested = {tuple(entry["subset"]) for entry in outcome.trace}
     assert set(bank._filters) == tested | {(1, 2, 3, 4)}
     assert set(bank._etas) == tested
-    assert set(vars(bank)) == {"model", "cfg", "N", "_cov", "gram_maxima", "_filters", "_etas"}
+    assert set(vars(bank)) == {
+        "model", "cfg", "N", "_cov", "gram_maxima", "_grams", "_cov_traces", "_filters", "_etas"
+    }
     assert bank._cov.shape == (m.n * m.p, m.n * m.p)
+    assert bank._grams.shape == (m.p, m.n, m.n) and bank._cov_traces.shape == (m.p,)
 
 
 @pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
@@ -486,7 +491,7 @@ def test_large_bias_matches_direct_residue_formula():
             traces = [np.trace(deviation[c * n : (c + 1) * n, c * n : (c + 1) * n]) for c in range(len(s))]
             mu = {i: abs(tr - cfg.eta * n) / bank.gram_maxima[i] for i, tr in zip(s, traces)}
             report = ResidueReport(
-                s, mode, cfg.eta, N, cfg.t1, screened=False,
+                s, mode, cfg.eta, N, cfg.t1, settled="full",
                 build=lambda: deviation, scores=lambda: mu, expectation=None,
             )
             return int(not report.passed), run, report
@@ -702,3 +707,144 @@ def test_search_forms_scores_only_where_certificates_read_them(monkeypatch, mode
     assert [id(r) for r in scored] == [id(r) for r in certified]
     for report in scored:
         assert report.per_sensor_mu == _eager_scores(bank, traj, report.subset)
+
+
+# --- the trace bound --------------------------------------------------------
+
+
+def _bound_case(mode):
+    """An n=4, p=5 plant under a random attack on sensor 2 strong enough
+    for the trace bound to fail subsets that hold it."""
+    m = make_random_stable_system(4, 5, 0.85, seed=51, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = _small_cfg(N=600, eta=1.0, mode=mode)
+    N = cfg.window_length(m.n)
+    attack = AttackSpec((2,), SeededRandom(amplitude=10.0))
+    return m, cfg, simulate(m, attack, cfg.t1 + N + m.n, seed=8, burn_in=30)
+
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_trace_bound_is_below_any_formed_diagonal_sum(mode):
+    # on every subset of three random plants (the third with a 1e3 bias),
+    # LB without its margin is at most the formed diagonal's sum plus the
+    # margin, for the filter's estimates, random ones, and the least-squares
+    # fits O_s^+ ybar_s(t), which make the bound exact: then the two sums
+    # differ by rounding alone, and the margin covers it.  The margin stays
+    # below 1e-3 of the threshold sum n |s| eta
+    from secest import ConstantBias, FilterRun, observability_matrix
+    from secest.detect import _TraceBound
+
+    rng = np.random.default_rng(5)
+    plants = [
+        (51, 4, 5, SeededRandom(amplitude=10.0)),
+        (63, 6, 4, SeededRandom(amplitude=3.0)),
+        (61, 3, 4, ConstantBias(bias=(1e3,))),
+    ]
+    for seed, n, p, strategy in plants:
+        m = make_random_stable_system(n, p, 0.85, seed=seed, sigma_w2=0.5, sigma_v2=0.7)
+        cfg = _small_cfg(N=600, eta=1.0, mode=mode)
+        bank = SubsetBank(m, cfg)
+        N, window = bank.N, (cfg.t1, cfg.t1 + bank.N - 1)
+        traj = simulate(m, AttackSpec((2,), strategy), cfg.t1 + N + n, seed=8, burn_in=30)
+        moment = bank.window_moment(traj)
+        bound = _TraceBound(bank, traj, moment)
+        for size in range(1, p + 1):
+            for s in combinations(range(1, p + 1), size):
+                flt = bank.filter(s)
+                lb, margin = bound.terms(s, flt)
+                assert 0 < margin <= 1e-3 * n * size * cfg.eta
+                ybar = block_output_matrix(traj, s, cfg.t1, N)
+                fits = np.linalg.lstsq(observability_matrix(m, s), ybar.T, rcond=None)[0].T
+                estimates = [run_filter(flt, traj, *window).estimates, rng.standard_normal((N, n))]
+                for est in estimates + [fits]:
+                    run = FilterRun(estimates=est, t_start=window[0], t_end=window[1])
+                    report = residue_report(bank, traj, s, run, moment)
+                    total = math.fsum(np.diagonal(report.deviation))
+                    assert lb <= total + margin
+                assert abs(total - lb) <= margin  # the fits
+
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_bound_failures_report_the_full_test_bitwise(mode):
+    # every flag is the full test's; a failure settled by the trace bound
+    # has no run, forms its scores, deviation, matrices and to_dict() on
+    # first read bit for bit as the full test does, and once read reaches
+    # no (n p)^2 array but its own and the bank's noise covariance
+    m, cfg, traj = _bound_case(mode)
+    bank = SubsetBank(m, cfg)
+    moment = bank.window_moment(traj)
+    detector = bank.detector(traj)
+    settled = []
+    for size in range(1, m.p + 1):
+        for s in combinations(range(1, m.p + 1), size):
+            flag, run, report = detector(s)
+            full = _report(m, cfg, traj, s, moment, cfg.eta)
+            assert flag == int(not full.passed)
+            settled.append(report.settled)
+            if run is not None:
+                assert report.settled == full.settled
+                continue
+            assert flag == 1 and report.settled == "bound" and full.settled == "screen"
+            assert "deviation" not in vars(report)
+            assert report.per_sensor_mu == full.per_sensor_mu
+            assert report.deviation.tobytes() == full.deviation.tobytes()
+            assert report.max_deviation == full.max_deviation
+            assert report.expected_matrix.tobytes() == full.expected_matrix.tobytes()
+            assert report.sample_matrix.tobytes() == full.sample_matrix.tobytes()
+            assert report.to_dict() == full.to_dict()
+            own = {id(report.deviation), id(report.expected_matrix), id(report.sample_matrix)}
+            squares = [a for a in _reachable_arrays(report) if a.shape == (m.n * m.p,) * 2]
+            assert [id(a) for a in squares if id(a) not in own] == [id(bank._cov)]
+    assert set(settled) == {"bound", "screen", "full"}
+
+
+def test_near_threshold_subset_falls_through_to_the_full_test():
+    # thresholds within the margin below LB / (n |s|) leave the test to the
+    # full path, which decides it; one clear of the margin lets the bound
+    # settle it
+    from secest.detect import _TraceBound
+
+    m, cfg, traj = _bound_case(PREDICTION)
+    s, size = (1, 2, 3), m.n * 3
+    bank = SubsetBank(m, cfg)
+    moment = bank.window_moment(traj)
+    lb, margin = _TraceBound(bank, traj, moment).terms(s, bank.filter(s))
+    assert lb - margin > size * cfg.eta
+    for eta, bounded in [(lb / size, False), ((lb - margin / 2) / size, False),
+                         ((lb - 2 * margin) / size, True)]:
+        flag, run, report = SubsetBank(m, replace(cfg, eta=eta)).detector(traj)(s)
+        assert (report.settled == "bound") == bounded and (run is None) == bounded
+        assert flag == int(not _report(m, cfg, traj, s, moment, eta).passed)
+
+
+def test_attack_detect_runs_the_filter_of_a_bound_failure():
+    # the one-shot test returns the filter run of every subset, one the
+    # trace bound failed included
+    m, cfg, traj = _bound_case(PREDICTION)
+    s = (1, 2, 3)
+    flag, run, report = attack_detect(m, traj, s, cfg)
+    assert flag == 1 and report.settled == "bound"
+    end = cfg.t1 + cfg.window_length(m.n) - 1
+    expected = run_filter(solve_steady_state(m, s, cfg.mode), traj, cfg.t1, end)
+    assert (run.t_start, run.t_end) == (cfg.t1, end)
+    assert run.estimates.tobytes() == expected.estimates.tobytes()
+
+
+def test_bound_failure_refuses_overflowing_products_on_every_read(monkeypatch):
+    # the full test of a bound failure runs when its deviation or scores
+    # are read, and refuses window products past float64 on each read
+    from secest import FilterRun, detect
+
+    m, cfg, traj = _bound_case(PREDICTION)
+    _, _, report = SubsetBank(m, cfg).detector(traj)((1, 2, 3))
+    assert report.settled == "bound"
+
+    def huge_run(flt, traj, t_start, t_end):
+        run = run_filter(flt, traj, t_start, t_end)
+        return FilterRun(estimates=run.estimates * 1e300, t_start=t_start, t_end=t_end)
+
+    monkeypatch.setattr(detect, "run_filter", huge_run)
+    for _ in range(2):
+        with pytest.raises(AnalysisError, match="window products"):
+            report.deviation
+        with pytest.raises(AnalysisError, match="window products"):
+            report.per_sensor_mu

@@ -202,7 +202,7 @@ def _fake_report(subset, mu, eta=1.0):
         eta=eta,
         n_samples=100,
         t1=0,
-        screened=True,
+        settled="screen",
         build=lambda: np.full((d, d), 2.0),
         scores=lambda: dict(mu),
         expectation=None,
