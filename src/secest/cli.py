@@ -476,8 +476,8 @@ def run_experiment2(
             strategy = NoiseLinear(gain=(strategy.gain,) * (k - 1) + (weak,))
         attack = AttackSpec(attacked=tuple(range(1, k + 1)), strategy=strategy)
         # Filters of every (p-k)-subset and the full set are solved before
-        # the timed searches, which then isolate residue testing and
-        # search logic.
+        # the timed searches, so that neither search times a Riccati solve
+        # of them: criterion 9 compares the two searches' times.
         bank = SubsetBank(model, cfg)
         bank.prewarm(combinations(range(1, p + 1), p - k))
         bank.prewarm([full_subset(p)])

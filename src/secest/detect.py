@@ -56,7 +56,7 @@ and the flags are the full test's by construction.  Every test forms its
 per-sensor scores, block traces of that diagonal, on first read; in a
 search only certificate shrinking reads them.
 
-Many failures are settled before the filter runs (378 of 486 per
+Many failures are settled before their filter is solved (378 of 486 per
 trajectory at experiment 2's p=12), by a lower bound on the diagonal's
 sum.  With G = Ybar' Ybar / N (the moment plus M), W_s =
 O_s' O_s and H_s = O_s' G_s O_s, the projection of ybar_s(t) off the
@@ -66,19 +66,36 @@ sequence the diagonal sums to at least
     LB = tr(G_s) - tr(W_s^-1 H_s) - tr(E_s),
 
 tr(E_s) = tr(F W_s) + tr(M_s), less 2 sigma_v2 sum_c C_c L[:, c] in
-filtering mode.  When LB exceeds n |s| eta by a margin, some diagonal
-entry exceeds eta, and the test fails with no run and no lag products.
-The margin is derived in `_TraceBound.terms`: it covers the bound's own
+filtering mode.  That term needs a filter, but on a stable plant the
+open-loop state covariance X = A X A' + sigma_w2 I
+(`SystemModel.open_loop_cov`) bounds it for every subset without one:
+P <= X by Riccati comparison (Anderson and Moore, Optimal Filtering,
+1979), F <= P and sigma_v2 sum_c C_c L[:, c] >= 0, so tr(E_s) - tr(M_s)
+<= tr(X W_s), the sum of per-sensor traces tr(X O_c' O_c).  The bound
+reads the covariance of a filter the bank keeps, which gives the tighter
+bound (experiment 1's one-shot tests solve first), and X for a subset
+without one; only a plant without X, such as an unstable one, solves
+every filter first.
+When LB exceeds n |s| eta by a margin, some diagonal entry exceeds eta,
+and the test fails with no solve, no run and no lag products.  The
+margin is derived in `_TraceBound.terms`: it covers the bound's own
 rounding, which grows with the condition of W_s, the moment's rounding
-seen through the projector, and the full test's rounding in its row-dot
-diagonal, which it bounds through LB itself.  So the flags are the full
-test's.  The bank keeps each sensor's Gram O_c' O_c and noise trace
-tr(M_c); a detector keeps the blocks O_c' G_cd O_d for c <= d, built one
-sensor row of G at a time (1.5 MB at n=50, p=12), and per sensor the
-moment's diagonal sum and the outputs' mean square; a subset's bound is
-one weighted sum of those blocks, one n x n inverse and a few traces.  A
-bound-failed report runs its full test on the first read of its
-deviation or scores, and then equals the full test's bit for bit.
+seen through the projector, the full test's rounding in its row-dot
+diagonal, which it bounds through LB itself, and with X, X's rounding
+and that of the filter the full test would compute.  So the flags are
+the full test's.  The bank keeps each sensor's Gram O_c' O_c, noise
+trace tr(M_c) and open-loop trace; a detector keeps the blocks
+O_c' G_cd O_d for c <= d, built one sensor row of G at a time (1.5 MB at
+n=50, p=12), and per sensor the moment's diagonal sum and the outputs'
+mean square; a subset's bound is one weighted sum of those blocks, one
+n x n inverse and a few traces.  A bound-failed report solves its filter
+on the first read of its expected matrix, and runs its full test on the
+first read of its deviation or scores, and then equals the full test's
+bit for bit.  So on a stable plant a subset whose solve would raise, but
+whose bound fails, is flagged with no exception; its report raises the
+solve's AnalysisError when read.  An unobservable subset raises at the
+detector call as before: the bank checks the solve's preconditions once
+per subset.
 
 Every test runs through a `SubsetBank`, which owns the per-subset
 quantities of one model: O_s is a row selection of the model's
@@ -94,7 +111,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -105,6 +122,7 @@ from .kalman import (
     PREDICTION,
     FilterRun,
     SteadyStateFilter,
+    _check_solvable,
     cross_covariance_correction,
     run_filter,
     solve_steady_state,
@@ -256,14 +274,17 @@ class SubsetBank:
     of one model, and the residue test against them.
 
     The full-sensor window noise covariance M and each sensor's Gram
-    O_i' O_i, its lambda_max and its noise trace tr(M_i) are built once;
-    a subset's M_s is its block of M and its O_s a row selection of the
-    model's observability stack.  Filters and thresholds are kept on
-    first use; nothing of size (n|s|)^2 is kept.  `detector(traj)` tests
-    subsets of one trajectory: it holds that trajectory's window moment
-    and trace-bound blocks, so detectors of different trajectories can
-    share one bank.  M or a per-sensor Gram O_i' O_i past the float64
-    range is an AnalysisError.
+    O_i' O_i, its lambda_max, its noise trace tr(M_i) and its open-loop
+    trace tr(X O_i' O_i) are built once; a subset's M_s is its block of M
+    and its O_s a row selection of the model's observability stack.
+    Filters and thresholds are kept on first use; nothing of size
+    (n|s|)^2 is kept.  `detector(traj)` tests subsets of one trajectory:
+    it holds that trajectory's window moment and trace-bound blocks, so
+    detectors of different trajectories can share one bank.  On a plant
+    with an open-loop covariance X the trace bound fails most attacked
+    subsets before their filter is solved, and such a subset's filter is
+    solved only when its report is read.  M or a per-sensor Gram O_i' O_i
+    past the float64 range is an AnalysisError.
     """
 
     def __init__(self, model: SystemModel, cfg: DetectorConfig):
@@ -278,7 +299,9 @@ class SubsetBank:
         self.gram_maxima = {i: float(lam) for i, lam in enumerate(maxima, start=1)}
         self._grams = grams  # W_s of the trace bound is the sum of its sensors' Grams
         self._cov_traces = np.diagonal(self._cov).reshape(model.p, model.n).sum(axis=1)
+        self._open_loop = _open_loop(model, grams)
         self._filters: dict[SensorSubset, SteadyStateFilter] = {}
+        self._observable: set[SensorSubset] = set()  # passed the solve's preconditions
         self._etas: dict[SensorSubset, float] = {}
 
     def filter(self, s: SensorSubset) -> SteadyStateFilter:
@@ -287,6 +310,20 @@ class SubsetBank:
             flt = solve_steady_state(self.model, s, self.cfg.mode)
             self._filters[s] = flt
         return flt
+
+    def _bound_filter(self, s: SensorSubset) -> SteadyStateFilter | None:
+        """The filter whose covariance the trace bound of subset s reads:
+        the kept one, whose bound is the tighter; else None, for X, after
+        the solve's preconditions (checked once per subset), so that an
+        unobservable subset raises here as in the solve; else, on a plant
+        without X, a new one."""
+        flt = self._filters.get(s)
+        if flt is not None or self._open_loop is None:
+            return self.filter(s)
+        if s not in self._observable:
+            _check_solvable(self.model, s)
+            self._observable.add(s)
+        return None
 
     def eta(self, s: SensorSubset) -> float:
         """Threshold of subset s: ``cfg.eta``, or else its auto threshold."""
@@ -322,15 +359,17 @@ class SubsetBank:
         """Residue test of subsets of ``traj``: the returned detector maps
         a subset to (flag, run, report), flag 0 meaning no effective
         attack was detected and flag 1 that the subset failed the test.
-        A failure settled by the trace bound has no run (None).  The window
-        moment and the bound's blocks are computed here, once."""
+        A failure settled by the trace bound has no run (None), and on a
+        plant with an open-loop covariance X, its filter is solved only
+        when its report's expected matrix, deviation or scores are read.
+        The window moment and the bound's blocks are computed here, once."""
         moment = self.window_moment(traj)
         bound = _TraceBound(self, traj, moment)
         cfg, N, p = self.cfg, self.N, self.model.p
 
         def detect(s: Iterable[int]) -> tuple[int, FilterRun | None, ResidueReport]:
             subset = normalize_subset(s, p)
-            flt = self.filter(subset)
+            flt = self._bound_filter(subset)
             eta = self.eta(subset)  # raises before the bound, as in the full test
             lb, margin = bound.terms(subset, flt)
             if lb - margin > self.model.n * len(subset) * eta:  # False on nan
@@ -340,9 +379,9 @@ class SubsetBank:
                     settled="bound",
                     build=full.deviation,
                     scores=full.scores,
-                    expectation=partial(expected_residue_matrix, self, flt),
+                    expectation=lambda: expected_residue_matrix(self, self.filter(subset)),
                 )
-            run = run_filter(flt, traj, cfg.t1, cfg.t1 + N - 1)
+            run = run_filter(self.filter(subset), traj, cfg.t1, cfg.t1 + N - 1)
             report = residue_report(self, traj, subset, run, moment)
             return (0 if report.passed else 1), run, report
 
@@ -367,6 +406,36 @@ def _pair_weights(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for shared in (first, second, weights):
         shared.setflags(write=False)
     return first, second, weights
+
+
+class _OpenLoop(NamedTuple):
+    """What the trace bound reads of the model's open-loop covariance X."""
+
+    traces: np.ndarray  # tr(X O_c' O_c) of each sensor c
+    norm: float         # ||X||_F
+    error: float        # delta, a bound on X's relative error (see `_TraceBound.terms`)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite delta gives None
+def _open_loop(model: SystemModel, grams: np.ndarray) -> _OpenLoop | None:
+    """X's part of the trace bound, or None without X or with delta >= 1/4.
+    delta bounds ||R||_F / sigma_w2 for X's exact residual R = A X A' +
+    sigma_w2 I - X: the computed residual's norm plus its rounding,
+    g(2n + 2) (||A||_F^2 ||X||_F + ||X||_F + sigma_w2 sqrt(n)).  X is 0 and
+    exact when sigma_w2 is 0."""
+    X = model.open_loop_cov
+    if X is None:
+        return None
+    n, A, q = model.n, model.A, model.sigma_w2
+    size = float(np.linalg.norm(X))
+    delta = 0.0
+    if q > 0:
+        residual = A @ X @ A.T + q * np.eye(n) - X
+        rounding = _gamma(2 * n + 2) * ((np.linalg.norm(A) ** 2 + 1) * size + q * math.sqrt(n))
+        delta = float(np.linalg.norm(residual) + rounding) / q
+    if not delta < 0.25:
+        return None
+    return _OpenLoop(np.einsum("ij,cij->c", X, grams), size, delta)
 
 
 class _TraceBound:
@@ -394,12 +463,15 @@ class _TraceBound:
                 start += p - c
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound fails nothing
-    def terms(self, subset: SensorSubset, flt: SteadyStateFilter) -> tuple[float, float]:
-        """(LB, margin) of subset s with filter ``flt``: the diagonal of its
-        deviation, as the full test computes it, sums to at least
-        LB - margin for any estimates the filter run may give.  The margin
-        is infinite where its first-order derivation below does not
-        apply."""
+    def terms(
+        self, subset: SensorSubset, flt: SteadyStateFilter | None
+    ) -> tuple[float, float]:
+        """(LB, margin) of subset s: the diagonal of its deviation, as the
+        full test computes it, sums to at least LB - margin for any
+        estimates the filter run may give.  LB reads the covariance and
+        cross term of ``flt``, or with None the bank's open-loop covariance
+        X, which bounds them for every filter of the subset.  The margin is
+        infinite where its first-order derivation below does not apply."""
         bank, model = self.bank, self.bank.model
         n, p, N = model.n, model.p, bank.N
         cols = np.subtract(subset, 1)
@@ -414,20 +486,33 @@ class _TraceBound:
         except np.linalg.LinAlgError:
             return math.nan, math.inf
         Z = inverse @ H
-        F = flt.error_cov if flt.mode == PREDICTION else flt.filtered_cov
-        cross = cross_size = 0.0  # sigma_v2 sum_c C_c L[:, c], and a bound on its terms
-        if flt.mode == FILTERING:
-            Cs = model.C[cols]
-            cross = model.sigma_v2 * np.vdot(Cs, flt.gain.T)
-            cross_size = model.sigma_v2 * np.linalg.norm(Cs) * np.linalg.norm(flt.gain)
+        trW, Cs = np.trace(W), model.C[cols]
+        if flt is None:
+            X = bank._open_loop
+            expected = X.traces[cols].sum()  # tr(X W_s), at least tr(E_s) - tr(M_s)
+            normF, gain = X.norm, np.vdot(Cs, Cs) * X.norm  # ||C_s||^2 ||X||_F
+            cross_size = gain if bank.cfg.mode == FILTERING else 0.0
+            spread = expected + 2 * cross_size
+            kappa = 1 + gain / model.sigma_v2
+            solve = 2 * _gamma(2 * n + m) * (kappa + 1) * (normF * trW + cross_size)
+            solve += 2 * X.error * expected
+        else:
+            F = flt.error_cov if flt.mode == PREDICTION else flt.filtered_cov
+            cross = cross_size = 0.0  # sigma_v2 sum_c C_c L[:, c], and a bound on its terms
+            if flt.mode == FILTERING:
+                cross = model.sigma_v2 * np.vdot(Cs, flt.gain.T)
+                cross_size = model.sigma_v2 * np.linalg.norm(Cs) * np.linalg.norm(flt.gain)
+            expected = np.vdot(F, W) - 2 * cross  # tr(E_s) - tr(M_s)
+            normF, spread, solve = np.linalg.norm(F), abs(expected), 0.0
         rows = self.moment_sums[cols].sum()  # tr(G_s) - tr(M_s)
-        expected = np.vdot(F, W) - 2 * cross  # tr(E_s) - tr(M_s)
         lb = float(rows - np.trace(Z) - expected)
 
         # The margin, to first order in the unit roundoff u, with g(k) =
         # `_gamma(k)`.  Let TG = tr(G_s) and TM = tr(M_s), both >= 0,
         # nu = ||W^-1||_F >= 1 / lambda_min(W_s), A = TG + TM + |tr(E_s) -
-        # TM|, and |D| = sigma_v2 ||C_s|| ||L||, which bounds the terms of D.
+        # TM| and |D| a bound on sigma_v2 ||C_s|| ||L||, which bounds the
+        # terms of D.  With a filter, ||F|| is its covariance's norm and
+        # |D| that product; with X, (d) bounds them.
         # (a) The bound's own arithmetic.  `inv` solves for each column
         #     (W + dW_j)^-1 e_j, ||dW_j|| <= g(3n) n ||W||_F (|L||U| is
         #     about n ||W|| for a positive definite W), so tr(W^-1 H) moves
@@ -438,8 +523,8 @@ class _TraceBound:
         #     the trace sees through nu and ||W^-1|| tr(W^-1 H) <= nu TG:
         #     3 g(2n + m^2 + 1) tr(W_s) nu TG covers them and G's rows.  The
         #     sums over sensors and entries add g(n + m) (TG + TM) and
-        #     2 g(n^2 + n + m) (||F|| tr(W_s) + |D|), the last subtractions
-        #     4 u A.
+        #     2 g(n^2 + n + m) (||F|| tr(W_s) + |D|) (tr(X W_s) sums m
+        #     per-sensor traces of n^2 terms), the last subtractions 4 u A.
         # (b) The window moment's rounding dG, seen through the projector
         #     Pi_s: the full test reads the same moment diagonal, so only
         #     tr(Pi_s dG_s) <= n ||dG_s|| is left.  Each Gram entry is a
@@ -459,14 +544,36 @@ class _TraceBound:
         #     sqrt(ab) <= (a + b) / 2 and rho = 6 g(N + n + 5) tr(W_s) nu, the
         #     computed sum is at least (1 - rho) times the exact one, less
         #     rho A + g(N + n + 5) (TG + 2 tr(W_s) ||F|| + 2 |D|) + 2 u (TG + TM).
-        # By (a) and (b) the exact sum is at least LB less their terms, so the
-        # computed sum is at least LB - rho (|LB| + A) - (a) - (b) - (c).  The
+        # (d) X in place of the filter.  In exact arithmetic each Riccati
+        #     iterate from P = 0 is at most the Lyapunov iterate A P A' +
+        #     sigma_w2 I from 0, so P <= X, and the doubling's H_k increase
+        #     towards P, so stopping early only lowers it.  F = P - L C_s P
+        #     <= P in filtering mode, and tr(C_s L) = tr(C_s P C_s' S^-1) >= 0
+        #     with S = C_s P C_s' + sigma_v2 I.  So tr(E_s) - TM = tr(F W_s) -
+        #     2 sigma_v2 tr(C_s L) <= tr(X W_s), ||F|| <= ||X||_F, A <= TG +
+        #     TM + tr(X W_s) + 2 |D|, and as ||L|| <= ||P|| ||C_s|| / sigma_v2,
+        #     |D| <= ||C_s||^2 ||X||_F (0 in prediction mode).  The full test
+        #     reads the computed filter: the solve claims P to its stopping
+        #     floor n eps ||P||_F <= 2 n u ||X||_F, and forms P, F and L
+        #     through solves with I + G H and S, whose condition is at most
+        #     kappa = 1 + ||C_s||^2 ||X||_F / sigma_v2 (S >= sigma_v2 I and
+        #     ||G H|| <= ||C_s||^2 ||X|| / sigma_v2).  So its tr(F W_s) and
+        #     2 sigma_v2 tr(C_s L) lie within 2 g(2n + m) (kappa + 1)
+        #     (||X||_F tr(W_s) + |D|) of values that obey the inequality.
+        # (e) X's own rounding.  The true X is the computed one plus sum_j
+        #     A^j R A'^j <= ||R|| X / sigma_w2 for its exact residual R, so
+        #     tr(X W_s) is at most the computed one over 1 - delta, with
+        #     delta >= ||R||_F / sigma_w2 from `_open_loop`: within 2 delta
+        #     tr(X W_s) of it while delta < 1/4.
+        # With a filter (d) and (e) are 0.  By (a), (b), (d) and (e) the
+        # exact sum is at least LB less their terms, so the computed sum is
+        # at least LB - rho (|LB| + A) - (a) - (b) - (c) - (d) - (e).  The
         # margin doubles that for the second-order terms, while rho < 1/4.
         u = _UNIT
         TM = bank._cov_traces[cols].sum()
         TG = abs(rows + TM)
-        A = TG + TM + abs(expected)
-        trW, nu, normF = np.trace(W), np.linalg.norm(inverse), np.linalg.norm(F)
+        A = TG + TM + spread
+        nu = np.linalg.norm(inverse)
         rho = 6 * _gamma(N + n + 5) * trW * nu
         own = (
             _gamma(3 * n) * n * np.linalg.norm(W) * nu * np.linalg.norm(Z)
@@ -478,7 +585,7 @@ class _TraceBound:
         squares = self.output_squares[cols].sum()
         projected = n * (3 * _gamma(N + 2 * n) * n * squares + 2 * u * (TG + TM))
         full = _gamma(N + n + 5) * (TG + 2 * trW * normF + 2 * cross_size) + 2 * u * (TG + TM)
-        margin = 2 * (rho * (abs(lb) + A) + own + projected + full)
+        margin = 2 * (rho * (abs(lb) + A) + own + projected + full + solve)
         return lb, (float(margin) if rho < 0.25 else math.inf)
 
 
@@ -625,11 +732,14 @@ def attack_detect(
 ) -> tuple[int, FilterRun, ResidueReport]:
     """One-shot residue test of subset s through a fresh `SubsetBank`;
     flag 0 means no effective attack was detected, flag 1 means the
-    subset failed the test.  The run is returned for every subset."""
+    subset failed the test.  The run is returned for every subset, so
+    its filter is solved before the test."""
     bank = SubsetBank(model, cfg)
-    flag, run, report = bank.detector(traj)(s)
+    subset = normalize_subset(s, model.p)
+    bank.prewarm([subset])
+    flag, run, report = bank.detector(traj)(subset)
     if run is None:  # a failure settled by the trace bound
-        run = run_filter(bank.filter(report.subset), traj, cfg.t1, cfg.t1 + bank.N - 1)
+        run = run_filter(bank.filter(subset), traj, cfg.t1, cfg.t1 + bank.N - 1)
     return flag, run, report
 
 

@@ -112,6 +112,15 @@ def _validate_mode(mode: str) -> str:
     return mode
 
 
+def _check_solvable(model: SystemModel, subset: SensorSubset) -> None:
+    """The preconditions of `solve_steady_state`: ConfigError without
+    sensor noise and AnalysisError when (A, C_s) is not observable."""
+    if model.sigma_v2 <= 0:
+        raise ConfigError("solve_steady_state needs sigma_v2 > 0")
+    if not is_observable(model, subset):
+        raise AnalysisError(f"subset {subset} is not observable")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused in _finite
 def solve_steady_state(
     model: SystemModel,
@@ -126,10 +135,7 @@ def solve_steady_state(
     """
     mode = _validate_mode(mode)
     subset = normalize_subset(s, model.p)
-    if model.sigma_v2 <= 0:
-        raise ConfigError("solve_steady_state needs sigma_v2 > 0")
-    if not is_observable(model, subset):
-        raise AnalysisError(f"subset {subset} is not observable")
+    _check_solvable(model, subset)
 
     A = model.A
     Cs = model.C[[i - 1 for i in subset]]

@@ -93,6 +93,29 @@ class SystemModel:
         _finite(stack, "the observability rows C_i A^j").setflags(write=False)
         return stack
 
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow gives None below
+    def open_loop_cov(self) -> np.ndarray | None:
+        """Read-only open-loop state covariance X = A X A' + sigma_w2 I, the
+        stationary covariance of x(t), by Smith doubling: X_0 = sigma_w2 I,
+        A_0 = A, X_{k+1} = X_k + A_k X_k A_k' and A_{k+1} = A_k^2, so X_k
+        sums the first 2^k terms of sum_j A^j (sigma_w2 I) A'^j.  It stops
+        once a step changes X by at most eps ||X||_F.  None when the doubling
+        does not converge within 64 steps, as for rho(A) >= 1 and sigma_w2 >
+        0, or X is not finite."""
+        X, Ak = self.sigma_w2 * np.eye(self.n), self.A
+        for _ in range(64):
+            step = Ak @ X @ Ak.T
+            X = X + 0.5 * (step + step.T)
+            Ak = Ak @ Ak
+            change, size = np.linalg.norm(step), np.linalg.norm(X)
+            if not np.isfinite([change, size]).all():
+                return None
+            if change <= np.finfo(float).eps * size:
+                X.setflags(write=False)
+                return X
+        return None
+
 
 # Adversary strategies.  Every strategy is causal: the corruption at
 # time t is built only from quantities available at time t.

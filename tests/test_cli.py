@@ -289,6 +289,26 @@ def test_overflow_past_float64_exits_3(tmp_path, capsys, model, edits, commands)
     assert list(out.iterdir()) == []
 
 
+def test_detect_exits_3_where_the_bound_fails_a_subset_whose_solve_raises(tmp_path, capsys):
+    # the trace bound fails subset (1, 2) of this stable plant without its
+    # Riccati solve, which meets a singular matrix; detect returns the
+    # filter run of every subset, so it still solves, and exits 3
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    doc["model"]["explicit"].update(A=[[0.5]], sigma_v2=1e-38)
+    doc.update(
+        attack={"attacked": [1], "strategy": {"type": "constant", "bias": [1e15]}},
+        detector={"epsilon": 1.0, "eta": 1.0, "N": 40, "t1": 10},
+        subset=[1, 2],
+    )
+    scenario = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["detect", "--scenario", scenario, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "analysis error: Riccati solve for subset (1, 2) met a singular matrix\n"
+    assert list(out.iterdir()) == []
+
+
 def test_missing_scenario_and_explicit_exp2_model_exit_2(tmp_path, capsys):
     assert main(["detect", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "scenario error: --scenario is required for this subcommand\n"

@@ -345,9 +345,11 @@ def test_bank_matches_from_scratch_reference(mode):
 
 
 def test_bank_holds_filters_and_thresholds_only():
-    # after a prewarm and a search the bank keeps per-subset filters and
-    # thresholds, and per sensor its Gram and noise trace; no expected or
-    # residue matrix outlives its test
+    # after a prewarm and a search the bank keeps the filters of the prewarm
+    # and of the subsets its full test ran on, per-subset thresholds, the
+    # subsets that passed the solve's preconditions without a filter, and
+    # per sensor its Gram, noise trace and open-loop trace tr(X O_c' O_c);
+    # no expected or residue matrix outlives its test
     from secest import exhaustive_search
 
     m = make_random_stable_system(3, 4, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
@@ -356,18 +358,31 @@ def test_bank_holds_filters_and_thresholds_only():
     traj = simulate(m, atk, cfg.t1 + cfg.window_length(3) + 3, seed=3, burn_in=30)
 
     bank = SubsetBank(m, cfg)
-    bank.prewarm([(2, 3, 4), (1, 2, 3, 4)])
-    assert set(bank._filters) == {(2, 3, 4), (1, 2, 3, 4)}
-    outcome = exhaustive_search(m, traj, cfg, detector=bank.detector(traj))
+    prewarmed = {(1, 2, 3, 4), (2, 3, 4)}
+    bank.prewarm(prewarmed)
+    assert set(bank._filters) == prewarmed
+    inner, reports = bank.detector(traj), []
+
+    def detector(s):
+        flag, run, report = inner(s)
+        reports.append(report)
+        return flag, run, report
+
+    outcome = exhaustive_search(m, traj, cfg, detector=detector)
     assert outcome.found and outcome.theory_checks > 1
     tested = {tuple(entry["subset"]) for entry in outcome.trace}
-    assert set(bank._filters) == tested | {(1, 2, 3, 4)}
+    full = {r.subset for r in reports if r.settled != "bound"}
+    assert full != tested  # the bound settled some tests without a filter
+    assert set(bank._filters) == full | prewarmed
+    assert bank._observable == tested - prewarmed
     assert set(bank._etas) == tested
     assert set(vars(bank)) == {
-        "model", "cfg", "N", "_cov", "gram_maxima", "_grams", "_cov_traces", "_filters", "_etas"
+        "model", "cfg", "N", "_cov", "gram_maxima", "_grams", "_cov_traces", "_open_loop",
+        "_filters", "_observable", "_etas",
     }
     assert bank._cov.shape == (m.n * m.p, m.n * m.p)
     assert bank._grams.shape == (m.p, m.n, m.n) and bank._cov_traces.shape == (m.p,)
+    assert bank._open_loop.traces.shape == (m.p,)
 
 
 @pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
@@ -728,8 +743,9 @@ def test_trace_bound_is_below_any_formed_diagonal_sum(mode):
     # LB without its margin is at most the formed diagonal's sum plus the
     # margin, for the filter's estimates, random ones, and the least-squares
     # fits O_s^+ ybar_s(t), which make the bound exact: then the two sums
-    # differ by rounding alone, and the margin covers it.  The margin stays
-    # below 1e-3 of the threshold sum n |s| eta
+    # differ by rounding alone, and the margin covers it.  The same holds
+    # for LB from the open-loop covariance X, which is at most the filter's
+    # LB.  Both margins stay below 1e-3 of the threshold sum n |s| eta
     from secest import ConstantBias, FilterRun, observability_matrix
     from secest.detect import _TraceBound
 
@@ -751,7 +767,10 @@ def test_trace_bound_is_below_any_formed_diagonal_sum(mode):
             for s in combinations(range(1, p + 1), size):
                 flt = bank.filter(s)
                 lb, margin = bound.terms(s, flt)
+                open_lb, open_margin = bound.terms(s, None)
                 assert 0 < margin <= 1e-3 * n * size * cfg.eta
+                assert 0 < open_margin <= 1e-3 * n * size * cfg.eta
+                assert open_lb <= lb
                 ybar = block_output_matrix(traj, s, cfg.t1, N)
                 fits = np.linalg.lstsq(observability_matrix(m, s), ybar.T, rcond=None)[0].T
                 estimates = [run_filter(flt, traj, *window).estimates, rng.standard_normal((N, n))]
@@ -760,6 +779,7 @@ def test_trace_bound_is_below_any_formed_diagonal_sum(mode):
                     report = residue_report(bank, traj, s, run, moment)
                     total = math.fsum(np.diagonal(report.deviation))
                     assert lb <= total + margin
+                    assert open_lb <= total + open_margin
                 assert abs(total - lb) <= margin  # the fits
 
 
@@ -800,20 +820,144 @@ def test_bound_failures_report_the_full_test_bitwise(mode):
 def test_near_threshold_subset_falls_through_to_the_full_test():
     # thresholds within the margin below LB / (n |s|) leave the test to the
     # full path, which decides it; one clear of the margin lets the bound
-    # settle it
+    # settle it.  LB reads X in a bank that keeps no filter of the subset,
+    # and the kept filter's covariance in one that does
     from secest.detect import _TraceBound
 
     m, cfg, traj = _bound_case(PREDICTION)
     s, size = (1, 2, 3), m.n * 3
     bank = SubsetBank(m, cfg)
     moment = bank.window_moment(traj)
-    lb, margin = _TraceBound(bank, traj, moment).terms(s, bank.filter(s))
-    assert lb - margin > size * cfg.eta
-    for eta, bounded in [(lb / size, False), ((lb - margin / 2) / size, False),
-                         ((lb - 2 * margin) / size, True)]:
-        flag, run, report = SubsetBank(m, replace(cfg, eta=eta)).detector(traj)(s)
-        assert (report.settled == "bound") == bounded and (run is None) == bounded
-        assert flag == int(not _report(m, cfg, traj, s, moment, eta).passed)
+    bound = _TraceBound(bank, traj, moment)
+    for kept in (False, True):
+        lb, margin = bound.terms(s, bank.filter(s) if kept else None)
+        assert lb - margin > size * cfg.eta
+        for eta, bounded in [(lb / size, False), ((lb - margin / 2) / size, False),
+                             ((lb - 2 * margin) / size, True)]:
+            fresh = SubsetBank(m, replace(cfg, eta=eta))
+            if kept:
+                fresh.prewarm([s])
+            flag, run, report = fresh.detector(traj)(s)
+            assert (report.settled == "bound") == bounded and (run is None) == bounded
+            assert flag == int(not _report(m, cfg, traj, s, moment, eta).passed)
+
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_open_loop_covariance_bounds_every_filters_expectation(mode):
+    # on every subset of random stable plants, the computed filter's
+    # tr(F W_s) - 2 sigma_v2 tr(C_s L) is at most tr(X W_s), the sum of the
+    # bank's per-sensor traces
+    from secest import observability_matrix
+
+    for seed, n, p, rho in [(70, 3, 4, 0.85), (71, 6, 5, 0.95), (72, 10, 4, 0.5), (73, 5, 3, 0.99)]:
+        m = make_random_stable_system(n, p, rho, seed=seed, sigma_w2=0.5, sigma_v2=0.7)
+        bank = SubsetBank(m, _small_cfg(eta=1.0, mode=mode))
+        X = m.open_loop_cov
+        for size in range(1, p + 1):
+            for s in combinations(range(1, p + 1), size):
+                if not is_observable(m, s):
+                    continue
+                flt = solve_steady_state(m, s, mode)
+                Os = observability_matrix(m, s)
+                W = Os.T @ Os
+                expected = np.trace(flt.error_cov @ W)
+                if mode == FILTERING:
+                    Cs = m.C[np.subtract(s, 1)]
+                    expected = np.trace(flt.filtered_cov @ W) - 2 * m.sigma_v2 * np.trace(Cs @ flt.gain)
+                assert expected <= np.trace(X @ W)
+                assert expected <= bank._open_loop.traces[np.subtract(s, 1)].sum()
+
+
+def test_bound_failure_solves_no_filter_until_read():
+    # a failure the bound settles from X leaves the bank's filters as they
+    # were; reading its expected matrix solves the subset's filter, and the
+    # read report equals the full test's bit for bit
+    m, cfg, traj = _bound_case(FILTERING)
+    bank = SubsetBank(m, cfg)
+    moment = bank.window_moment(traj)
+    detector = bank.detector(traj)
+    bank.prewarm([(2, 3)])
+    flag, run, report = detector((1, 2, 3))
+    assert (flag, run, report.settled) == (1, None, "bound")
+    assert set(bank._filters) == {(2, 3)} and bank._observable == {(1, 2, 3)}
+    full = _report(m, cfg, traj, (1, 2, 3), moment, cfg.eta)
+    assert report.expected_matrix.tobytes() == full.expected_matrix.tobytes()
+    assert set(bank._filters) == {(2, 3), (1, 2, 3)}
+    assert report.to_dict() == full.to_dict()
+    assert report.deviation.tobytes() == full.deviation.tobytes()
+
+
+def test_unobservable_subset_raises_before_its_threshold(monkeypatch):
+    # on a stable plant whose sensor 2 sees nothing, the detector call on
+    # a subset of sensor 2 alone raises the solve's AnalysisError before
+    # the threshold is asked for, and the bank keeps nothing of it
+    m = SystemModel(A=[[0.5, 0.0], [0.0, 0.4]], C=[[1.0, 1.0], [0.0, 0.0], [1.0, -1.0]],
+                    sigma_w2=0.5, sigma_v2=0.7)
+    cfg = _small_cfg(N=600, eta=1.0)
+    bank = SubsetBank(m, cfg)
+    traj = simulate(m, AttackSpec(), cfg.t1 + bank.N + m.n, seed=1, burn_in=30)
+    detector = bank.detector(traj)
+
+    def no_threshold(self, s):
+        raise AssertionError("threshold asked for before the observability check")
+
+    monkeypatch.setattr(SubsetBank, "eta", no_threshold)
+    with pytest.raises(AnalysisError, match=r"subset \(2,\) is not observable"):
+        detector((2,))
+    assert bank._observable == set() and bank._filters == {}
+
+
+def test_plant_without_open_loop_covariance_solves_before_its_bound(monkeypatch):
+    # on the random walk there is no X, so the detector solves the filter
+    # before it computes the bound, and keeps it for a bound failure too
+    from secest import ConstantBias, detect
+
+    m = SystemModel(A=[[1.0]], C=[[1.0], [1.0], [1.0]], sigma_w2=1.0, sigma_v2=1.0)
+    cfg = _small_cfg(N=400, eta=1.0, t1=20)
+    bank = SubsetBank(m, cfg)
+    assert m.open_loop_cov is None and bank._open_loop is None
+    traj = simulate(m, AttackSpec((1,), ConstantBias(bias=(50.0,))), 440, seed=2, burn_in=10)
+    calls = []
+    solve, terms = detect.solve_steady_state, detect._TraceBound.terms
+
+    def logged_solve(model, s, mode):
+        calls.append(("solve", s))
+        return solve(model, s, mode)
+
+    def logged_terms(self, s, flt):
+        calls.append(("bound", s, flt is None))
+        return terms(self, s, flt)
+
+    monkeypatch.setattr(detect, "solve_steady_state", logged_solve)
+    monkeypatch.setattr(detect._TraceBound, "terms", logged_terms)
+    flag, run, report = bank.detector(traj)((1, 2))
+    assert (flag, run, report.settled) == (1, None, "bound")
+    assert calls == [("solve", (1, 2)), ("bound", (1, 2), False)]
+    assert set(bank._filters) == {(1, 2)} and bank._observable == set()
+
+
+def test_bound_failure_of_a_subset_whose_solve_raises():
+    # a stable plant of three identical sensors at sigma_v2 = 1e-38: the
+    # Riccati solve of a two-sensor subset meets a singular matrix, but its
+    # open-loop trace bound fails the subset under a 1e15 bias, so the
+    # detector flags it with no exception, and reading the report raises
+    # the solve's AnalysisError
+    from secest import ConstantBias
+
+    m = SystemModel(A=[[0.5]], C=[[1.0], [1.0], [1.0]], sigma_w2=1.0, sigma_v2=1e-38)
+    for mode in (PREDICTION, FILTERING):
+        with pytest.raises(AnalysisError, match="singular"):
+            solve_steady_state(m, (1, 2), mode)
+        cfg = _small_cfg(N=40, eta=1.0, t1=10, mode=mode)
+        traj = simulate(m, AttackSpec((1,), ConstantBias(bias=(1e15,))), 60, seed=1, burn_in=10)
+        bank = SubsetBank(m, cfg)
+        flag, run, report = bank.detector(traj)((1, 2))
+        assert (flag, run, report.settled, report.passed) == (1, None, "bound", False)
+        for read in ("expected_matrix", "deviation", "per_sensor_mu"):
+            with pytest.raises(AnalysisError, match="singular"):
+                getattr(report, read)
+        with pytest.raises(AnalysisError, match="singular"):
+            attack_detect(m, traj, (1, 2), cfg)
 
 
 def test_attack_detect_runs_the_filter_of_a_bound_failure():

@@ -212,3 +212,30 @@ def test_constant_bias_values():
     assert np.allclose(traj.attack[:, 0], 0.7)
     assert np.allclose(traj.attack[:, 2], -1.2)
     assert np.all(traj.attack[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.99])
+@pytest.mark.parametrize("n", [1, 5, 20, 50])
+def test_open_loop_cov_matches_lyapunov_solver(rho, n):
+    # Smith doubling solves X = A X A' + sigma_w2 I as scipy's solver does,
+    # and the cached array is read-only
+    from scipy.linalg import solve_discrete_lyapunov
+
+    m = make_random_stable_system(n, 2, rho, seed=n, sigma_w2=0.3)
+    X = m.open_loop_cov
+    reference = solve_discrete_lyapunov(m.A, 0.3 * np.eye(n))
+    assert np.linalg.norm(X - reference) <= 1e-10 * np.linalg.norm(reference)
+    assert np.array_equal(X, X.T) and m.open_loop_cov is X
+    with pytest.raises(ValueError):
+        X[0, 0] = 0.0
+
+
+def test_open_loop_cov_is_none_without_a_stationary_state():
+    # a random walk never converges and A = 1e100 overflows; sigma_w2 = 0
+    # gives X = 0 exactly
+    assert SystemModel(A=[[1.0]], C=[[1.0]], sigma_w2=1.0, sigma_v2=1.0).open_loop_cov is None
+    assert SystemModel(A=[[1e100]], C=[[1.0]], sigma_w2=1.0, sigma_v2=1.0).open_loop_cov is None
+    rotation = [[0.0, -1.0], [1.0, 0.0]]
+    assert SystemModel(A=rotation, C=[[1.0, 0.0]], sigma_w2=1.0, sigma_v2=1.0).open_loop_cov is None
+    quiet = SystemModel(A=[[0.5]], C=[[1.0]], sigma_w2=0.0, sigma_v2=1.0)
+    assert quiet.open_loop_cov.tolist() == [[0.0]]
