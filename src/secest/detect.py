@@ -95,7 +95,7 @@ bit for bit.  So on a stable plant a subset whose solve would raise, but
 whose bound fails, is flagged with no exception; its report raises the
 solve's AnalysisError when read.  An unobservable subset raises at the
 detector call as before: the bank checks the solve's preconditions once
-per subset.
+per subset, and its solves do not check them again.
 
 Every test runs through a `SubsetBank`, which owns the per-subset
 quantities of one model: O_s is a row selection of the model's
@@ -123,9 +123,9 @@ from .kalman import (
     FilterRun,
     SteadyStateFilter,
     _check_solvable,
+    _doubling_solve,
     cross_covariance_correction,
     run_filter,
-    solve_steady_state,
 )
 from .model import SystemModel, Trajectory
 from .observability import (
@@ -305,24 +305,28 @@ class SubsetBank:
         self._etas: dict[SensorSubset, float] = {}
 
     def filter(self, s: SensorSubset) -> SteadyStateFilter:
+        """The filter of subset s, solved on first use; raises as the solve does."""
         flt = self._filters.get(s)
         if flt is None:
-            flt = solve_steady_state(self.model, s, self.cfg.mode)
-            self._filters[s] = flt
+            self._check_once(s)
+            flt = self._filters[s] = _doubling_solve(self.model, s, self.cfg.mode)
         return flt
+
+    def _check_once(self, s: SensorSubset) -> None:
+        """The solve's preconditions for subset s, checked once per subset."""
+        if s not in self._observable:
+            _check_solvable(self.model, s)
+            self._observable.add(s)
 
     def _bound_filter(self, s: SensorSubset) -> SteadyStateFilter | None:
         """The filter whose covariance the trace bound of subset s reads:
         the kept one, whose bound is the tighter; else None, for X, after
-        the solve's preconditions (checked once per subset), so that an
-        unobservable subset raises here as in the solve; else, on a plant
-        without X, a new one."""
+        the solve's preconditions, so that an unobservable subset raises
+        here as in the solve; else, on a plant without X, a new one."""
         flt = self._filters.get(s)
         if flt is not None or self._open_loop is None:
             return self.filter(s)
-        if s not in self._observable:
-            _check_solvable(self.model, s)
-            self._observable.add(s)
+        self._check_once(s)
         return None
 
     def eta(self, s: SensorSubset) -> float:
@@ -335,11 +339,6 @@ class SubsetBank:
             eta = auto_threshold(self.model, s, cfg.k, cfg.epsilon)
             self._etas[s] = eta
         return eta
-
-    def prewarm(self, subsets: Iterable[Iterable[int]]) -> None:
-        """Solve and keep the filters of ``subsets``."""
-        for s in subsets:
-            self.filter(normalize_subset(s, self.model.p))
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
     def window_moment(self, traj: Trajectory) -> np.ndarray:
@@ -736,7 +735,7 @@ def attack_detect(
     its filter is solved before the test."""
     bank = SubsetBank(model, cfg)
     subset = normalize_subset(s, model.p)
-    bank.prewarm([subset])
+    bank.filter(subset)
     flag, run, report = bank.detector(traj)(subset)
     if run is None:  # a failure settled by the trace bound
         run = run_filter(bank.filter(subset), traj, cfg.t1, cfg.t1 + bank.N - 1)

@@ -106,12 +106,6 @@ class FilterRun:
         return self.estimates[off : off + count]
 
 
-def _validate_mode(mode: str) -> str:
-    if mode not in (PREDICTION, FILTERING):
-        raise ConfigError(f"mode must be {PREDICTION!r} or {FILTERING!r}, got {mode!r}")
-    return mode
-
-
 def _check_solvable(model: SystemModel, subset: SensorSubset) -> None:
     """The preconditions of `solve_steady_state`: ConfigError without
     sensor noise and AnalysisError when (A, C_s) is not observable."""
@@ -121,7 +115,6 @@ def _check_solvable(model: SystemModel, subset: SensorSubset) -> None:
         raise AnalysisError(f"subset {subset} is not observable")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused in _finite
 def solve_steady_state(
     model: SystemModel,
     s: Iterable[int],
@@ -133,10 +126,16 @@ def solve_steady_state(
     quantity is not finite or numerically singular, or the doubling does
     not converge within RICCATI_MAX_DOUBLINGS steps.
     """
-    mode = _validate_mode(mode)
+    if mode not in (PREDICTION, FILTERING):
+        raise ConfigError(f"mode must be {PREDICTION!r} or {FILTERING!r}, got {mode!r}")
     subset = normalize_subset(s, model.p)
     _check_solvable(model, subset)
+    return _doubling_solve(model, subset, mode)
 
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused in _finite
+def _doubling_solve(model: SystemModel, subset: SensorSubset, mode: str) -> SteadyStateFilter:
+    """The doubling of `solve_steady_state`, for a subset past `_check_solvable`."""
     A = model.A
     Cs = model.C[[i - 1 for i in subset]]
     n = model.n

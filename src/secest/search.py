@@ -45,9 +45,9 @@ __all__ = [
 
 # A detector maps a sensor subset to (flag, estimates, report); the
 # default is the detector of a SubsetBank made for the search call, and
-# experiment harnesses inject the detector of a prewarmed bank.  The
-# estimates of a failed subset may be None: the searches read them only
-# on a pass.
+# experiment 2 injects the detector of a bank that the search keeps across
+# repetitions.  The estimates of a failed subset may be None: the
+# searches read them only on a pass.
 Detector = Callable[[SensorSubset], tuple[int, FilterRun | None, ResidueReport]]
 
 

@@ -864,6 +864,48 @@ def test_exp2_json_no_timing_determinism(tmp_path):
     assert (a / "exp2.json").read_bytes() == (b / "exp2.json").read_bytes()
 
 
+def test_experiment2_searches_solve_only_their_own_filters(monkeypatch):
+    # each search keeps one bank per sensor count and solves a filter only
+    # when one of its tests reads it: no subset is solved more than once
+    # per search, and all solves together stay below the C(9, 6) + 1
+    # filters of every exhaustive hypothesis and the full set.  Each
+    # repetition's outcomes, but for the clock, are those of the searches
+    # run with their own default banks on the same trajectory
+    from collections import Counter
+    from dataclasses import replace
+    from math import comb
+
+    from secest import detect, exhaustive_search, smt_search
+
+    scenario = default_experiment2_scenario()
+    scenario.raw["experiment2"] = {"p_values": [9]}
+    scenario.repetitions = 2
+    solves, trajectories, records = Counter(), [], []
+    solve, simulate = detect._doubling_solve, cli.simulate
+
+    def counted_solve(model, s, mode):
+        solves[s] += 1
+        return solve(model, s, mode)
+
+    def recording_simulate(model, *args, **kwargs):
+        trajectories.append((model, simulate(model, *args, **kwargs)))
+        return trajectories[-1][1]
+
+    monkeypatch.setattr(detect, "_doubling_solve", counted_solve)
+    monkeypatch.setattr(cli, "simulate", recording_simulate)
+    run_experiment2(scenario, per_run=records.append)
+    monkeypatch.undo()
+    assert max(solves.values()) <= 2
+    assert sum(solves.values()) < comb(9, 6) + 1
+    cfg = replace(scenario.detector, k=3)
+    assert len(records) == 2
+    for record, (model, traj) in zip(records, trajectories, strict=True):
+        for key, search in [("outcome_exhaustive", exhaustive_search), ("outcome_smt", smt_search)]:
+            got, want = record[key].to_dict(), search(model, traj, cfg).to_dict()
+            del got["wall_time"], want["wall_time"]
+            assert got == want
+
+
 def test_experiment1_tiny_run():
     scenario = default_experiment1_scenario()
     scenario.repetitions = 2

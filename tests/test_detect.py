@@ -345,11 +345,11 @@ def test_bank_matches_from_scratch_reference(mode):
 
 
 def test_bank_holds_filters_and_thresholds_only():
-    # after a prewarm and a search the bank keeps the filters of the prewarm
-    # and of the subsets its full test ran on, per-subset thresholds, the
-    # subsets that passed the solve's preconditions without a filter, and
-    # per sensor its Gram, noise trace and open-loop trace tr(X O_c' O_c);
-    # no expected or residue matrix outlives its test
+    # after filters read ahead and a search the bank keeps the filters read
+    # and those of the subsets its full test ran on, per-subset thresholds,
+    # the subsets that passed the solve's preconditions, with a filter or
+    # without, and per sensor its Gram, noise trace and open-loop trace
+    # tr(X O_c' O_c); no expected or residue matrix outlives its test
     from secest import exhaustive_search
 
     m = make_random_stable_system(3, 4, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
@@ -358,9 +358,10 @@ def test_bank_holds_filters_and_thresholds_only():
     traj = simulate(m, atk, cfg.t1 + cfg.window_length(3) + 3, seed=3, burn_in=30)
 
     bank = SubsetBank(m, cfg)
-    prewarmed = {(1, 2, 3, 4), (2, 3, 4)}
-    bank.prewarm(prewarmed)
-    assert set(bank._filters) == prewarmed
+    kept = {(1, 2, 3, 4), (2, 3, 4)}
+    for s in kept:
+        bank.filter(s)
+    assert set(bank._filters) == kept
     inner, reports = bank.detector(traj), []
 
     def detector(s):
@@ -373,8 +374,8 @@ def test_bank_holds_filters_and_thresholds_only():
     tested = {tuple(entry["subset"]) for entry in outcome.trace}
     full = {r.subset for r in reports if r.settled != "bound"}
     assert full != tested  # the bound settled some tests without a filter
-    assert set(bank._filters) == full | prewarmed
-    assert bank._observable == tested - prewarmed
+    assert set(bank._filters) == full | kept
+    assert bank._observable == tested | kept
     assert set(bank._etas) == tested
     assert set(vars(bank)) == {
         "model", "cfg", "N", "_cov", "gram_maxima", "_grams", "_cov_traces", "_open_loop",
@@ -836,7 +837,7 @@ def test_near_threshold_subset_falls_through_to_the_full_test():
                              ((lb - 2 * margin) / size, True)]:
             fresh = SubsetBank(m, replace(cfg, eta=eta))
             if kept:
-                fresh.prewarm([s])
+                fresh.filter(s)
             flag, run, report = fresh.detector(traj)(s)
             assert (report.settled == "bound") == bounded and (run is None) == bounded
             assert flag == int(not _report(m, cfg, traj, s, moment, eta).passed)
@@ -876,10 +877,10 @@ def test_bound_failure_solves_no_filter_until_read():
     bank = SubsetBank(m, cfg)
     moment = bank.window_moment(traj)
     detector = bank.detector(traj)
-    bank.prewarm([(2, 3)])
+    bank.filter((2, 3))
     flag, run, report = detector((1, 2, 3))
     assert (flag, run, report.settled) == (1, None, "bound")
-    assert set(bank._filters) == {(2, 3)} and bank._observable == {(1, 2, 3)}
+    assert set(bank._filters) == {(2, 3)} and bank._observable == {(2, 3), (1, 2, 3)}
     full = _report(m, cfg, traj, (1, 2, 3), moment, cfg.eta)
     assert report.expected_matrix.tobytes() == full.expected_matrix.tobytes()
     assert set(bank._filters) == {(2, 3), (1, 2, 3)}
@@ -918,7 +919,7 @@ def test_plant_without_open_loop_covariance_solves_before_its_bound(monkeypatch)
     assert m.open_loop_cov is None and bank._open_loop is None
     traj = simulate(m, AttackSpec((1,), ConstantBias(bias=(50.0,))), 440, seed=2, burn_in=10)
     calls = []
-    solve, terms = detect.solve_steady_state, detect._TraceBound.terms
+    solve, terms = detect._doubling_solve, detect._TraceBound.terms
 
     def logged_solve(model, s, mode):
         calls.append(("solve", s))
@@ -928,12 +929,38 @@ def test_plant_without_open_loop_covariance_solves_before_its_bound(monkeypatch)
         calls.append(("bound", s, flt is None))
         return terms(self, s, flt)
 
-    monkeypatch.setattr(detect, "solve_steady_state", logged_solve)
+    monkeypatch.setattr(detect, "_doubling_solve", logged_solve)
     monkeypatch.setattr(detect._TraceBound, "terms", logged_terms)
     flag, run, report = bank.detector(traj)((1, 2))
     assert (flag, run, report.settled) == (1, None, "bound")
     assert calls == [("solve", (1, 2)), ("bound", (1, 2), False)]
-    assert set(bank._filters) == {(1, 2)} and bank._observable == set()
+    assert set(bank._filters) == {(1, 2)} and bank._observable == {(1, 2)}
+
+
+def test_bank_checks_a_subsets_solvability_once(monkeypatch):
+    # on a stable plant, a subset whose trace bound misses goes on to its
+    # full test, which solves its filter; the bank's check of the solve's
+    # preconditions before the bound serves the solve too, so (A, C_s) is
+    # checked for observability once
+    from secest import kalman
+
+    m = make_random_stable_system(3, 4, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = _small_cfg(N=900, eta=1.0)
+    bank = SubsetBank(m, cfg)
+    assert bank._open_loop is not None
+    traj = simulate(m, AttackSpec(), cfg.t1 + bank.N + m.n, seed=1, burn_in=30)
+    detector = bank.detector(traj)
+    checked, observable = [], kalman.is_observable
+
+    def counted(model, s):
+        checked.append(s)
+        return observable(model, s)
+
+    monkeypatch.setattr(kalman, "is_observable", counted)
+    flag, run, report = detector((1, 2, 3))
+    assert report.settled != "bound" and run is not None
+    assert set(bank._filters) == {(1, 2, 3)}
+    assert checked == [(1, 2, 3)]
 
 
 def test_bound_failure_of_a_subset_whose_solve_raises():
