@@ -57,7 +57,7 @@ from .model import (
     make_random_stable_system,
     simulate,
 )
-from .noiseless import decode, detect_corruption, encode
+from .noiseless import _norm, decode, detect_corruption, encode
 from .observability import (
     _observable,
     full_subset,
@@ -759,7 +759,7 @@ def _cmd_decode_noiseless(args) -> int:
     detected = detect_corruption(model, obs)
     result = decode(model, obs, _read(scenario.raw, "noiseless.k"))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused in _finite
-        state_error = _finite(float(np.linalg.norm(result.state - x0)), "state error norms")
+        state_error = _finite(float(_norm(result.state - x0)), "state error norms")
     obj = {
         "schema_version": SCHEMA_VERSION,
         "corruption_detected": detected,

@@ -72,18 +72,17 @@ open-loop state covariance X = A X A' + sigma_w2 I
 P <= X by Riccati comparison (Anderson and Moore, Optimal Filtering,
 1979), F <= P and sigma_v2 sum_c C_c L[:, c] >= 0, so tr(E_s) - tr(M_s)
 <= tr(X W_s), the sum of per-sensor traces tr(X O_c' O_c).  The bound
-reads the covariance of a filter the bank keeps, which gives the tighter
-bound (experiment 1's one-shot tests solve first), and X for a subset
-without one; only a plant without X, such as an unstable one, solves
-every filter first.
+always reads X, never a filter, so it is the same whichever filters the
+bank keeps; a plant without X, such as an unstable one, has no bound,
+and every test there is the full test.
 When LB exceeds n |s| eta by a margin, some diagonal entry exceeds eta,
 and the test fails with no solve, no run and no lag products.  The
 margin is derived in `_TraceBound.terms`: it covers the bound's own
 rounding, which grows with the condition of W_s, the moment's rounding
 seen through the projector, the full test's rounding in its row-dot
-diagonal, which it bounds through LB itself, and with X, X's rounding
-and that of the filter the full test would compute.  So the flags are
-the full test's.  The bank keeps each sensor's Gram O_c' O_c, noise
+diagonal, which it bounds through LB itself, X's rounding and that of
+the filter the full test would compute.  So the flags are the full
+test's.  The bank keeps each sensor's Gram O_c' O_c, noise
 trace tr(M_c) and open-loop trace; a detector keeps the blocks
 O_c' G_cd O_d for c <= d, built one sensor row of G at a time (1.5 MB at
 n=50, p=12), and per sensor the moment's diagonal sum and the outputs'
@@ -281,10 +280,11 @@ class SubsetBank:
     (n|s|)^2 is kept.  `detector(traj)` tests subsets of one trajectory:
     it holds that trajectory's window moment and trace-bound blocks, so
     detectors of different trajectories can share one bank.  On a plant
-    with an open-loop covariance X the trace bound fails most attacked
-    subsets before their filter is solved, and such a subset's filter is
-    solved only when its report is read.  M or a per-sensor Gram O_i' O_i
-    past the float64 range is an AnalysisError.
+    with an open-loop covariance X the trace bound, which reads X and no
+    filter, fails most attacked subsets before their filter is solved,
+    and such a subset's filter is solved only when its report is read; on
+    a plant without X every test is the full test.  M or a per-sensor
+    Gram O_i' O_i past the float64 range is an AnalysisError.
     """
 
     def __init__(self, model: SystemModel, cfg: DetectorConfig):
@@ -318,17 +318,6 @@ class SubsetBank:
             _check_solvable(self.model, s)
             self._observable.add(s)
 
-    def _bound_filter(self, s: SensorSubset) -> SteadyStateFilter | None:
-        """The filter whose covariance the trace bound of subset s reads:
-        the kept one, whose bound is the tighter; else None, for X, after
-        the solve's preconditions, so that an unobservable subset raises
-        here as in the solve; else, on a plant without X, a new one."""
-        flt = self._filters.get(s)
-        if flt is not None or self._open_loop is None:
-            return self.filter(s)
-        self._check_once(s)
-        return None
-
     def eta(self, s: SensorSubset) -> float:
         """Threshold of subset s: ``cfg.eta``, or else its auto threshold."""
         cfg = self.cfg
@@ -358,28 +347,30 @@ class SubsetBank:
         """Residue test of subsets of ``traj``: the returned detector maps
         a subset to (flag, run, report), flag 0 meaning no effective
         attack was detected and flag 1 that the subset failed the test.
-        A failure settled by the trace bound has no run (None), and on a
-        plant with an open-loop covariance X, its filter is solved only
-        when its report's expected matrix, deviation or scores are read.
-        The window moment and the bound's blocks are computed here, once."""
+        A failure settled by the trace bound has no run (None), and its
+        filter is solved only when its report's expected matrix, deviation
+        or scores are read.  The bound runs only on a plant with an
+        open-loop covariance X.  The window moment and the bound's blocks
+        are computed here, once."""
         moment = self.window_moment(traj)
-        bound = _TraceBound(self, traj, moment)
+        bound = None if self._open_loop is None else _TraceBound(self, traj, moment)
         cfg, N, p = self.cfg, self.N, self.model.p
 
         def detect(s: Iterable[int]) -> tuple[int, FilterRun | None, ResidueReport]:
             subset = normalize_subset(s, p)
-            flt = self._bound_filter(subset)
+            self._check_once(subset)  # an unobservable subset raises here, as in the solve
             eta = self.eta(subset)  # raises before the bound, as in the full test
-            lb, margin = bound.terms(subset, flt)
-            if lb - margin > self.model.n * len(subset) * eta:  # False on nan
-                full = _FullTest(self, traj, subset, moment)
-                return 1, None, ResidueReport(
-                    subset, cfg.mode, eta, N, cfg.t1,
-                    settled="bound",
-                    build=full.deviation,
-                    scores=full.scores,
-                    expectation=lambda: expected_residue_matrix(self, self.filter(subset)),
-                )
+            if bound is not None:
+                lb, margin = bound.terms(subset)
+                if lb - margin > self.model.n * len(subset) * eta:  # False on nan
+                    full = _FullTest(self, traj, subset, moment)
+                    return 1, None, ResidueReport(
+                        subset, cfg.mode, eta, N, cfg.t1,
+                        settled="bound",
+                        build=full.deviation,
+                        scores=full.scores,
+                        expectation=lambda: expected_residue_matrix(self, self.filter(subset)),
+                    )
             run = run_filter(self.filter(subset), traj, cfg.t1, cfg.t1 + N - 1)
             report = residue_report(self, traj, subset, run, moment)
             return (0 if report.passed else 1), run, report
@@ -438,10 +429,11 @@ def _open_loop(model: SystemModel, grams: np.ndarray) -> _OpenLoop | None:
 
 
 class _TraceBound:
-    """The trace bound of one trajectory (see the module docstring): the
-    blocks Q_cd = O_c' G_cd O_d for sensors c <= d, flattened in row-major
-    pair order, and per sensor the diagonal sum of the window moment and
-    the mean square of its outputs over the window and its lookahead."""
+    """The trace bound of one trajectory on a plant with an open-loop
+    covariance X (see the module docstring): the blocks Q_cd =
+    O_c' G_cd O_d for sensors c <= d, flattened in row-major pair order,
+    and per sensor the diagonal sum of the window moment and the mean
+    square of its outputs over the window and its lookahead."""
 
     def __init__(self, bank: SubsetBank, traj: Trajectory, moment: np.ndarray):
         model, cfg, N = bank.model, bank.cfg, bank.N
@@ -462,15 +454,13 @@ class _TraceBound:
                 start += p - c
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound fails nothing
-    def terms(
-        self, subset: SensorSubset, flt: SteadyStateFilter | None
-    ) -> tuple[float, float]:
+    def terms(self, subset: SensorSubset) -> tuple[float, float]:
         """(LB, margin) of subset s: the diagonal of its deviation, as the
         full test computes it, sums to at least LB - margin for any
-        estimates the filter run may give.  LB reads the covariance and
-        cross term of ``flt``, or with None the bank's open-loop covariance
-        X, which bounds them for every filter of the subset.  The margin is
-        infinite where its first-order derivation below does not apply."""
+        estimates the filter run may give.  LB reads the bank's open-loop
+        covariance X, which bounds the covariance and cross term of every
+        filter of the subset.  The margin is infinite where its
+        first-order derivation below does not apply."""
         bank, model = self.bank, self.bank.model
         n, p, N = model.n, model.p, bank.N
         cols = np.subtract(subset, 1)
@@ -485,33 +475,22 @@ class _TraceBound:
         except np.linalg.LinAlgError:
             return math.nan, math.inf
         Z = inverse @ H
-        trW, Cs = np.trace(W), model.C[cols]
-        if flt is None:
-            X = bank._open_loop
-            expected = X.traces[cols].sum()  # tr(X W_s), at least tr(E_s) - tr(M_s)
-            normF, gain = X.norm, np.vdot(Cs, Cs) * X.norm  # ||C_s||^2 ||X||_F
-            cross_size = gain if bank.cfg.mode == FILTERING else 0.0
-            spread = expected + 2 * cross_size
-            kappa = 1 + gain / model.sigma_v2
-            solve = 2 * _gamma(2 * n + m) * (kappa + 1) * (normF * trW + cross_size)
-            solve += 2 * X.error * expected
-        else:
-            F = flt.error_cov if flt.mode == PREDICTION else flt.filtered_cov
-            cross = cross_size = 0.0  # sigma_v2 sum_c C_c L[:, c], and a bound on its terms
-            if flt.mode == FILTERING:
-                cross = model.sigma_v2 * np.vdot(Cs, flt.gain.T)
-                cross_size = model.sigma_v2 * np.linalg.norm(Cs) * np.linalg.norm(flt.gain)
-            expected = np.vdot(F, W) - 2 * cross  # tr(E_s) - tr(M_s)
-            normF, spread, solve = np.linalg.norm(F), abs(expected), 0.0
+        trW, Cs, X = np.trace(W), model.C[cols], bank._open_loop
+        expected = X.traces[cols].sum()  # tr(X W_s), at least tr(E_s) - tr(M_s)
+        gain = np.vdot(Cs, Cs) * X.norm  # ||C_s||^2 ||X||_F
+        cross_size = gain if bank.cfg.mode == FILTERING else 0.0  # bounds |D|, by (d)
+        kappa = 1 + gain / model.sigma_v2
+        solve = 2 * _gamma(2 * n + m) * (kappa + 1) * (X.norm * trW + cross_size)
+        solve += 2 * X.error * expected
         rows = self.moment_sums[cols].sum()  # tr(G_s) - tr(M_s)
         lb = float(rows - np.trace(Z) - expected)
 
         # The margin, to first order in the unit roundoff u, with g(k) =
         # `_gamma(k)`.  Let TG = tr(G_s) and TM = tr(M_s), both >= 0,
         # nu = ||W^-1||_F >= 1 / lambda_min(W_s), A = TG + TM + |tr(E_s) -
-        # TM| and |D| a bound on sigma_v2 ||C_s|| ||L||, which bounds the
-        # terms of D.  With a filter, ||F|| is its covariance's norm and
-        # |D| that product; with X, (d) bounds them.
+        # TM|, ||F|| the norm of the filter's covariance and |D| a bound on
+        # sigma_v2 ||C_s|| ||L||, which bounds the terms of D.  (d) bounds
+        # ||F||, |D| and A through X.
         # (a) The bound's own arithmetic.  `inv` solves for each column
         #     (W + dW_j)^-1 e_j, ||dW_j|| <= g(3n) n ||W||_F (|L||U| is
         #     about n ||W|| for a positive definite W), so tr(W^-1 H) moves
@@ -564,26 +543,26 @@ class _TraceBound:
         #     tr(X W_s) is at most the computed one over 1 - delta, with
         #     delta >= ||R||_F / sigma_w2 from `_open_loop`: within 2 delta
         #     tr(X W_s) of it while delta < 1/4.
-        # With a filter (d) and (e) are 0.  By (a), (b), (d) and (e) the
-        # exact sum is at least LB less their terms, so the computed sum is
-        # at least LB - rho (|LB| + A) - (a) - (b) - (c) - (d) - (e).  The
-        # margin doubles that for the second-order terms, while rho < 1/4.
+        # By (a), (b), (d) and (e) the exact sum is at least LB less their
+        # terms, so the computed sum is at least LB - rho (|LB| + A) - (a) -
+        # (b) - (c) - (d) - (e).  The margin doubles that for the
+        # second-order terms, while rho < 1/4.
         u = _UNIT
         TM = bank._cov_traces[cols].sum()
         TG = abs(rows + TM)
-        A = TG + TM + spread
+        A = TG + TM + (expected + 2 * cross_size)
         nu = np.linalg.norm(inverse)
         rho = 6 * _gamma(N + n + 5) * trW * nu
         own = (
             _gamma(3 * n) * n * np.linalg.norm(W) * nu * np.linalg.norm(Z)
             + 3 * _gamma(2 * n + m * m + 1) * trW * nu * TG
             + _gamma(n + m) * (TG + TM)
-            + 2 * _gamma(n * n + n + m) * (normF * trW + cross_size)
+            + 2 * _gamma(n * n + n + m) * (X.norm * trW + cross_size)
             + 4 * u * A
         )
         squares = self.output_squares[cols].sum()
         projected = n * (3 * _gamma(N + 2 * n) * n * squares + 2 * u * (TG + TM))
-        full = _gamma(N + n + 5) * (TG + 2 * trW * normF + 2 * cross_size) + 2 * u * (TG + TM)
+        full = _gamma(N + n + 5) * (TG + 2 * trW * X.norm + 2 * cross_size) + 2 * u * (TG + TM)
         margin = 2 * (rho * (abs(lb) + A) + own + projected + full + solve)
         return lb, (float(margin) if rho < 0.25 else math.inf)
 
@@ -731,14 +710,12 @@ def attack_detect(
 ) -> tuple[int, FilterRun, ResidueReport]:
     """One-shot residue test of subset s through a fresh `SubsetBank`;
     flag 0 means no effective attack was detected, flag 1 means the
-    subset failed the test.  The run is returned for every subset, so
-    its filter is solved before the test."""
+    subset failed the test.  The run is returned for every subset: for a
+    failure the trace bound settled, it is run after the test."""
     bank = SubsetBank(model, cfg)
-    subset = normalize_subset(s, model.p)
-    bank.filter(subset)
-    flag, run, report = bank.detector(traj)(subset)
-    if run is None:  # a failure settled by the trace bound
-        run = run_filter(bank.filter(subset), traj, cfg.t1, cfg.t1 + bank.N - 1)
+    flag, run, report = bank.detector(traj)(s)
+    if run is None:
+        run = run_filter(bank.filter(report.subset), traj, cfg.t1, cfg.t1 + bank.N - 1)
     return flag, run, report
 
 

@@ -86,9 +86,25 @@ def encode(model: SystemModel, x0: np.ndarray) -> SymbolObservation:
     return SymbolObservation(_finite(symbols, "symbols O_d x0"))
 
 
+def _norm(values: np.ndarray, axis: int | None = None):
+    """``np.linalg.norm(values, axis=axis)``, which squares the entries,
+    so it overflows once one passes about 1.3e154; where it does, the
+    norm is recomputed from the entries scaled by a power of two, so a
+    norm that float64 can represent is finite.  Finite norms are the plain
+    ones, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(values, axis=axis)
+        if not np.isinf(norm).any():
+            return norm
+        _, exponent = np.frexp(np.max(np.abs(values), axis=axis, keepdims=True))
+        scale = np.ldexp(1.0, exponent - 1)  # at most 2^1023, and entries / scale below 2
+        scaled = np.linalg.norm(values / scale, axis=axis, keepdims=True) * scale
+        return np.where(np.isinf(norm), np.squeeze(scaled, axis=axis), norm)
+
+
 def _fit(stacked_O: np.ndarray, stacked_Y: np.ndarray) -> tuple[np.ndarray, float]:
     x, *_ = np.linalg.lstsq(stacked_O, stacked_Y, rcond=None)
-    residual = float(np.linalg.norm(stacked_O @ x - stacked_Y))
+    residual = float(_norm(stacked_O @ x - stacked_Y))
     return x, _finite(residual, "fit residuals")
 
 
@@ -102,7 +118,7 @@ def detect_corruption(model: SystemModel, obs: SymbolObservation) -> bool:
         raise AnalysisError("full sensor set is not observable")
     Y = obs.symbols.reshape(-1)
     _, residual = _fit(observability_matrix(model, full_subset(model.p)), Y)
-    norm = _finite(float(np.linalg.norm(Y)), "symbol norms")
+    norm = _finite(float(_norm(Y)), "symbol norms")
     return residual > CONSISTENCY_RTOL * (1.0 + norm)
 
 
@@ -116,7 +132,7 @@ def _stacked_fits(O: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
     coef = (Y[:, None, :] @ U)[:, 0] * inverse
     x = (coef[:, None, :] @ Vh)[:, 0]
-    residual = np.linalg.norm((O @ x[:, :, None])[:, :, 0] - Y, axis=1)
+    residual = _norm((O @ x[:, :, None])[:, :, 0] - Y, axis=1)
     return x, _finite(residual, "fit residuals")
 
 
@@ -153,7 +169,7 @@ def decode(
     for chunk in _subset_slices(full_subset(model.p), model.p - k):
         Y = obs.symbols[chunk].reshape(len(chunk), -1)
         x, residual = _stacked_fits(_stacked_blocks(model, chunk), Y)
-        bound = CONSISTENCY_RTOL * (1.0 + _finite(np.linalg.norm(Y, axis=1), "symbol norms"))
+        bound = CONSISTENCY_RTOL * (1.0 + _finite(_norm(Y, axis=1), "symbol norms"))
         hits = np.flatnonzero(~(residual > bound))
         if hits.size == 0:
             continue
@@ -162,8 +178,8 @@ def decode(
             first_fit = x[hits[0]]
             if not complete:
                 break
-        gaps = np.linalg.norm(x[hits] - first_fit, axis=1)
-        if np.any(gaps > STATE_MATCH_RTOL * (1.0 + float(np.linalg.norm(first_fit)))):
+        gaps = _norm(x[hits] - first_fit, axis=1)
+        if np.any(gaps > STATE_MATCH_RTOL * (1.0 + float(_norm(first_fit)))):
             unique = False
             break  # nothing later changes the result
     if first_subset is None:

@@ -216,12 +216,12 @@ def test_overflowing_observability_rows_exit_3(tmp_path, capsys):
 
 
 def test_overflowing_symbol_norms_exit_3(tmp_path, capsys):
-    # finite symbols near 1e200 whose norm passes 1.8e308: the consistency
-    # bound used to become infinite, so the corrupted sensor 2 went
-    # undetected and sensor 3 was declared corrupted instead
+    # finite symbols 1e308, 1.5e308 and 1e308 whose norm, 2.06e308, passes
+    # 1.8e308: the consistency bound used to become infinite, so a corrupted
+    # sensor could go undetected and another be declared corrupted instead
     doc = json.loads(json.dumps(NOISELESS_SCENARIO))
-    doc["model"]["explicit"].update(A=[[0.5]], C=[[1e200], [1e200], [1e200]])
-    doc["noiseless"] = {"x0": [1.0], "k": 1, "corrupt": {"sensors": [2], "state": [3.0]}}
+    doc["model"]["explicit"].update(A=[[0.5]], C=[[1e308], [1e308], [1e308]])
+    doc["noiseless"] = {"x0": [1.0], "k": 1, "corrupt": {"sensors": [2], "state": [1.5]}}
     scenario = write_scenario(tmp_path, doc)
     out = tmp_path / "out"
     out.mkdir()
@@ -231,6 +231,41 @@ def test_overflowing_symbol_norms_exit_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("analysis error: ") and err.count("\n") == 1
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "model, noiseless, expected",
+    [
+        # symbols 1e200, 3e200 and 1e200, of norm 3.3e200: sensor 2 is
+        # flagged and the state decoded from the other two
+        (
+            {"A": [[0.5]], "C": [[1e200], [1e200], [1e200]]},
+            {"x0": [1.0], "k": 1, "corrupt": {"sensors": [2], "state": [3.0]}},
+            {"corruption_detected": True, "declared_corrupted": [2], "unique": True},
+        ),
+        # sensors 1 and 3 see nothing, so the decoded state is sensor 2's
+        # corrupted 1 and its error from x0 is 1e200
+        (
+            {"A": [[0.0]], "C": [[0.0], [1e80], [0.0]], "sigma_w2": 0.0, "sigma_v2": 0.0},
+            {"x0": [1e200], "k": 1, "corrupt": {"sensors": [2], "state": [1.0]}},
+            {"corruption_detected": False, "declared_corrupted": [3], "unique": False},
+        ),
+    ],
+    ids=["symbol-norms", "state-error"],
+)
+def test_norms_of_entries_past_1e154_are_reported(tmp_path, model, noiseless, expected):
+    # squaring these entries passes float64 though the norms do not, so
+    # both used to be refused as overflowing
+    doc = json.loads(json.dumps(SCALAR_SCENARIO))
+    doc["model"]["explicit"].update(model)
+    doc["noiseless"] = noiseless
+    scenario = write_scenario(tmp_path, doc)
+    argv = ["decode-noiseless", "--scenario", scenario, "--out", str(tmp_path), "--format", "json"]
+    assert main(argv) == 0
+    result = json.loads((tmp_path / "decode.json").read_text())
+    assert {key: result[key] for key in expected} == expected
+    true_error = abs(noiseless["x0"][0] - result["state"][0])
+    assert result["state_error"] == pytest.approx(true_error, rel=1e-12, abs=1e-15)
 
 
 # the five places where a finite scenario can pass float64 beyond the
@@ -258,9 +293,9 @@ def test_overflowing_symbol_norms_exit_3(tmp_path, capsys):
             {},
             ("obsv",),
         ),
-        (
-            {"A": [[0.0]], "C": [[0.0], [1e80], [0.0]], "sigma_w2": 0.0, "sigma_v2": 0.0},
-            {"noiseless": {"x0": [1e200], "k": 1, "corrupt": {"sensors": [2], "state": [1.0]}}},
+        (  # the decoded state is -1e308 against x0 = 1e308
+            {"A": [[0.0]], "C": [[0.0], [0.5], [0.0]], "sigma_w2": 0.0, "sigma_v2": 0.0},
+            {"noiseless": {"x0": [1e308], "k": 1, "corrupt": {"sensors": [2], "state": [-1e308]}}},
             ("decode-noiseless",),
         ),
         (
@@ -664,8 +699,8 @@ _FUZZ_BASES = {
     random_model=False,
     edits=[
         (("model", "explicit", "A"), [[0.0]]),
-        (("model", "explicit", "C"), [[0.0], [1e80], [0.0]]),
-        (("noiseless",), {"x0": [1e200], "k": 1, "corrupt": {"sensors": [2], "state": [1.0]}}),
+        (("model", "explicit", "C"), [[0.0], [0.5], [0.0]]),
+        (("noiseless",), {"x0": [1e308], "k": 1, "corrupt": {"sensors": [2], "state": [-1e308]}}),
     ],
 )
 # a null experiment2.p_values or weak_last_gain once ended in a TypeError

@@ -738,15 +738,28 @@ def _bound_case(mode):
     return m, cfg, simulate(m, attack, cfg.t1 + N + m.n, seed=8, burn_in=30)
 
 
+def _filter_trace(m, s, flt):
+    """tr(E_s) - tr(M_s) of a computed filter: tr(F W_s), less
+    2 sigma_v2 tr(C_s L) in filtering mode."""
+    from secest import observability_matrix
+
+    Os = observability_matrix(m, s)
+    W = Os.T @ Os
+    if flt.mode == PREDICTION:
+        return np.trace(flt.error_cov @ W)
+    Cs = m.C[np.subtract(s, 1)]
+    return np.trace(flt.filtered_cov @ W) - 2 * m.sigma_v2 * np.trace(Cs @ flt.gain)
+
+
 @pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
 def test_trace_bound_is_below_any_formed_diagonal_sum(mode):
     # on every subset of three random plants (the third with a 1e3 bias),
-    # LB without its margin is at most the formed diagonal's sum plus the
-    # margin, for the filter's estimates, random ones, and the least-squares
-    # fits O_s^+ ybar_s(t), which make the bound exact: then the two sums
-    # differ by rounding alone, and the margin covers it.  The same holds
-    # for LB from the open-loop covariance X, which is at most the filter's
-    # LB.  Both margins stay below 1e-3 of the threshold sum n |s| eta
+    # LB from the open-loop covariance X is at most the formed diagonal's
+    # sum plus the margin, for the filter's estimates, random ones, and the
+    # least-squares fits O_s^+ ybar_s(t), whose sum is LB with tr(E_s) read
+    # from the filter: it exceeds LB from X by tr(X W_s) - (tr(E_s) -
+    # tr(M_s)) >= 0, and otherwise differs by rounding alone.  The margin
+    # stays below 1e-3 of the threshold sum n |s| eta
     from secest import ConstantBias, FilterRun, observability_matrix
     from secest.detect import _TraceBound
 
@@ -767,11 +780,8 @@ def test_trace_bound_is_below_any_formed_diagonal_sum(mode):
         for size in range(1, p + 1):
             for s in combinations(range(1, p + 1), size):
                 flt = bank.filter(s)
-                lb, margin = bound.terms(s, flt)
-                open_lb, open_margin = bound.terms(s, None)
+                lb, margin = bound.terms(s)
                 assert 0 < margin <= 1e-3 * n * size * cfg.eta
-                assert 0 < open_margin <= 1e-3 * n * size * cfg.eta
-                assert open_lb <= lb
                 ybar = block_output_matrix(traj, s, cfg.t1, N)
                 fits = np.linalg.lstsq(observability_matrix(m, s), ybar.T, rcond=None)[0].T
                 estimates = [run_filter(flt, traj, *window).estimates, rng.standard_normal((N, n))]
@@ -780,8 +790,8 @@ def test_trace_bound_is_below_any_formed_diagonal_sum(mode):
                     report = residue_report(bank, traj, s, run, moment)
                     total = math.fsum(np.diagonal(report.deviation))
                     assert lb <= total + margin
-                    assert open_lb <= total + open_margin
-                assert abs(total - lb) <= margin  # the fits
+                gap = bank._open_loop.traces[np.subtract(s, 1)].sum() - _filter_trace(m, s, flt)
+                assert abs(total - gap - lb) <= margin  # the fits
 
 
 @pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
@@ -821,8 +831,7 @@ def test_bound_failures_report_the_full_test_bitwise(mode):
 def test_near_threshold_subset_falls_through_to_the_full_test():
     # thresholds within the margin below LB / (n |s|) leave the test to the
     # full path, which decides it; one clear of the margin lets the bound
-    # settle it.  LB reads X in a bank that keeps no filter of the subset,
-    # and the kept filter's covariance in one that does
+    # settle it.  LB reads X, in a bank that keeps the subset's filter too
     from secest.detect import _TraceBound
 
     m, cfg, traj = _bound_case(PREDICTION)
@@ -830,9 +839,9 @@ def test_near_threshold_subset_falls_through_to_the_full_test():
     bank = SubsetBank(m, cfg)
     moment = bank.window_moment(traj)
     bound = _TraceBound(bank, traj, moment)
+    lb, margin = bound.terms(s)
+    assert lb - margin > size * cfg.eta
     for kept in (False, True):
-        lb, margin = bound.terms(s, bank.filter(s) if kept else None)
-        assert lb - margin > size * cfg.eta
         for eta, bounded in [(lb / size, False), ((lb - margin / 2) / size, False),
                              ((lb - 2 * margin) / size, True)]:
             fresh = SubsetBank(m, replace(cfg, eta=eta))
@@ -858,14 +867,9 @@ def test_open_loop_covariance_bounds_every_filters_expectation(mode):
             for s in combinations(range(1, p + 1), size):
                 if not is_observable(m, s):
                     continue
-                flt = solve_steady_state(m, s, mode)
+                expected = _filter_trace(m, s, solve_steady_state(m, s, mode))
                 Os = observability_matrix(m, s)
-                W = Os.T @ Os
-                expected = np.trace(flt.error_cov @ W)
-                if mode == FILTERING:
-                    Cs = m.C[np.subtract(s, 1)]
-                    expected = np.trace(flt.filtered_cov @ W) - 2 * m.sigma_v2 * np.trace(Cs @ flt.gain)
-                assert expected <= np.trace(X @ W)
+                assert expected <= np.trace(X @ Os.T @ Os)
                 assert expected <= bank._open_loop.traces[np.subtract(s, 1)].sum()
 
 
@@ -908,9 +912,10 @@ def test_unobservable_subset_raises_before_its_threshold(monkeypatch):
     assert bank._observable == set() and bank._filters == {}
 
 
-def test_plant_without_open_loop_covariance_solves_before_its_bound(monkeypatch):
-    # on the random walk there is no X, so the detector solves the filter
-    # before it computes the bound, and keeps it for a bound failure too
+def test_plant_without_open_loop_covariance_runs_every_full_test(monkeypatch):
+    # on the random walk there is no X, so the detector builds no trace
+    # bound: each test, a failure under a large bias included, is the full
+    # test, with its filter run, and flags as the full test does
     from secest import ConstantBias, detect
 
     m = SystemModel(A=[[1.0]], C=[[1.0], [1.0], [1.0]], sigma_w2=1.0, sigma_v2=1.0)
@@ -918,23 +923,41 @@ def test_plant_without_open_loop_covariance_solves_before_its_bound(monkeypatch)
     bank = SubsetBank(m, cfg)
     assert m.open_loop_cov is None and bank._open_loop is None
     traj = simulate(m, AttackSpec((1,), ConstantBias(bias=(50.0,))), 440, seed=2, burn_in=10)
-    calls = []
-    solve, terms = detect._doubling_solve, detect._TraceBound.terms
 
-    def logged_solve(model, s, mode):
-        calls.append(("solve", s))
-        return solve(model, s, mode)
+    def no_bound(*args):
+        raise AssertionError("trace bound built on a plant without X")
 
-    def logged_terms(self, s, flt):
-        calls.append(("bound", s, flt is None))
-        return terms(self, s, flt)
+    monkeypatch.setattr(detect, "_TraceBound", no_bound)
+    detector, moment = bank.detector(traj), bank.window_moment(traj)
+    flags = []
+    for s in [(1, 2), (2, 3), (1,), (1, 2, 3)]:
+        flag, run, report = detector(s)
+        assert run is not None and report.settled != "bound"
+        assert flag == int(not _report(m, cfg, traj, s, moment, cfg.eta).passed)
+        flags.append(flag)
+    assert flags == [1, 0, 0, 1]
+    assert set(bank._filters) == {(1, 2), (2, 3), (1,), (1, 2, 3)}
 
-    monkeypatch.setattr(detect, "_doubling_solve", logged_solve)
-    monkeypatch.setattr(detect._TraceBound, "terms", logged_terms)
-    flag, run, report = bank.detector(traj)((1, 2))
-    assert (flag, run, report.settled) == (1, None, "bound")
-    assert calls == [("solve", (1, 2)), ("bound", (1, 2), False)]
-    assert set(bank._filters) == {(1, 2)} and bank._observable == {(1, 2)}
+
+@pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
+def test_trace_bound_ignores_the_kept_filters(mode):
+    # on a stable plant the bound reads X alone: a fresh bank's detector
+    # and that of a bank which already keeps every subset's filter give
+    # each subset the same flag, the same settling test and the same
+    # missing or present run
+    m, cfg, traj = _bound_case(mode)
+    subsets = [s for size in range(1, m.p + 1) for s in combinations(range(1, m.p + 1), size)]
+    kept = SubsetBank(m, cfg)
+    for s in subsets:
+        kept.filter(s)
+    fresh_detector, kept_detector = SubsetBank(m, cfg).detector(traj), kept.detector(traj)
+    settled = set()
+    for s in subsets:
+        outcomes = [detector(s) for detector in (fresh_detector, kept_detector)]
+        fresh, held = [(flag, report.settled, run is None) for flag, run, report in outcomes]
+        assert fresh == held
+        settled.add(fresh[1])
+    assert settled == {"bound", "screen", "full"}
 
 
 def test_bank_checks_a_subsets_solvability_once(monkeypatch):

@@ -147,3 +147,18 @@ def test_min_symbol_distance_sampled_lower_bound():
             )
             observed = min(observed, differing)
         assert observed >= dist
+
+
+def test_norm_rescales_only_where_the_plain_norm_overflows():
+    # finite plain norms are kept bit for bit; entries past 1.3e154, whose
+    # squares overflow, get their norm from scaled entries; a norm past
+    # float64, or of an infinite entry, stays infinite
+    from secest.noiseless import _norm
+
+    rows = np.array([[3.0, 4e-3], [1e200, 3e200], [1.5e308, 1.5e308], [np.inf, 0.0]])
+    norms = _norm(rows, axis=1)
+    assert norms[0] == np.linalg.norm(rows[0])
+    assert norms[1] == pytest.approx(np.sqrt(10.0) * 1e200, rel=1e-15)
+    assert np.isinf(norms[2]) and np.isinf(norms[3])
+    assert float(_norm(rows[1])) == norms[1]
+    assert float(_norm(np.array([1.7e308]))) == 1.7e308
