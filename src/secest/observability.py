@@ -17,11 +17,25 @@ batched SVD above the relative floor RANK_RTOL.  Enumerations over
 subsets (`sparse_observability_index`, `min_gram_eigenvalue`, and the
 noiseless decoder) hand it SUBSET_SLICE subsets at a time, in
 lexicographic order, so memory stays bounded at any level size.
+
+The sparse observability index theta is p - 1 - F, where F is the
+largest size of an unobservable subset (0 when there is none).
+`sparse_observability_index` finds F from both ends of the subset
+lattice, always deciding the level with fewer subsets next.  A level
+from the top that holds an unobservable subset is F.  A level from the
+bottom whose every subset keeps its smallest singular value above one
+certified floor, shared by all subsets, settles every larger level as
+observable.  Exactness rests on two facts, for s a subset of t: adding
+rows does not lower the smallest singular value (O_t' O_t - O_s' O_s is
+the Gram of the added rows), and no subset's own floor exceeds the full
+set's, because O_s is a row selection of O_full.  The certified floor adds a slack for the
+rounding of the SVDs; `sparse_observability_index` derives it.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations, islice
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -50,8 +64,10 @@ RANK_RTOL = 1e-8
 # Subset enumerations decide this many subsets per batched call.
 SUBSET_SLICE = 64
 
-# sparse_observability_index enumerates all subsets; cap the sensor count
-# so a typo cannot trigger a 2^p blowup.
+# sparse_observability_index decides most plants from a level or two,
+# but its worst case (theta near p / 2, or singular values near the
+# floor) still decides about 2^p subsets; cap the sensor count so a typo
+# cannot trigger that blowup.
 DEFAULT_SENSOR_CAP = 20
 
 
@@ -91,13 +107,23 @@ def _subset_slices(sensors: Sequence[int], size: int) -> Iterator[np.ndarray]:
         yield flat.reshape(-1, size)
 
 
+def _singular_values(model: SystemModel, subsets: np.ndarray) -> np.ndarray:
+    """Singular values of the O_s of every row of ``subsets`` (as in
+    `_stacked_blocks`), descending: shape (S, n), one batched SVD."""
+    return np.linalg.svd(_stacked_blocks(model, subsets), compute_uv=False)
+
+
+def _full_rank(sv: np.ndarray) -> np.ndarray:
+    """Rank n per row of ``sv`` (as `_singular_values` returns them),
+    counting singular values above RANK_RTOL * max(1, largest one)."""
+    floor = RANK_RTOL * np.maximum(1.0, sv[:, :1])
+    return np.count_nonzero(sv > floor, axis=1) == sv.shape[1]
+
+
 def _observable(model: SystemModel, subsets: np.ndarray) -> np.ndarray:
     """Observability of every row of ``subsets`` (as in `_stacked_blocks`),
-    shape (S,): rank n, counting singular values of O_s above
-    RANK_RTOL * max(1, largest singular value)."""
-    sv = np.linalg.svd(_stacked_blocks(model, subsets), compute_uv=False)
-    floor = RANK_RTOL * np.maximum(1.0, sv[:, :1])
-    return np.count_nonzero(sv > floor, axis=1) == model.n
+    shape (S,): O_s has rank n, as `_full_rank` decides it."""
+    return _full_rank(_singular_values(model, subsets))
 
 
 def observability_matrix(model: SystemModel, s: Iterable[int]) -> np.ndarray:
@@ -116,21 +142,76 @@ def sparse_observability_index(model: SystemModel) -> int:
     """Largest theta such that every subset of p - theta sensors is
     observable; -1 when even the full set is not.
 
-    Exhaustive over subsets, level by level from p - 1 sensors down,
-    with early exit at the first failing level: each level is decided
-    SUBSET_SLICE subsets per batched rank call, and no slice after a
-    failing one is decided.
+    theta = p - 1 - F, with F the largest size of an unobservable
+    subset, or 0 when every subset is observable.  The scan decides
+    levels (subset sizes) from both ends, always the one with fewer
+    subsets next, C(p, lo) against C(p, hi), the low one on a tie: lo
+    rises from 1 and hi falls from p - 1.  Each level is decided
+    SUBSET_SLICE subsets per batched SVD, and no slice after a failing
+    one is decided.
+
+    - High end: a level hi with an unobservable subset is F, since every
+      larger level has passed.
+    - Low end: a level with an unobservable subset raises f, the largest
+      failing low level so far.  A level whose every subset has its
+      smallest singular value above the certified floor T is certified:
+      every larger level is observable, so F = f.
+    - When the ends cross, every level has been decided, and F = f.
+
+    Certification.  Take s a certified subset and t a superset.  With
+    hats for computed values, a backward-stable SVD of an r x n matrix M
+    gives each singular value within c r n eps ||M||_2 of the exact one,
+    c a small constant.  Every O_s has r <= p n rows and ||O_s||_2 <=
+    sigma_max(O_full), so delta = 4 p n^2 eps sigma_hat_max(O_full)
+    bounds every error; the 4 covers c and the difference between
+    sigma_max(O_full) and its computed value.  Then
+      sigma_hat_min(O_t) >= sigma_min(O_t) - delta
+                         >= sigma_min(O_s) - delta          (rows added)
+                         >= sigma_hat_min(O_s) - 2 delta > T - 2 delta,
+    and the own floor of t is
+      RANK_RTOL max(1, sigma_hat_max(O_t))
+        <= RANK_RTOL max(1, sigma_max(O_full) + delta)
+        <= RANK_RTOL max(1, sigma_hat_max(O_full)) + 2 RANK_RTOL delta.
+    So T = RANK_RTOL max(1, sigma_hat_max(O_full)) + 3 delta puts
+    sigma_hat_min(O_t) above its own floor (RANK_RTOL < 1/2): t passes
+    the per-subset test, exactly as deciding it would.  The slack only
+    makes a level harder to certify, so a larger one could cost SVDs but
+    never change theta.
     """
-    p = model.p
+    p, n = model.p, model.n
     if p > DEFAULT_SENSOR_CAP:
         raise ConfigError(f"p={p} exceeds the enumeration cap {DEFAULT_SENSOR_CAP}")
-    if not is_observable(model, full_subset(p)):
+    full = _singular_values(model, np.arange(p)[None])
+    if not _full_rank(full)[0]:
         return -1
-    for removed in range(1, p):
-        slices = _subset_slices(full_subset(p), p - removed)
-        if not all(_observable(model, chunk).all() for chunk in slices):
-            return removed - 1
-    return p - 1
+    top = float(full[0, 0])
+    delta = 4 * p * n * n * np.finfo(float).eps * top
+    certified = RANK_RTOL * max(1.0, top) + 3 * delta
+
+    def decide(size: int) -> tuple[bool, bool]:
+        """(every size-subset is observable, every one is certified)."""
+        above = True
+        for chunk in _subset_slices(full_subset(p), size):
+            sv = _singular_values(model, chunk)
+            if not _full_rank(sv).all():
+                return False, False
+            above = above and bool((sv[:, -1] > certified).all())
+        return True, above
+
+    lo, hi, failed = 1, p - 1, 0
+    while lo <= hi:
+        if comb(p, lo) <= comb(p, hi):
+            observable, above = decide(lo)
+            if not observable:
+                failed = lo
+            elif above:
+                break
+            lo += 1
+        else:
+            if not decide(hi)[0]:
+                return p - 1 - hi
+            hi -= 1
+    return p - 1 - failed
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused in _finite

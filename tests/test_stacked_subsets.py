@@ -147,24 +147,33 @@ def test_random_plants_match_reference(seed):
 
 
 @pytest.mark.parametrize(
-    "p, seen_by, theta, svds",
+    "p, seen_by, theta, svds, downward",
     [
-        # level 11 has 78 subsets; the first unobservable one, (3, ..., 13),
-        # is the last, in the second slice
-        (13, (1, 2), 1, 1 + 1 + 2),
-        # the first subset of level 11, (1, ..., 11), fails: its second
-        # slice is never decided
-        (13, (12, 13), 1, 1 + 1 + 1),
-        # 286 subsets at level 10; (2, ..., 6, 8, ..., 12), number 235,
-        # fails in the fourth slice and the fifth is never decided
-        (13, (1, 7, 13), 2, 1 + 1 + 2 + 4),
+        # full set; level 1 (a plane-blind singleton fails); level 12;
+        # level 2 ((3, 4) fails in the first slice); level 11, 78 subsets,
+        # whose first unobservable one, (3, ..., 13), is the last, in the
+        # second slice
+        (13, (1, 2), 1, 1 + 1 + 1 + 1 + 2, 1 + 1 + 2),
+        # full set; level 1; level 12; level 2 ((1, 2) fails); level 11,
+        # whose first subset, (1, ..., 11), fails: its second slice is
+        # never decided
+        (13, (12, 13), 1, 1 + 1 + 1 + 1 + 1, 1 + 1 + 1),
+        # full set; level 1; level 12; level 2; level 11 (78 subsets, all
+        # observable); level 3, 286 subsets, whose first failing one,
+        # (2, 3, 4), follows the 66 that hold sensor 1; level 10, 286
+        # subsets, where (2, ..., 6, 8, ..., 12), number 235, fails in the
+        # fourth slice and the fifth is never decided
+        (13, (1, 7, 13), 2, 1 + 1 + 1 + 1 + 2 + 2 + 4, 1 + 1 + 2 + 4),
     ],
     ids=["last-subset-in-second-slice", "first-subset-fails", "three-sensor-plane"],
 )
-def test_failing_levels_match_reference(svd_calls, p, seen_by, theta, svds):
+def test_failing_levels_match_reference(svd_calls, p, seen_by, theta, svds, downward):
+    # ``downward`` counts the SVDs of a scan from p - 1 sensors down; the
+    # two-ended scan adds low levels, each no larger than a high level it
+    # mirrors, and here stays within twice that count
     m = plane_plant(p, seen_by)
     assert sparse_observability_index(m) == theta
-    assert len(svd_calls) == svds
+    assert len(svd_calls) == svds <= 2 * downward
     assert theta == reference_index(m)
     for k in (theta, theta + 1):
         lam = min_gram_eigenvalue(m, full_subset(p), k)
@@ -218,9 +227,11 @@ def test_noiseless_ambiguity_plant_matches_reference():
 
 
 def test_index_is_sliced_not_per_subset(svd_calls):
-    # n=2, p=16: 65,536 subsets, every level observable, so every level
-    # is decided; one SVD per slice and a few slices' worth of memory
-    m = make_random_stable_system(2, 16, 0.85, seed=3, sigma_w2=0.0, sigma_v2=0.0)
+    # n=4, p=16: only sensors 1..8 see the plane, so (9, ..., 16) is the
+    # one unobservable subset of level 8 and the last of its 12,870: the
+    # scan decides every level from one end or the other, level 8 slice
+    # by slice, with a few slices' worth of memory
+    m = plane_plant(16, range(1, 9))
     m.observability_stack  # built outside the measured span
     tracemalloc.start()
     try:
@@ -228,8 +239,84 @@ def test_index_is_sliced_not_per_subset(svd_calls):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert theta == 15
+    assert theta == 7
+    level8 = [shape for shape in svd_calls if shape[1:] == (8 * 4, 4)]
+    assert len(level8) == math.ceil(math.comb(16, 8) / SUBSET_SLICE)
     slices = 1 + sum(math.ceil(math.comb(16, size) / SUBSET_SLICE) for size in range(1, 16))
     assert len(svd_calls) <= slices < 2**16 // 32
-    # one level unsliced (12,870 stacked 16 x 2 blocks) peaks above 4 MB
+    # one level unsliced (12,870 stacked 32 x 4 blocks) peaks above 13 MB
     assert peak < 1_000_000
+    assert reference_index(m) == theta
+
+
+def test_generic_plant_is_certified_from_single_sensors(svd_calls):
+    # every single sensor of a generic n=6, p=12 plant clears the
+    # certified floor: the full set's SVD and level 1's decide theta
+    m = make_random_stable_system(6, 12, 0.85, seed=5, sigma_w2=0.0, sigma_v2=0.0)
+    assert sparse_observability_index(m) == 11
+    assert [shape[0] for shape in svd_calls] == [1, 12]
+    assert reference_index(m) == 11
+
+
+@pytest.mark.parametrize(
+    "A, C, theta, svds",
+    [
+        # p=1: the full set alone
+        (np.diag([0.9, 0.5]), [[1.0, 1.0]], 0, 1),
+        # p=2, each sensor observable alone: level 1 certifies
+        (np.diag([0.9, 0.5]), [[1.0, 1.0], [1.0, -2.0]], 1, 2),
+        # p=2, each sensor sees one mode: level 1 fails and the ends meet
+        (np.diag([0.9, 0.5]), [[1.0, 0.0], [0.0, 1.0]], 0, 2),
+        # the full set is unobservable: one SVD
+        (np.diag([0.9, 0.5]), [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], -1, 1),
+        # degenerate: no sensor sees anything
+        (np.eye(2), np.zeros((3, 2)), -1, 1),
+        # pairs of identical sensors: (2, 4) and (1, 3) are blind, level 2
+        # fails, level 3 is decided from the top
+        (np.diag([0.9, 0.5]), [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], 1, 4),
+    ],
+    ids=["p1", "p2-certified", "p2-ends-meet", "unobservable", "degenerate", "paired"],
+)
+def test_small_plants_match_reference(svd_calls, A, C, theta, svds):
+    m = SystemModel(A=A, C=np.asarray(C), sigma_w2=0.0, sigma_v2=0.0)
+    assert sparse_observability_index(m) == theta
+    assert len(svd_calls) == svds
+    assert reference_index(m) == theta
+
+
+def weak_sensor_plant(weak_sv):
+    """Noiseless n=2, p=5 plant whose sensors 2..5 are strong and whose
+    sensor 1 alone has smallest singular value ``weak_sv`` and largest
+    below 1, so its own floor is RANK_RTOL."""
+    rng = np.random.default_rng(4)
+    A = np.array([[0.8, 0.3], [-0.2, 0.7]])
+    C = 100.0 * rng.standard_normal((5, 2))
+    O1 = np.vstack([C[:1], C[:1] @ A])
+    sv = np.linalg.svd(O1, compute_uv=False)
+    C[0] *= weak_sv / sv[-1]
+    assert sv[0] * weak_sv / sv[-1] < 1.0
+    return SystemModel(A=A, C=C, sigma_w2=0.0, sigma_v2=0.0)
+
+
+@pytest.mark.parametrize(
+    "weak_sv, theta, levels",
+    [
+        # sensor 1 passes its own floor but misses the certified one,
+        # about RANK_RTOL * 100: level 1 is not certified, the high end
+        # decides level 4, and level 2 certifies (each pair holds a
+        # strong sensor)
+        (10 * RANK_RTOL, 4, [5, 1, 4, 2]),
+        # sensor 1 fails its own floor: level 1 fails, level 4 passes
+        # from the top, and level 2 certifies
+        (0.1 * RANK_RTOL, 3, [5, 1, 4, 2]),
+    ],
+    ids=["passes-own-floor-only", "fails-own-floor"],
+)
+def test_weak_sensor_falls_back_to_the_high_end(svd_calls, weak_sv, theta, levels):
+    m = weak_sensor_plant(weak_sv)
+    sv_full = np.linalg.svd(m.observability_stack, compute_uv=False)
+    assert sv_full[0] > 100.0  # the certified floor is above 10 RANK_RTOL
+    svd_calls.clear()
+    assert sparse_observability_index(m) == theta
+    assert [shape[1] // m.n for shape in svd_calls] == levels
+    assert reference_index(m) == theta
