@@ -428,7 +428,7 @@ def run_experiment1(scenario: Scenario) -> list[dict]:
         )
         detector = SubsetBank(model, scenario.detector).detector(traj)
         for s in combinations(range(1, model.p + 1), model.p - scenario.k):
-            flag, _, report = detector(s)
+            flag, report = detector(s)
             rows.append(
                 {
                     "rep_seed": rep_seed,
@@ -671,7 +671,7 @@ def _cmd_detect(args) -> int:
     scenario = _load(args)
     model, _, traj = _simulate_at_seed(scenario)
     subset = _read(scenario.raw, "subset") or full_subset(model.p)
-    flag, _, report = attack_detect(model, traj, subset, scenario.detector)
+    flag, report = attack_detect(model, traj, subset, scenario.detector)
     rows = [
         {
             "subset": "-".join(str(i) for i in subset),

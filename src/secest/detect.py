@@ -88,13 +88,13 @@ O_c' G_cd O_d for c <= d, built one sensor row of G at a time (1.5 MB at
 n=50, p=12), and per sensor the moment's diagonal sum and the outputs'
 mean square; a subset's bound is one weighted sum of those blocks, one
 n x n inverse and a few traces.  A bound-failed report solves its filter
-on the first read of its expected matrix, and runs its full test on the
-first read of its deviation or scores, and then equals the full test's
-bit for bit.  So on a stable plant a subset whose solve would raise, but
-whose bound fails, is flagged with no exception; its report raises the
-solve's AnalysisError when read.  An unobservable subset raises at the
-detector call as before: the bank checks the solve's preconditions once
-per subset, and its solves do not check them again.
+on the first read of its expected matrix, and runs its filter and full
+test on the first read of its run, deviation or scores, and then equals
+the full test's bit for bit.  So on a stable plant a subset whose solve
+would raise, but whose bound fails, is flagged with no exception; its
+report raises the solve's AnalysisError when read.  An unobservable
+subset raises at the detector call: the bank checks the solve's
+preconditions once per subset, and its solves do not check them again.
 
 Every test runs through a `SubsetBank`, which owns the per-subset
 quantities of one model: O_s is a row selection of the model's
@@ -102,14 +102,17 @@ observability stack, M_s is cut from M by the helper that cuts the
 moment's block, and each subset's filter and threshold are computed once.
 `SubsetBank.detector(traj)` holds one trajectory's window moment
 Ybar' Ybar / N - M and the bound's blocks, and tests subsets against
-them; `attack_detect` tests one subset.
+them; `attack_detect` tests one subset.  Both return (flag, report).
+Every test's report is a `ResidueReport` built one way, from the bank,
+the trajectory, the subset and the moment, with the filter run when the
+test made one; it forms the rest of its one full test on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -188,30 +191,83 @@ class DetectorConfig:
 
 
 class ResidueReport:
-    """Outcome of one residue test.
+    """Outcome of the residue test of one normalized subset on one trajectory.
 
     ``settled`` names what decided it: ``"bound"``, the trace bound, and
     ``"screen"``, the diagonal screen, only fail a test; after
     ``"full"``, the test passes when ``max_deviation <= eta``.  ``passed``
-    is decided here.  The rest is formed on first read: ``deviation``, the
-    (n|s|)^2 sample - expected average of r r', by ``build``, which holds
-    the window moment until then, and from it ``max_deviation`` and
-    ``sample_matrix``; ``per_sensor_mu`` by ``scores``;
-    ``expected_matrix`` by ``expectation``."""
+    is decided here, where a report given its filter ``run`` forms the
+    screen's diagonal; a bound failure runs its filter on first read.
+    The rest comes from one full test on first read: O_s and K', the
+    diagonal, ``deviation``, the (n|s|)^2 sample - expected average of
+    r r', and from it ``max_deviation`` and ``sample_matrix``, the scores
+    and ``expected_matrix``.  The trajectory is let go once K' is formed,
+    and the window moment, O_s and K' once the deviation is."""
 
     def __init__(
-        self, subset: SensorSubset, mode: str, eta: float, n_samples: int, t1: int,
-        settled: str, build: Callable, scores: Callable, expectation: Callable
+        self, bank: SubsetBank, traj: Trajectory, subset: SensorSubset, moment: np.ndarray,
+        run: FilterRun | None = None,
     ):
-        self.subset, self.mode, self.eta = subset, mode, eta
-        self.n_samples, self.t1, self.expectation = n_samples, t1, expectation
-        self._build, self._scores = build, scores
-        self.settled = settled
-        self.passed = settled == "full" and self.max_deviation <= eta
+        cfg = bank.cfg
+        self.subset, self.mode, self.eta = subset, cfg.mode, bank.eta(subset)
+        self.n_samples, self.t1 = bank.N, cfg.t1
+        self._bank, self._traj, self._moment = bank, traj, moment
+        if run is None:
+            self.settled = "bound"
+        else:
+            self.run = run
+            self.settled = "screen" if np.any(self._diagonal > self.eta) else "full"
+        self.passed = self.settled == "full" and self.max_deviation <= self.eta
+
+    @cached_property
+    def run(self) -> FilterRun:
+        """The subset's filter run over the window."""
+        bank = self._bank
+        return run_filter(bank.filter(self.subset), self._traj, self.t1, self.t1 + bank.N - 1)
+
+    @cached_property
+    def _products(self) -> tuple[np.ndarray, np.ndarray]:
+        """O_s and K' (see the module docstring); drops the trajectory.
+        Raises AnalysisError when K overflows float64."""
+        bank, subset, t1, N = self._bank, self.subset, self.t1, self.n_samples
+        model, flt = bank.model, bank.filter(subset)
+        n = model.n
+        Os = observability_matrix(model, subset)
+        est = self.run.window(t1, N)
+        outputs = self._traj.outputs[t1 : t1 + N + n - 1, [i - 1 for i in subset]]
+        F = flt.error_cov if flt.mode == PREDICTION else flt.filtered_cov
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            Kt = _lag_products(outputs, est).reshape(n * len(subset), n)
+            Kt -= Os @ (0.5 * (est.T @ est) - 0.5 * N * F)
+            Kt /= N
+        _finite(Kt, f"window products of subset {subset}")
+        if flt.mode == FILTERING:
+            Kt[::n] -= model.sigma_v2 * flt.gain.T
+        self._traj = None
+        return Os, Kt
+
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """The screen: the deviation's diagonal, diag(moment)[s] -
+        2 rowsum(O_s * K'), from n-long row dot products."""
+        model = self._bank.model
+        rows = np.diagonal(self._moment).reshape(model.p, model.n)[np.subtract(self.subset, 1)]
+        Os, Kt = self._products
+        dots = (Os * Kt).sum(axis=1)
+        return rows.ravel() - dots - dots
 
     @cached_property
     def deviation(self) -> np.ndarray:
-        deviation, self._build = self._build(), None  # drops the window moment
+        """The subset's block of the window moment minus O_s K and its
+        transpose, with the screen's diagonal written over the GEMM's."""
+        Os, Kt = self._products
+        OK = Os @ Kt.T
+        deviation = _sensor_block(self._moment, self._bank.model.n, self.subset)
+        deviation -= OK
+        deviation -= OK.T
+        np.fill_diagonal(deviation, self._diagonal)
+        del self._products
+        self._moment = None
         return deviation
 
     @cached_property
@@ -220,13 +276,22 @@ class ResidueReport:
 
     @cached_property
     def per_sensor_mu(self) -> dict[int, float]:
-        """Residue score of each sensor of the subset (see `_sensor_scores`)."""
-        return self._scores()
+        """Per-sensor scores for conflict localization: the trace of the
+        deviation's diagonal on each sensor's block, offset by eta n and
+        normalized by the sensor's observability energy lambda_max(O_i' O_i).
+        Raises AnalysisError when that energy is zero."""
+        diagonal, maxima, subset = self._diagonal, self._bank.gram_maxima, self.subset
+        for i in subset:
+            if not maxima[i] > 0.0:
+                raise AnalysisError(f"sensor {i} has zero observability energy in float64")
+        n = self._bank.model.n
+        traces = diagonal.reshape(len(subset), n).sum(axis=1)
+        return {i: abs(float(tr) - self.eta * n) / maxima[i] for i, tr in zip(subset, traces)}
 
     @cached_property
     def expected_matrix(self) -> np.ndarray:
         """Attack-free expectation of r r'."""
-        return self.expectation()
+        return expected_residue_matrix(self._bank, self._bank.filter(self.subset))
 
     @cached_property
     def sample_matrix(self) -> np.ndarray:
@@ -341,39 +406,29 @@ class SubsetBank:
         moment -= self._cov
         return _finite(moment, "entries of the window moment Ybar' Ybar / N")
 
-    def detector(
-        self, traj: Trajectory
-    ) -> Callable[[Iterable[int]], tuple[int, FilterRun | None, ResidueReport]]:
+    def detector(self, traj: Trajectory) -> Callable[[Iterable[int]], tuple[int, ResidueReport]]:
         """Residue test of subsets of ``traj``: the returned detector maps
-        a subset to (flag, run, report), flag 0 meaning no effective
-        attack was detected and flag 1 that the subset failed the test.
-        A failure settled by the trace bound has no run (None), and its
-        filter is solved only when its report's expected matrix, deviation
-        or scores are read.  The bound runs only on a plant with an
-        open-loop covariance X.  The window moment and the bound's blocks
-        are computed here, once."""
+        a subset to (flag, report), flag 0 meaning no effective attack was
+        detected and flag 1 that the subset failed the test.  A failure
+        settled by the trace bound runs its filter only when its report's
+        run, deviation or scores are read.  The bound runs only on a plant
+        with an open-loop covariance X.  The window moment and the bound's
+        blocks are computed here, once."""
         moment = self.window_moment(traj)
         bound = None if self._open_loop is None else _TraceBound(self, traj, moment)
         cfg, N, p = self.cfg, self.N, self.model.p
 
-        def detect(s: Iterable[int]) -> tuple[int, FilterRun | None, ResidueReport]:
+        def detect(s: Iterable[int]) -> tuple[int, ResidueReport]:
             subset = normalize_subset(s, p)
             self._check_once(subset)  # an unobservable subset raises here, as in the solve
             eta = self.eta(subset)  # raises before the bound, as in the full test
             if bound is not None:
                 lb, margin = bound.terms(subset)
                 if lb - margin > self.model.n * len(subset) * eta:  # False on nan
-                    full = _FullTest(self, traj, subset, moment)
-                    return 1, None, ResidueReport(
-                        subset, cfg.mode, eta, N, cfg.t1,
-                        settled="bound",
-                        build=full.deviation,
-                        scores=full.scores,
-                        expectation=lambda: expected_residue_matrix(self, self.filter(subset)),
-                    )
+                    return 1, ResidueReport(self, traj, subset, moment)
             run = run_filter(self.filter(subset), traj, cfg.t1, cfg.t1 + N - 1)
             report = residue_report(self, traj, subset, run, moment)
-            return (0 if report.passed else 1), run, report
+            return (0 if report.passed else 1), report
 
         return detect
 
@@ -567,30 +622,6 @@ class _TraceBound:
         return lb, (float(margin) if rho < 0.25 else math.inf)
 
 
-class _FullTest:
-    """The full residue test of a subset the trace bound failed, run on
-    the first read of its report's deviation or scores."""
-
-    def __init__(
-        self, bank: SubsetBank, traj: Trajectory, subset: SensorSubset, moment: np.ndarray
-    ):
-        self._inputs = (bank, traj, subset, moment)
-
-    @cached_property
-    def report(self) -> ResidueReport:
-        bank, traj, subset, moment = self._inputs
-        run = run_filter(bank.filter(subset), traj, bank.cfg.t1, bank.cfg.t1 + bank.N - 1)
-        report = residue_report(bank, traj, subset, run, moment)
-        self._inputs = None  # the report holds the moment until its deviation is read
-        return report
-
-    def deviation(self) -> np.ndarray:
-        return self.report.deviation
-
-    def scores(self) -> dict[int, float]:
-        return self.report.per_sensor_mu
-
-
 def _sensor_block(matrix: np.ndarray, n: int, subset: SensorSubset) -> np.ndarray:
     """The rows and columns of the sensors in ``subset`` of an all-sensor
     (n p, n p) window matrix, as a new (n |s|, n |s|) array."""
@@ -626,50 +657,7 @@ def residue_report(
     detector configuration, and ``moment`` is ``bank.window_moment(traj)``.
     Raises AnalysisError when K overflows float64.
     """
-    model, cfg = bank.model, bank.cfg
-    subset = normalize_subset(s, model.p)
-    n, N = model.n, bank.N
-    eta = bank.eta(subset)
-    flt = bank.filter(subset)
-    Os = observability_matrix(model, subset)
-    est = run.window(cfg.t1, N)
-
-    # Kt = K' (see the module docstring)
-    cols = [i - 1 for i in subset]
-    outputs = traj.outputs[cfg.t1 : cfg.t1 + N + n - 1, cols]
-    F = flt.error_cov if flt.mode == PREDICTION else flt.filtered_cov
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        Kt = _lag_products(outputs, est).reshape(n * len(subset), n)
-        Kt -= Os @ (0.5 * (est.T @ est) - 0.5 * N * F)
-        Kt /= N
-    _finite(Kt, f"window products of subset {subset}")
-    if flt.mode == FILTERING:
-        Kt[::n] -= model.sigma_v2 * flt.gain.T
-
-    # The screen: the deviation's diagonal, which `_deviation` also carries
-    rows = np.diagonal(moment).reshape(model.p, n)[cols].ravel()
-    dots = (Os * Kt).sum(axis=1)
-    diagonal = rows - dots - dots
-    return ResidueReport(
-        subset, cfg.mode, eta, N, cfg.t1,
-        settled="screen" if np.any(diagonal > eta) else "full",
-        build=partial(_deviation, moment, n, subset, Os, Kt, diagonal),
-        scores=partial(_sensor_scores, bank.gram_maxima, subset, diagonal, eta),
-        expectation=partial(expected_residue_matrix, bank, flt),
-    )
-
-
-def _sensor_scores(maxima: dict, subset: SensorSubset, diagonal: np.ndarray, eta: float) -> dict:
-    """Per-sensor scores for conflict localization: the trace of the
-    deviation's diagonal on each sensor's block, offset by eta n and
-    normalized by the sensor's observability energy, ``maxima[i]`` =
-    lambda_max(O_i' O_i).  Raises AnalysisError when that energy is zero."""
-    for i in subset:
-        if not maxima[i] > 0.0:
-            raise AnalysisError(f"sensor {i} has zero observability energy in float64")
-    n = len(diagonal) // len(subset)
-    traces = diagonal.reshape(len(subset), n).sum(axis=1)
-    return {i: abs(float(tr) - eta * n) / maxima[i] for i, tr in zip(subset, traces)}
+    return ResidueReport(bank, traj, normalize_subset(s, bank.model.p), moment, run)
 
 
 def _lag_products(outputs: np.ndarray, est: np.ndarray) -> np.ndarray:
@@ -688,35 +676,16 @@ def _lag_products(outputs: np.ndarray, est: np.ndarray) -> np.ndarray:
     return products
 
 
-def _deviation(
-    moment: np.ndarray, n: int, subset: SensorSubset, Os: np.ndarray, Kt: np.ndarray,
-    diagonal: np.ndarray,
-) -> np.ndarray:
-    """The subset's block of ``moment`` minus O_s K and its transpose, with
-    the screen's row-dot ``diagonal`` written over the GEMM's diagonal."""
-    OK = Os @ Kt.T
-    deviation = _sensor_block(moment, n, subset)
-    deviation -= OK
-    deviation -= OK.T
-    np.fill_diagonal(deviation, diagonal)
-    return deviation
-
-
 def attack_detect(
     model: SystemModel,
     traj: Trajectory,
     s: Iterable[int],
     cfg: DetectorConfig,
-) -> tuple[int, FilterRun, ResidueReport]:
+) -> tuple[int, ResidueReport]:
     """One-shot residue test of subset s through a fresh `SubsetBank`;
     flag 0 means no effective attack was detected, flag 1 means the
-    subset failed the test.  The run is returned for every subset: for a
-    failure the trace bound settled, it is run after the test."""
-    bank = SubsetBank(model, cfg)
-    flag, run, report = bank.detector(traj)(s)
-    if run is None:
-        run = run_filter(bank.filter(report.subset), traj, cfg.t1, cfg.t1 + bank.N - 1)
-    return flag, run, report
+    subset failed the test."""
+    return SubsetBank(model, cfg).detector(traj)(s)
 
 
 def effective_attack_oracle(

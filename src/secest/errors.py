@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and its one float64 overflow refusal."""
+"""Exception types shared across the package, and its overflow and sensor-index refusals."""
+
+import operator
 
 import numpy as np
 
@@ -27,3 +29,11 @@ def _finite(values, what: str):
     if not np.isfinite(values).all():
         raise AnalysisError(f"{what} overflow float64")
     return values
+
+
+def _sensor_indices(values, what: str) -> tuple[int, ...]:
+    """Sorted distinct ``values``; ConfigError unless each is an integer, as numpy's are."""
+    try:
+        return tuple(sorted({operator.index(i) for i in values}))
+    except TypeError:
+        raise ConfigError(f"{what} must be integers, got {values!r}") from None

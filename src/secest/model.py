@@ -22,7 +22,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import ConfigError, _finite
+from .errors import ConfigError, _finite, _sensor_indices
 
 __all__ = [
     "SystemModel",
@@ -192,7 +192,7 @@ class AttackSpec:
     strategy: Strategy = field(default_factory=NoAttack)
 
     def __post_init__(self):
-        attacked = tuple(sorted(set(int(i) for i in self.attacked)))
+        attacked = _sensor_indices(self.attacked, "attacked sensors")
         object.__setattr__(self, "attacked", attacked)
         if attacked and attacked[0] < 1:
             raise ConfigError("sensor indices are 1-based")

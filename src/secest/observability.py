@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, _finite
+from .errors import ConfigError, _finite, _sensor_indices
 from .model import SystemModel, Trajectory
 
 __all__ = [
@@ -73,7 +73,7 @@ DEFAULT_SENSOR_CAP = 20
 
 def normalize_subset(s: Iterable[int], p: int) -> SensorSubset:
     """Sorted, validated 1-based sensor subset."""
-    subset = tuple(sorted(set(int(i) for i in s)))
+    subset = _sensor_indices(s, "sensor subset entries")
     if not subset:
         raise ConfigError("sensor subset must be nonempty")
     if subset[0] < 1 or subset[-1] > p:

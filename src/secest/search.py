@@ -16,7 +16,8 @@ audits, and its counts are read from it.  ``wall_time`` is the search's
 one clock, the seconds from the start of its subset tests to its outcome;
 experiment 2 reports it as is.  Unless a detector is injected, each
 search call tests every subset against one `SubsetBank` of its own, and
-certificate shrinking probes through the search's detector.
+certificate shrinking probes through the search's detector.  An outcome
+keeps the found subset's report, whose filter run is its estimates.
 """
 
 from __future__ import annotations
@@ -43,25 +44,24 @@ __all__ = [
     "generate_certificate",
 ]
 
-# A detector maps a sensor subset to (flag, estimates, report); the
-# default is the detector of a SubsetBank made for the search call, and
-# experiment 2 injects the detector of a bank that the search keeps across
-# repetitions.  The estimates of a failed subset may be None: the
-# searches read them only on a pass.
-Detector = Callable[[SensorSubset], tuple[int, FilterRun | None, ResidueReport]]
+# A detector maps a sensor subset to (flag, report); the default is the
+# detector of a SubsetBank made for the search call, and experiment 2
+# injects the detector of a bank that the search keeps across
+# repetitions.  The searches log the flag, keep the report of the subset
+# found, and read a failed report's scores only to shrink a certificate.
+Detector = Callable[[SensorSubset], tuple[int, ResidueReport]]
 
 
 @dataclass
 class SearchOutcome:
     """``subset`` is the subset found, None when none passed, with its
-    filter run ``estimates`` and residue ``report``.  ``trace`` logs
+    residue ``report``, whose filter run is ``estimates``.  ``trace`` logs
     every detector call with its phase, and the counts are read from it:
     ``theory_checks`` counts the runs on search hypotheses (for the plain
     enumeration: subsets visited), and ``detector_calls`` additionally
     includes the runs spent shrinking certificates."""
 
     subset: SensorSubset | None
-    estimates: FilterRun | None
     report: ResidueReport | None = None
     certificates: list[PBConstraint] = field(default_factory=list)
     wall_time: float = 0.0
@@ -70,6 +70,10 @@ class SearchOutcome:
     @property
     def found(self) -> bool:
         return self.subset is not None
+
+    @property
+    def estimates(self) -> FilterRun | None:
+        return None if self.report is None else self.report.run
 
     @property
     def theory_checks(self) -> int:
@@ -104,20 +108,19 @@ class _CountingDetector:
         self.start = time.perf_counter()
 
     def __call__(self, s: SensorSubset, phase: str = "search"):
-        flag, run, report = self.inner(s)
+        flag, report = self.inner(s)
         self.log.append({"subset": list(s), "flag": flag, "phase": phase})
-        return flag, run, report
+        return flag, report
 
     def outcome(
         self,
         subset: SensorSubset | None = None,
-        run: FilterRun | None = None,
         report: ResidueReport | None = None,
         certificates: Iterable[PBConstraint] = (),
     ) -> SearchOutcome:
         """The search's outcome so far; found when ``subset`` is given."""
         elapsed = time.perf_counter() - self.start
-        return SearchOutcome(subset, run, report, list(certificates), elapsed, self.log)
+        return SearchOutcome(subset, report, list(certificates), elapsed, self.log)
 
 
 def _attack_bound(model: SystemModel, cfg: DetectorConfig) -> int:
@@ -138,9 +141,9 @@ def exhaustive_search(
     k = _attack_bound(model, cfg)
     det = _CountingDetector(detector or SubsetBank(model, cfg).detector(traj))
     for s in combinations(range(1, model.p + 1), model.p - k):
-        flag, run, report = det(s)
+        flag, report = det(s)
         if flag == 0:
-            return det.outcome(s, run, report)
+            return det.outcome(s, report)
     return det.outcome()
 
 
@@ -167,9 +170,9 @@ def smt_search(
         if assignment is None:
             return det.outcome(certificates=formula.constraints[1:])
         hypothesis = tuple(i for i in range(1, p + 1) if not assignment[i - 1])
-        flag, run, report = det(hypothesis)
+        flag, report = det(hypothesis)
         if flag == 0:
-            return det.outcome(hypothesis, run, report, formula.constraints[1:])
+            return det.outcome(hypothesis, report, formula.constraints[1:])
         cert = generate_certificate(model, report, cfg, partial(det, phase="certificate"))
         formula = formula.with_constraints([cert])
     raise AnalysisError("guided search exceeded its iteration bound")
@@ -209,7 +212,7 @@ def generate_certificate(
         if cfg.eta is None and len(shrunk) <= k:
             break  # auto threshold undefined below k+1 sensors
         try:
-            flag, _, _ = detector(shrunk)
+            flag, _ = detector(shrunk)
         except AnalysisError:
             break  # shrunken subset lost observability; stop shrinking
         if flag == 0:

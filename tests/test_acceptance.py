@@ -251,9 +251,9 @@ def test_criterion_06_detector_oracle_agreement():
         attacked = tuple(sorted(rng.choice(5, size=2, replace=False) + 1))
         atk = AttackSpec(attacked, ZeroOutput()) if seed % 2 else AttackSpec()
         traj = simulate(m, atk, cfg.t1 + N + m.n, seed=seed, burn_in=200)
-        flag, run, _ = attack_detect(m, traj, full, cfg)
+        flag, residues = attack_detect(m, traj, full, cfg)
         effective = effective_attack_oracle(
-            traj, run, flt.error_cov, cfg.epsilon, cfg.t1, N
+            traj, residues.run, flt.error_cov, cfg.epsilon, cfg.t1, N
         )
         agree += int((flag == 1) == effective)
     elapsed = time.perf_counter() - start

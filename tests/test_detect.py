@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_attack_free_passes_small_system():
         m = make_random_stable_system(3, 3, 0.85, seed=50, sigma_w2=0.5, sigma_v2=0.7)
         cfg = _small_cfg(eta=1.0)
         traj = simulate(m, AttackSpec(), cfg.t1 + cfg.window_length(3) + 3, seed=seed, burn_in=30)
-        flag, _, report = attack_detect(m, traj, (1, 2, 3), cfg)
+        flag, report = attack_detect(m, traj, (1, 2, 3), cfg)
         flags.append(flag)
     assert sum(flags) == 0
 
@@ -89,7 +90,7 @@ def test_variance_inflating_attack_flagged():
     cfg = _small_cfg(eta=1.0)
     atk = AttackSpec((2,), SeededRandom(amplitude=4.0))
     traj = simulate(m, atk, cfg.t1 + cfg.window_length(3) + 3, seed=1, burn_in=30)
-    flag, _, report = attack_detect(m, traj, (1, 2, 3), cfg)
+    flag, report = attack_detect(m, traj, (1, 2, 3), cfg)
     assert flag == 1
     assert report.max_deviation > report.eta
 
@@ -99,7 +100,7 @@ def test_clean_subset_unaffected_by_attack_elsewhere():
     cfg = _small_cfg(eta=1.0)
     atk = AttackSpec((3,), SeededRandom(amplitude=4.0))
     traj = simulate(m, atk, cfg.t1 + cfg.window_length(3) + 3, seed=1, burn_in=30)
-    flag, _, _ = attack_detect(m, traj, (1, 2), cfg)
+    flag, _ = attack_detect(m, traj, (1, 2), cfg)
     assert flag == 0
 
 
@@ -107,11 +108,11 @@ def test_filtering_mode_detects_and_calibrates():
     m = make_random_stable_system(3, 3, 0.85, seed=50, sigma_w2=0.5, sigma_v2=0.7)
     cfg = _small_cfg(N=20000, eta=0.6, mode=FILTERING)
     traj = simulate(m, AttackSpec(), cfg.t1 + cfg.window_length(3) + 3, seed=2, burn_in=30)
-    flag, _, report = attack_detect(m, traj, (1, 2, 3), cfg)
+    flag, report = attack_detect(m, traj, (1, 2, 3), cfg)
     assert flag == 0
     atk = AttackSpec((1,), SeededRandom(amplitude=4.0))
     atraj = simulate(m, atk, cfg.t1 + cfg.window_length(3) + 3, seed=2, burn_in=30)
-    flag, _, _ = attack_detect(m, atraj, (1, 2, 3), cfg)
+    flag, _ = attack_detect(m, atraj, (1, 2, 3), cfg)
     assert flag == 1
 
 
@@ -120,7 +121,7 @@ def test_pass_rule_is_one_sided():
     m = make_random_stable_system(3, 3, 0.85, seed=50, sigma_w2=0.5, sigma_v2=0.7)
     cfg = _small_cfg(eta=1.0)
     traj = simulate(m, AttackSpec(), cfg.t1 + cfg.window_length(3) + 3, seed=3, burn_in=30)
-    _, _, report = attack_detect(m, traj, (1, 2, 3), cfg)
+    _, report = attack_detect(m, traj, (1, 2, 3), cfg)
     assert report.passed
     shrunk = report.sample_matrix - np.full_like(report.sample_matrix, 5.0)
     dev = shrunk - report.expected_matrix
@@ -209,7 +210,7 @@ def test_report_serializes():
     m = make_random_stable_system(2, 2, 0.8, seed=1, sigma_w2=0.5, sigma_v2=0.5)
     cfg = _small_cfg(N=500, eta=2.0)
     traj = simulate(m, AttackSpec(), cfg.t1 + cfg.window_length(2) + 2, seed=5, burn_in=20)
-    _, _, report = attack_detect(m, traj, (1, 2), cfg)
+    _, report = attack_detect(m, traj, (1, 2), cfg)
     d = report.to_dict()
     assert d["subset"] == [1, 2]
     assert d["eta"] == 2.0
@@ -330,7 +331,7 @@ def test_bank_matches_from_scratch_reference(mode):
             deviation = residues.T @ residues / N - expected
             scale = np.abs(expected).max()
 
-            _, _, report = detector(s)
+            _, report = detector(s)
             assert np.abs(report.expected_matrix - expected).max() <= 1e-12 * scale
             assert abs(report.max_deviation - deviation.max()) <= 1e-12 * scale
             for idx, i in enumerate(s):
@@ -365,9 +366,9 @@ def test_bank_holds_filters_and_thresholds_only():
     inner, reports = bank.detector(traj), []
 
     def detector(s):
-        flag, run, report = inner(s)
+        flag, report = inner(s)
         reports.append(report)
-        return flag, run, report
+        return flag, report
 
     outcome = exhaustive_search(m, traj, cfg, detector=detector)
     assert outcome.found and outcome.theory_checks > 1
@@ -403,8 +404,8 @@ def test_detectors_of_two_trajectories_share_a_bank(mode):
     flags = set()
     for s in subsets:
         for traj, detector in zip(trajs, detectors):
-            flag, _, report = detector(s)
-            fresh_flag, _, fresh = attack_detect(m, traj, s, cfg)
+            flag, report = detector(s)
+            fresh_flag, fresh = attack_detect(m, traj, s, cfg)
             assert flag == fresh_flag
             assert report.max_deviation == fresh.max_deviation
             flags.add(flag)
@@ -480,7 +481,6 @@ def test_large_bias_matches_direct_residue_formula():
         observability_matrix,
         smt_search,
     )
-    from secest.detect import ResidueReport
 
     m = make_random_stable_system(3, 4, 0.85, seed=61, sigma_w2=0.5, sigma_v2=0.7)
     for mode in (PREDICTION, FILTERING):
@@ -506,18 +506,16 @@ def test_large_bias_matches_direct_residue_formula():
             deviation = residues.T @ residues / N - expected
             traces = [np.trace(deviation[c * n : (c + 1) * n, c * n : (c + 1) * n]) for c in range(len(s))]
             mu = {i: abs(tr - cfg.eta * n) / bank.gram_maxima[i] for i, tr in zip(s, traces)}
-            report = ResidueReport(
-                s, mode, cfg.eta, N, cfg.t1, settled="full",
-                build=lambda: deviation, scores=lambda: mu, expectation=None,
-            )
-            return int(not report.passed), run, report
+            passed = float(deviation.max()) <= cfg.eta
+            report = SimpleNamespace(subset=s, deviation=deviation, per_sensor_mu=mu, run=run)
+            return int(not passed), report
 
         detector = bank.detector(traj)
         flags = []
         for size in range(1, 5):
             for s in combinations(range(1, 5), size):
-                flag, _, report = detector(s)
-                direct_flag, _, reference = direct(s)
+                flag, report = detector(s)
+                direct_flag, reference = direct(s)
                 assert flag == direct_flag
                 assert np.abs(report.deviation - reference.deviation).max() <= bound
                 flags.append(flag)
@@ -627,7 +625,7 @@ def test_passing_reports_hold_no_window_moment():
     reports = []
     for seed in range(20):
         traj = simulate(m, AttackSpec(), horizon, seed=seed, burn_in=30)
-        flag, _, report = bank.detector(traj)((1, 2, 3, 4))
+        flag, report = bank.detector(traj)((1, 2, 3, 4))
         assert flag == 0
         reports.append(report)
     squares = [a for a in _reachable_arrays(reports) if a.shape == (m.n * m.p,) * 2]
@@ -651,7 +649,7 @@ def test_screened_failures_hold_no_window_moment_once_read():
     reports = []
     for seed in range(20):
         traj = simulate(m, attack, horizon, seed=seed, burn_in=30)
-        flag, _, report = bank.detector(traj)((1, 2, 3, 4))
+        flag, report = bank.detector(traj)((1, 2, 3, 4))
         assert flag == 1 and "deviation" not in vars(report)  # screened
         assert len(squares(report)) == 2  # the moment and the noise covariance
         report.deviation
@@ -706,9 +704,9 @@ def test_search_forms_scores_only_where_certificates_read_them(monkeypatch, mode
     inner, reports, certified = bank.detector(traj), [], []
 
     def detector(s):
-        flag, run, report = inner(s)
+        flag, report = inner(s)
         reports.append(report)
-        return flag, run, report
+        return flag, report
 
     def certificate(model, report, *args):
         certified.append(report)
@@ -807,21 +805,22 @@ def test_bound_failures_report_the_full_test_bitwise(mode):
     settled = []
     for size in range(1, m.p + 1):
         for s in combinations(range(1, m.p + 1), size):
-            flag, run, report = detector(s)
+            flag, report = detector(s)
             full = _report(m, cfg, traj, s, moment, cfg.eta)
             assert flag == int(not full.passed)
             settled.append(report.settled)
-            if run is not None:
+            if report.settled != "bound":
                 assert report.settled == full.settled
                 continue
-            assert flag == 1 and report.settled == "bound" and full.settled == "screen"
-            assert "deviation" not in vars(report)
+            assert flag == 1 and full.settled == "screen"
+            assert "run" not in vars(report) and "deviation" not in vars(report)
             assert report.per_sensor_mu == full.per_sensor_mu
             assert report.deviation.tobytes() == full.deviation.tobytes()
             assert report.max_deviation == full.max_deviation
             assert report.expected_matrix.tobytes() == full.expected_matrix.tobytes()
             assert report.sample_matrix.tobytes() == full.sample_matrix.tobytes()
             assert report.to_dict() == full.to_dict()
+            assert report.run.estimates.tobytes() == full.run.estimates.tobytes()
             own = {id(report.deviation), id(report.expected_matrix), id(report.sample_matrix)}
             squares = [a for a in _reachable_arrays(report) if a.shape == (m.n * m.p,) * 2]
             assert [id(a) for a in squares if id(a) not in own] == [id(bank._cov)]
@@ -847,8 +846,8 @@ def test_near_threshold_subset_falls_through_to_the_full_test():
             fresh = SubsetBank(m, replace(cfg, eta=eta))
             if kept:
                 fresh.filter(s)
-            flag, run, report = fresh.detector(traj)(s)
-            assert (report.settled == "bound") == bounded and (run is None) == bounded
+            flag, report = fresh.detector(traj)(s)
+            assert (report.settled == "bound") == bounded == ("run" not in vars(report))
             assert flag == int(not _report(m, cfg, traj, s, moment, eta).passed)
 
 
@@ -882,8 +881,8 @@ def test_bound_failure_solves_no_filter_until_read():
     moment = bank.window_moment(traj)
     detector = bank.detector(traj)
     bank.filter((2, 3))
-    flag, run, report = detector((1, 2, 3))
-    assert (flag, run, report.settled) == (1, None, "bound")
+    flag, report = detector((1, 2, 3))
+    assert (flag, report.settled) == (1, "bound") and "run" not in vars(report)
     assert set(bank._filters) == {(2, 3)} and bank._observable == {(2, 3), (1, 2, 3)}
     full = _report(m, cfg, traj, (1, 2, 3), moment, cfg.eta)
     assert report.expected_matrix.tobytes() == full.expected_matrix.tobytes()
@@ -931,8 +930,8 @@ def test_plant_without_open_loop_covariance_runs_every_full_test(monkeypatch):
     detector, moment = bank.detector(traj), bank.window_moment(traj)
     flags = []
     for s in [(1, 2), (2, 3), (1,), (1, 2, 3)]:
-        flag, run, report = detector(s)
-        assert run is not None and report.settled != "bound"
+        flag, report = detector(s)
+        assert "run" in vars(report) and report.settled != "bound"
         assert flag == int(not _report(m, cfg, traj, s, moment, cfg.eta).passed)
         flags.append(flag)
     assert flags == [1, 0, 0, 1]
@@ -954,7 +953,7 @@ def test_trace_bound_ignores_the_kept_filters(mode):
     settled = set()
     for s in subsets:
         outcomes = [detector(s) for detector in (fresh_detector, kept_detector)]
-        fresh, held = [(flag, report.settled, run is None) for flag, run, report in outcomes]
+        fresh, held = [(flag, report.settled, "run" in vars(report)) for flag, report in outcomes]
         assert fresh == held
         settled.add(fresh[1])
     assert settled == {"bound", "screen", "full"}
@@ -980,8 +979,8 @@ def test_bank_checks_a_subsets_solvability_once(monkeypatch):
         return observable(model, s)
 
     monkeypatch.setattr(kalman, "is_observable", counted)
-    flag, run, report = detector((1, 2, 3))
-    assert report.settled != "bound" and run is not None
+    flag, report = detector((1, 2, 3))
+    assert report.settled != "bound" and "run" in vars(report)
     assert set(bank._filters) == {(1, 2, 3)}
     assert checked == [(1, 2, 3)]
 
@@ -1001,22 +1000,36 @@ def test_bound_failure_of_a_subset_whose_solve_raises():
         cfg = _small_cfg(N=40, eta=1.0, t1=10, mode=mode)
         traj = simulate(m, AttackSpec((1,), ConstantBias(bias=(1e15,))), 60, seed=1, burn_in=10)
         bank = SubsetBank(m, cfg)
-        flag, run, report = bank.detector(traj)((1, 2))
-        assert (flag, run, report.settled, report.passed) == (1, None, "bound", False)
-        for read in ("expected_matrix", "deviation", "per_sensor_mu"):
+        flag, report = bank.detector(traj)((1, 2))
+        assert (flag, report.settled, report.passed) == (1, "bound", False)
+        for read in ("run", "expected_matrix", "deviation", "per_sensor_mu"):
             with pytest.raises(AnalysisError, match="singular"):
                 getattr(report, read)
+        flag, report = attack_detect(m, traj, (1, 2), cfg)  # flags with no solve, as above
+        assert (flag, report.settled) == (1, "bound")
         with pytest.raises(AnalysisError, match="singular"):
-            attack_detect(m, traj, (1, 2), cfg)
+            report.to_dict()
 
 
-def test_attack_detect_runs_the_filter_of_a_bound_failure():
-    # the one-shot test returns the filter run of every subset, one the
-    # trace bound failed included
+def test_attack_detect_leaves_the_run_of_a_bound_failure_to_its_report(monkeypatch):
+    # the one-shot test of a subset the trace bound fails runs no filter;
+    # reading its report's run, deviation, scores and to_dict() runs the
+    # filter once, and that run is the subset's steady-state filter run
+    from secest import detect
+
     m, cfg, traj = _bound_case(PREDICTION)
-    s = (1, 2, 3)
-    flag, run, report = attack_detect(m, traj, s, cfg)
-    assert flag == 1 and report.settled == "bound"
+    s, runs = (1, 2, 3), []
+
+    def counted(*args):
+        runs.append(args)
+        return run_filter(*args)
+
+    monkeypatch.setattr(detect, "run_filter", counted)
+    flag, report = attack_detect(m, traj, s, cfg)
+    assert (flag, report.settled, runs) == (1, "bound", [])
+    run = report.run
+    report.deviation, report.per_sensor_mu, report.to_dict()
+    assert len(runs) == 1
     end = cfg.t1 + cfg.window_length(m.n) - 1
     expected = run_filter(solve_steady_state(m, s, cfg.mode), traj, cfg.t1, end)
     assert (run.t_start, run.t_end) == (cfg.t1, end)
@@ -1029,7 +1042,7 @@ def test_bound_failure_refuses_overflowing_products_on_every_read(monkeypatch):
     from secest import FilterRun, detect
 
     m, cfg, traj = _bound_case(PREDICTION)
-    _, _, report = SubsetBank(m, cfg).detector(traj)((1, 2, 3))
+    _, report = SubsetBank(m, cfg).detector(traj)((1, 2, 3))
     assert report.settled == "bound"
 
     def huge_run(flt, traj, t_start, t_end):

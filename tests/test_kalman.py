@@ -378,6 +378,6 @@ def test_residue_expectation_shrinks_with_window():
     devs = []
     for N in (10**3, 10**4, 10**5):
         cfg = DetectorConfig(epsilon=1.0, eta=1.0, N=N, t1=t1, mode=PREDICTION)
-        _, _, rep = attack_detect(m, traj, (1, 2, 3), cfg)
+        _, rep = attack_detect(m, traj, (1, 2, 3), cfg)
         devs.append(float(np.abs(rep.sample_matrix - rep.expected_matrix).max()))
     assert devs[2] < devs[0]

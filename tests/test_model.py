@@ -149,6 +149,15 @@ def test_burn_in_discards_prefix():
     assert np.allclose(traj0.states[0], [5.0, -3.0])
 
 
+def test_attacked_sensors_must_be_integers():
+    # AttackSpec refuses a fractional index rather than truncate 2.9 to 2
+    for bad in [(2.9,), (1, 2.0)]:
+        with pytest.raises(ConfigError, match="must be integers"):
+            AttackSpec(attacked=bad)
+    attacked = AttackSpec(attacked=(np.int64(3), 1)).attacked
+    assert attacked == (1, 3) and all(type(i) is int for i in attacked)
+
+
 def test_validation_errors():
     with pytest.raises(ConfigError):
         SystemModel(A=[[1.0, 0.0]], C=[[1.0]], sigma_w2=1.0, sigma_v2=1.0)

@@ -247,6 +247,16 @@ def test_subset_validation():
     assert full_subset(4) == (1, 2, 3, 4)
 
 
+def test_subset_entries_must_be_integers():
+    # a fractional or float entry is refused, not truncated to its integer
+    # part; numpy integers are integers
+    for bad in [(1.7, 2), (2.0,), (1, "2")]:
+        with pytest.raises(ConfigError, match="must be integers"):
+            normalize_subset(bad, 3)
+    subset = normalize_subset((np.int64(3), np.int32(1), 3), 3)
+    assert subset == (1, 3) and all(type(i) is int for i in subset)
+
+
 @pytest.mark.parametrize(
     "n, p, t_start, count, slack",
     [

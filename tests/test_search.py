@@ -1,6 +1,8 @@
+import gc
+import weakref
 from math import comb
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from secest import (
     FILTERING,
@@ -8,11 +10,10 @@ from secest import (
     ConfigError,
     ConstantBias,
     DetectorConfig,
-    FilterRun,
     NoiseLinear,
     PREDICTION,
-    ResidueReport,
     SeededRandom,
+    SubsetBank,
     SystemModel,
     attack_detect,
     exhaustive_search,
@@ -48,7 +49,7 @@ def test_attack_on_first_sensors_found_complement():
     assert ex.theory_checks == comb(4, 2)  # complement is last in lex order
     sm = smt_search(m, traj, cfg)
     assert sm.found
-    flag, _, _ = attack_detect(m, traj, sm.subset, cfg)
+    flag, _ = attack_detect(m, traj, sm.subset, cfg)
     assert flag == 0
     assert sm.theory_checks <= ex.theory_checks
 
@@ -81,7 +82,7 @@ def test_outcome_equivalence_over_seeds():
         if ex.found:
             assert sm.found
             for outcome in (ex, sm):
-                flag, _, _ = attack_detect(m, traj, outcome.subset, cfg)
+                flag, _ = attack_detect(m, traj, outcome.subset, cfg)
                 assert flag == 0
             found_pairs += 1
         assert sm.theory_checks <= comb(4, 3)
@@ -194,23 +195,8 @@ def test_guided_hypothesis_sequence_pinned():
 # --- certificate generation against a scripted detector ---------------------
 
 
-def _fake_report(subset, mu, eta=1.0):
-    d = len(subset)
-    return ResidueReport(
-        subset=subset,
-        mode=PREDICTION,
-        eta=eta,
-        n_samples=100,
-        t1=0,
-        settled="screen",
-        build=lambda: np.full((d, d), 2.0),
-        scores=lambda: dict(mu),
-        expectation=None,
-    )
-
-
-def _fake_run():
-    return FilterRun(estimates=np.zeros((1, 1)), t_start=0, t_end=0)
+def _fake_report(subset, mu):
+    return SimpleNamespace(subset=subset, per_sensor_mu=dict(mu))
 
 
 class ScriptedDetector:
@@ -222,7 +208,7 @@ class ScriptedDetector:
         s = tuple(s)
         self.calls.append(s)
         flag = 1 if s in self.failing else 0
-        return flag, _fake_run(), _fake_report(s, {i: 0.0 for i in s})
+        return flag, _fake_report(s, {i: 0.0 for i in s})
 
 
 def test_certificate_stops_at_first_passing_removal():
@@ -300,8 +286,28 @@ def test_attacked_sensor_scores_highest():
     trials = 10
     for seed in range(trials):
         m, traj, cfg = small_setup(seed=seed, attacked=(3,), amplitude=5.0)
-        flag, run, report = attack_detect(m, traj, (1, 2, 3, 4), cfg)
+        flag, report = attack_detect(m, traj, (1, 2, 3, 4), cfg)
         if flag == 1:
             mu = report.per_sensor_mu
             wins += mu[3] >= max(mu[i] for i in (1, 2, 4))
     assert wins >= 0.8 * trials
+
+
+@pytest.mark.parametrize("search", [exhaustive_search, smt_search])
+@pytest.mark.parametrize("injected", [False, True])
+def test_found_outcome_keeps_no_trajectory(search, injected):
+    # a found outcome keeps its report, whose filter run is the outcome's
+    # estimates; with the trajectory and the detector dropped, nothing
+    # keeps the trajectory alive, and the report, whose deviation is
+    # formed, holds neither O_s, K' nor the window moment
+    m, traj, cfg = small_setup(seed=1, attacked=(1, 2), k=2)
+    detector = SubsetBank(m, cfg).detector(traj) if injected else None
+    outcome = search(m, traj, cfg, detector=detector)
+    alive = weakref.ref(traj)
+    del traj, detector
+    gc.collect()
+    assert outcome.found and alive() is None
+    report = outcome.report
+    assert report.passed and "deviation" in vars(report)
+    assert "_products" not in vars(report) and report._moment is None  # O_s and K'
+    assert outcome.estimates is report.run

@@ -10,7 +10,18 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from secest import cli, kalman, noiseless
+from secest import (
+    AttackSpec,
+    DetectorConfig,
+    SeededRandom,
+    cli,
+    detect,
+    kalman,
+    make_random_stable_system,
+    noiseless,
+    search,
+    simulate,
+)
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 SPANS = BENCHMARKS / "spans.py"
@@ -90,3 +101,35 @@ def test_workload_attributes_resolve():
     assert missing == []
     assert "complete" in inspect.signature(noiseless.decode).parameters
     assert "per_run" in inspect.signature(cli.run_experiment2).parameters
+
+
+def test_benchmark_reads_flags_passes_and_outcome_keys():
+    # exp1_sweep keeps a subset when attack_detect(...)[0] is 0, the
+    # tracer counts the passes of residue_report(...).passed, and the
+    # search gates read keys of SearchOutcome.to_dict(), of its trace
+    # entries and of its certificates
+    m = make_random_stable_system(3, 4, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = DetectorConfig(epsilon=1.0, N=3000, t1=80, eta=1.0, k=1)
+    attack = AttackSpec((1,), SeededRandom(amplitude=4.0))
+    traj = simulate(m, attack, cfg.t1 + cfg.window_length(m.n) + m.n, seed=1, burn_in=30)
+    clean, full = (2, 3, 4), (1, 2, 3, 4)
+    flags = [detect.attack_detect(m, traj, s, cfg)[0] for s in (clean, full)]
+    assert flags == [0, 1] and all(type(flag) is int for flag in flags)
+    bank = detect.SubsetBank(m, cfg)
+    run = kalman.run_filter(bank.filter(clean), traj, cfg.t1, cfg.t1 + bank.N - 1)
+    assert detect.residue_report(bank, traj, clean, run, bank.window_moment(traj)).passed is True
+
+    outcome = search.smt_search(m, traj, cfg).to_dict()
+    assert outcome["certificates"] and outcome["trace"]
+    tree = ast.parse((BENCHMARKS / "workloads.py").read_text())
+    gate = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "check_searches"
+    )
+    read = {
+        node.slice.value for node in ast.walk(gate)
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+    }
+    keys = set(outcome) | set(outcome["trace"][0]) | set(outcome["certificates"][0])
+    assert {"found", "subset", "flag", "sense", "vars"} <= read <= keys
+    assert {"detector_calls", "wall_time"} <= keys  # read by the runners
