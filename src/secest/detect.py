@@ -95,6 +95,10 @@ would raise, but whose bound fails, is flagged with no exception; its
 report raises the solve's AnalysisError when read.  An unobservable
 subset raises at the detector call: the bank checks the solve's
 preconditions once per subset, and its solves do not check them again.
+That check is `is_observable`, which certifies a subset from the sum of
+its sensors' Grams by one n x n Cholesky and takes the SVD of O_s only
+when the certificate declines; on experiment 2's plants no subset a
+search tests needs the SVD.
 
 Every test runs through a `SubsetBank`, which owns the per-subset
 quantities of one model: O_s is a row selection of the model's
@@ -111,6 +115,7 @@ test made one; it forms the rest of its one full test on first read.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterable, NamedTuple
@@ -132,6 +137,8 @@ from .kalman import (
 from .model import SystemModel, Trajectory
 from .observability import (
     SensorSubset,
+    _UNIT,
+    _gamma,
     block_output_gram,
     full_subset,
     min_gram_eigenvalue,
@@ -174,8 +181,14 @@ class DetectorConfig:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.N < 1 or self.t1 < 0:
-            raise ConfigError("N must be >= 1 and t1 >= 0")
+        if not (math.isfinite(self.N) and self.N >= 1):
+            raise ConfigError(f"N must be finite and >= 1, got {self.N}")
+        try:
+            t1 = operator.index(self.t1)
+        except TypeError:
+            raise ConfigError(f"t1 must be an integer, got {self.t1!r}") from None
+        if t1 < 0:
+            raise ConfigError(f"t1 must be >= 0, got {t1}")
         if self.mode not in (PREDICTION, FILTERING):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.eta is None and self.k is None:
@@ -337,10 +350,11 @@ class SubsetBank:
     """Steady-state Kalman filters and thresholds over the sensor subsets
     of one model, and the residue test against them.
 
-    The full-sensor window noise covariance M and each sensor's Gram
-    O_i' O_i, its lambda_max, its noise trace tr(M_i) and its open-loop
-    trace tr(X O_i' O_i) are built once; a subset's M_s is its block of M
-    and its O_s a row selection of the model's observability stack.
+    The full-sensor window noise covariance M and, per sensor, the
+    lambda_max of its Gram O_i' O_i (read from `SystemModel.sensor_grams`),
+    its noise trace tr(M_i) and its open-loop trace tr(X O_i' O_i) are
+    built once; a subset's M_s is its block of M and its O_s a row
+    selection of the model's observability stack.
     Filters and thresholds are kept on first use; nothing of size
     (n|s|)^2 is kept.  `detector(traj)` tests subsets of one trajectory:
     it holds that trajectory's window moment and trace-bound blocks, so
@@ -357,9 +371,7 @@ class SubsetBank:
         self.cfg = cfg
         self.N = cfg.window_length(model.n)
         self._cov = noise_structure(model, full_subset(model.p))
-        blocks = model.observability_stack.reshape(model.p, model.n, model.n)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused in _finite
-            grams = _finite(np.stack([Oi.T @ Oi for Oi in blocks]), "per-sensor Grams O_i' O_i")
+        grams = _finite(model.sensor_grams, "per-sensor Grams O_i' O_i")
         maxima = np.linalg.eigvalsh(grams)[:, -1]
         self.gram_maxima = {i: float(lam) for i, lam in enumerate(maxima, start=1)}
         self._grams = grams  # W_s of the trace bound is the sum of its sensors' Grams
@@ -431,14 +443,6 @@ class SubsetBank:
             return (0 if report.passed else 1), report
 
         return detect
-
-
-_UNIT = np.finfo(float).eps / 2  # the unit roundoff u of float64
-
-
-def _gamma(k: int) -> float:
-    """Rounding growth of a k-term float64 sum or dot product, k u / (1 - k u)."""
-    return k * _UNIT / (1 - k * _UNIT)
 
 
 @cache

@@ -94,6 +94,18 @@ class SystemModel:
         return stack
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is left to the readers
+    def sensor_grams(self) -> np.ndarray:
+        """Read-only Grams O_i' O_i of every sensor's observability block,
+        shape (p, n, n): a subset's W_s = O_s' O_s is the sum of its
+        sensors' Grams.  An entry past the float64 range stays inf or nan;
+        each reader decides what that means."""
+        blocks = self.observability_stack.reshape(self.p, self.n, self.n)
+        grams = np.stack([Oi.T @ Oi for Oi in blocks])
+        grams.setflags(write=False)
+        return grams
+
+    @cached_property
     @np.errstate(over="ignore", invalid="ignore")  # an overflow gives None below
     def open_loop_cov(self) -> np.ndarray | None:
         """Read-only open-loop state covariance X = A X A' + sigma_w2 I, the

@@ -10,13 +10,19 @@ stacked window outputs are O_s x(t) + J_s wbar(t) + vbar_s(t), where wbar
 stacks the process noise over the window and vbar_s the sensor noise;
 `noise_structure` builds their covariance from O_s without forming J_s.
 
-Every rank decision goes through one stacked helper, `_observable`: it
+Every rank decision is the one of a stacked helper, `_observable`: it
 gathers the O_s of a stack of equal-size subsets from the model's stack
 in one index, (S, |s| n, n), and counts the singular values of one
 batched SVD above the relative floor RANK_RTOL.  Enumerations over
 subsets (`sparse_observability_index`, `min_gram_eigenvalue`, and the
 noiseless decoder) hand it SUBSET_SLICE subsets at a time, in
-lexicographic order, so memory stays bounded at any level size.
+lexicographic order, so memory stays bounded at any level size.  The
+single-subset test `is_observable`, which every filter solve and bank
+check runs, first tries a certificate that needs no SVD: one Cholesky
+of the subset's Gram W_s, the sum of its sensors' Grams
+(`SystemModel.sensor_grams`), shifted by a floor that puts the subset
+above the SVD test's own floor.  It only ever answers True, and only
+where the SVD would; a subset it declines takes the SVD.
 
 The sparse observability index theta is p - 1 - F, where F is the
 largest size of an unobservable subset (0 when there is none).
@@ -34,6 +40,7 @@ rounding of the SVDs; `sparse_observability_index` derives it.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -60,6 +67,8 @@ SensorSubset = tuple[int, ...]
 # Singular values above RANK_RTOL * max(1, largest singular value) count
 # toward rank.
 RANK_RTOL = 1e-8
+
+_UNIT = np.finfo(float).eps / 2  # the unit roundoff u of float64
 
 # Subset enumerations decide this many subsets per batched call.
 SUBSET_SLICE = 64
@@ -126,6 +135,11 @@ def _observable(model: SystemModel, subsets: np.ndarray) -> np.ndarray:
     return _full_rank(_singular_values(model, subsets))
 
 
+def _gamma(k: int) -> float:
+    """Rounding growth of a k-term float64 sum or dot product, k u / (1 - k u)."""
+    return k * _UNIT / (1 - k * _UNIT)
+
+
 def observability_matrix(model: SystemModel, s: Iterable[int]) -> np.ndarray:
     """Stacked observability matrix O_s, shape (n * |s|, n): the blocks of
     the sensors in s, ascending, selected from the model's stack."""
@@ -134,8 +148,65 @@ def observability_matrix(model: SystemModel, s: Iterable[int]) -> np.ndarray:
 
 
 def is_observable(model: SystemModel, s: Iterable[int]) -> bool:
+    """Whether (A, C_s) is observable, as `_observable` decides it: O_s
+    has rank n.  A subset whose Gram certificate succeeds is decided
+    without an SVD; any other subset takes the SVD.
+
+    Certificate.  Let u be the unit roundoff, g_k = k u / (1 - k u), and
+    F^2 = ||O_full||_F^2 >= ||O_s||_F^2, read off the diagonals of the
+    model's per-sensor Grams (`SystemModel.sensor_grams`).  W_s = O_s' O_s
+    is the sum of its sensors' Grams, and sigma_min(O_s)^2 =
+    lambda_min(W_s).  The certificate is one Cholesky of M = W^ - tau I,
+    W^ the computed sum of the computed Grams:
+
+    - W^ - W_s is at most g_(n+p) |O_s|' |O_s| entrywise (n-term
+      products, at most p terms summed), so ||W^ - W_s||_2 <= g_(n+p) F^2.
+    - Forming M rounds each diagonal entry by at most u max(W^_ii, tau)
+      <= u F^2, since the certificate declines unless tau < F^2.
+    - A Cholesky that completes on M gives R'R = M + dM with |dM| <=
+      g_(n+1) |R'| |R| (Higham, Accuracy and Stability of Numerical
+      Algorithms, Thm 10.3; Demmel), so lambda_min(M) >= -||dM||_2 >=
+      -g_(n+1) ||R||_F^2 >= -2 g_(n+1) tr(M) >= -2 g_(n+1) F^2.
+
+    So lambda_min(W_s) >= tau - e F^2 with e = g_(n+p) + 2 g_(n+1) + u,
+    up to factors 1 + O(u), and tau = T^2 + 2 e F^2 leaves lambda_min(W_s)
+    > T^2; the 2 covers those factors and the rounding of F^2 and tau.
+    Take T = RANK_RTOL max(1, F) + 2 delta, with delta = 4 p n^2 eps F the
+    SVD error bound of `sparse_observability_index` (F >= sigma_max(O_full)
+    stands in for sigma_max there, so no SVD of O_full is needed).  Then
+      sigma^_min(O_s) >= sigma_min(O_s) - delta > RANK_RTOL max(1, F) + delta
+                      >= RANK_RTOL max(1, sigma^_max(O_s)),
+    since sigma^_max(O_s) <= F + delta and RANK_RTOL < 1: the SVD test
+    passes s.  A certified subset is thus decided as the SVD decides it,
+    and a declined one is decided by the SVD.  A non-finite Gram sum or
+    tau declines."""
     subset = normalize_subset(s, model.p)
-    return bool(_observable(model, np.subtract([subset], 1))[0])
+    cols = np.subtract(subset, 1)
+    return _gram_certified(model, cols) or bool(_observable(model, cols[None])[0])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite W or tau declines
+def _gram_certified(model: SystemModel, cols: np.ndarray) -> bool:
+    """The Cholesky certificate of `is_observable` for the sensors ``cols``
+    (0-based): True only when O_s certainly passes the SVD test."""
+    n, grams = model.n, model.sensor_grams
+    frob2 = float(np.einsum("cii->", grams))  # ||O_full||_F^2
+    frob = math.sqrt(frob2)  # inf or nan when a Gram overflowed
+    delta = 4 * model.p * n * n * np.finfo(float).eps * frob
+    floor = RANK_RTOL * max(1.0, frob) + 2 * delta
+    slack = 2 * (_gamma(n + model.p) + 2 * _gamma(n + 1) + _UNIT) * frob2
+    tau = floor * floor + slack
+    if not tau < frob2:  # False on inf or nan
+        return False
+    W = grams[cols].sum(axis=0)
+    if not np.isfinite(W).all():
+        return False
+    W.flat[:: n + 1] -= tau
+    try:
+        np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def sparse_observability_index(model: SystemModel) -> int:

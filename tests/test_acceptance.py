@@ -6,6 +6,7 @@ every run of this suite is a deterministic regression."""
 
 import json
 import time
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -332,8 +333,18 @@ def experiment2_results():
     scenario = default_experiment2_scenario()
     scenario.repetitions = 50
     runs: list[dict] = []
+
+    def keep(record: dict) -> None:
+        # criteria 9 and 10 read counts, traces, certificates and found
+        # subsets only, so each outcome drops its report (a formed
+        # deviation and filter run) as its repetition ends; the record is
+        # the one run_experiment2 keeps for its row, which reads no report
+        for key in ("outcome_exhaustive", "outcome_smt"):
+            record[key] = replace(record[key], report=None)
+        runs.append(record)
+
     start = time.perf_counter()
-    rows = run_experiment2(scenario, per_run=runs.append)
+    rows = run_experiment2(scenario, per_run=keep)
     elapsed = time.perf_counter() - start
     return rows, runs, elapsed
 

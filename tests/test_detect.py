@@ -288,6 +288,15 @@ def test_config_validation():
             DetectorConfig(epsilon=bad, eta=1.0)
         with pytest.raises(ConfigError):
             DetectorConfig(epsilon=1.0, eta=bad)
+        # a non-finite N reached window_length's int() as nan
+        with pytest.raises(ConfigError, match="N must be finite"):
+            DetectorConfig(epsilon=1.0, eta=1.0, N=bad)
+    # a non-integral t1 reached the test's slicing
+    for bad in (2.5, 2.0, "3"):
+        with pytest.raises(ConfigError, match="t1 must be an integer"):
+            DetectorConfig(epsilon=1.0, eta=1.0, t1=bad)
+    assert DetectorConfig(epsilon=1.0, eta=1.0, N=299.5).window_length(3) == 300
+    assert DetectorConfig(epsilon=1.0, eta=1.0, t1=np.int64(7)).t1 == 7
 
 
 def _reference_obs_and_noise(m, s):
