@@ -16,13 +16,17 @@ in one index, (S, |s| n, n), and counts the singular values of one
 batched SVD above the relative floor RANK_RTOL.  Enumerations over
 subsets (`sparse_observability_index`, `min_gram_eigenvalue`, and the
 noiseless decoder) hand it SUBSET_SLICE subsets at a time, in
-lexicographic order, so memory stays bounded at any level size.  The
-single-subset test `is_observable`, which every filter solve and bank
-check runs, first tries a certificate that needs no SVD: one Cholesky
-of the subset's Gram W_s, the sum of its sensors' Grams
-(`SystemModel.sensor_grams`), shifted by a floor that puts the subset
-above the SVD test's own floor.  It only ever answers True, and only
-where the SVD would; a subset it declines takes the SVD.
+lexicographic order, so memory stays bounded at any level size.
+
+One certificate, `_gram_certified`, vouches for a stack of subsets
+without an SVD: one batched Cholesky of each subset's Gram W_s, the sum
+of its sensors' Grams (`SystemModel.sensor_grams`), shifted by a floor
+tau that puts every subset above the SVD test's own floor.  It only ever
+answers True, and only where the SVD would.  The single-subset test
+`is_observable`, which every filter solve and bank check runs, asks it
+for a stack of one and takes the SVD when it declines; the noiseless
+decoder asks it for each slice of subsets, and a certified slice can
+skip its SVD.  tau is derived once, in `is_observable`'s docstring.
 
 The sparse observability index theta is p - 1 - F, where F is the
 largest size of an unobservable subset (0 when there is none).
@@ -181,14 +185,15 @@ def is_observable(model: SystemModel, s: Iterable[int]) -> bool:
     and a declined one is decided by the SVD.  A non-finite Gram sum or
     tau declines."""
     subset = normalize_subset(s, model.p)
-    cols = np.subtract(subset, 1)
-    return _gram_certified(model, cols) or bool(_observable(model, cols[None])[0])
+    cols = np.subtract([subset], 1)
+    return _gram_certified(model, cols) or bool(_observable(model, cols)[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite W or tau declines
-def _gram_certified(model: SystemModel, cols: np.ndarray) -> bool:
-    """The Cholesky certificate of `is_observable` for the sensors ``cols``
-    (0-based): True only when O_s certainly passes the SVD test."""
+def _gram_certified(model: SystemModel, subsets: np.ndarray) -> bool:
+    """The Cholesky certificate of `is_observable` for every row of
+    ``subsets`` (as in `_stacked_blocks`), one batched Cholesky: True only
+    when every O_s certainly passes the SVD test."""
     n, grams = model.n, model.sensor_grams
     frob2 = float(np.einsum("cii->", grams))  # ||O_full||_F^2
     frob = math.sqrt(frob2)  # inf or nan when a Gram overflowed
@@ -198,10 +203,10 @@ def _gram_certified(model: SystemModel, cols: np.ndarray) -> bool:
     tau = floor * floor + slack
     if not tau < frob2:  # False on inf or nan
         return False
-    W = grams[cols].sum(axis=0)
+    W = grams[subsets].sum(axis=1)
     if not np.isfinite(W).all():
         return False
-    W.flat[:: n + 1] -= tau
+    W.reshape(len(W), -1)[:, :: n + 1] -= tau  # every diagonal
     try:
         np.linalg.cholesky(W)
     except np.linalg.LinAlgError:

@@ -7,8 +7,6 @@ every decision must be the SVD's: the fuzz below checks that on every
 subset of plants near the floors, and the counts pin when the SVD runs.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -22,41 +20,9 @@ from secest import (
 )
 from secest import observability
 from secest.observability import RANK_RTOL, _observable, _subset_slices, full_subset
+from conftest import fuzz_plant
 
 FUZZ_PLANTS = 3000
-
-
-def fuzz_plant(seed: int) -> SystemModel:
-    """A plant with n = 1..6 and p = 1..9 from one of six families, each
-    putting some subsets near the rank floor or the certificate's."""
-    rng = np.random.default_rng(seed)
-    n, p = int(rng.integers(1, 7)), int(rng.integers(1, 10))
-    A = rng.standard_normal((n, n)) / math.sqrt(n)
-    C = rng.standard_normal((p, n))
-    family = seed % 6
-    if family == 0:  # zeroed entries
-        A[rng.random((n, n)) < 0.3] = 0.0
-        C[rng.random((p, n)) < 0.4] = 0.0
-    elif family == 1:  # rows scaled over 12 decades
-        C *= 10.0 ** rng.uniform(-12.0, 0.0, (p, 1))
-    elif family == 2:  # an A-invariant plane that some sensors do not see
-        if n >= 3:
-            A[2:, :2] = 0.0
-            C[rng.random(p) < 0.5, :2] = 0.0
-            # in generic coordinates, so the blind subsets' O_s are
-            # rank deficient only up to rounding
-            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            A, C = Q @ A @ Q.T, C @ Q.T
-    elif family == 3:  # slow, nearly repeated modes: sigma_min near the floors
-        A = np.eye(n) + 10.0 ** rng.uniform(-6.0, -2.0) * A
-    elif family == 4:  # A = a I and sensors along one direction: every O_s
-        # has rank one up to rounding, and for n = 2 the Gram's rounding can
-        # lift its smallest eigenvalue past the floor's square
-        A = rng.uniform(0.5, 1.5) * np.eye(n)
-        C = np.outer(rng.uniform(0.5, 2.0, p) * rng.choice([-1.0, 1.0], p), C[0])
-    else:  # rows near 1e154, whose Grams overflow
-        C[rng.random(p) < 0.5] *= 1e154
-    return SystemModel(A=A, C=C, sigma_w2=0.0, sigma_v2=0.0)
 
 
 @pytest.fixture

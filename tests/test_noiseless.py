@@ -5,6 +5,8 @@ import pytest
 
 from secest import (
     AnalysisError,
+    ConfigError,
+    SymbolObservation,
     SystemModel,
     decode,
     detect_corruption,
@@ -162,3 +164,34 @@ def test_norm_rescales_only_where_the_plain_norm_overflows():
     assert np.isinf(norms[2]) and np.isinf(norms[3])
     assert float(_norm(rows[1])) == norms[1]
     assert float(_norm(np.array([1.7e308]))) == 1.7e308
+
+
+def test_symbols_of_the_wrong_shape_are_config_errors():
+    # symbols 2 wide on an n=3 plant used to leak numpy's ValueError from
+    # decode and LinAlgError from detect_corruption
+    m = make_random_stable_system(3, 4, 0.8, seed=1, sigma_w2=0.0, sigma_v2=0.0)
+    for symbols in (np.ones((4, 2)), np.ones((3, 3)), np.ones((4, 3, 1))):
+        obs = SymbolObservation(symbols)
+        with pytest.raises(ConfigError, match="shape"):
+            decode(m, obs, 1)
+        with pytest.raises(ConfigError, match="shape"):
+            detect_corruption(m, obs)
+
+
+@pytest.mark.parametrize("k", [2.5, "1", None, np.float64(1.0)])
+def test_decode_refuses_a_non_integral_k(k):
+    m = ambiguity_system()
+    obs = encode(m, [1.0, 2.0])
+    with pytest.raises(ConfigError, match="k must be an integer"):
+        decode(m, obs, k)
+    assert decode(m, obs, np.int64(1)).corrupted == (5,)
+
+
+def test_encode_refuses_a_non_finite_state_but_not_an_overflow():
+    m = ambiguity_system()
+    for x0 in ([np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(ConfigError, match="x0 must be finite"):
+            encode(m, x0)
+    # a finite state whose symbols pass float64 stays an analysis error
+    with pytest.raises(AnalysisError, match="symbols O_d x0"):
+        encode(m, [1e308, 1e308])

@@ -1,11 +1,15 @@
 """Batched subset decisions against per-subset reference loops.
 
-`sparse_observability_index`, `min_gram_eigenvalue` and `decode` decide
-SUBSET_SLICE subsets per batched SVD.  The references below keep the
+`sparse_observability_index` and `min_gram_eigenvalue` decide
+SUBSET_SLICE subsets per batched SVD.  `decode` decides a slice from one
+R-only QR per subset when the Gram certificate passes and no residual
+lies within its rounding band of the consistency bound, and from one
+batched SVD of the whole slice otherwise.  The references below keep the
 one-call-per-subset loops (one `svd`, `eigvalsh` or `lstsq` per subset,
 O_s cut straight from the model's stack) and the results must match
 them exactly: theta, the Gram eigenvalue bitwise, and the decoder's
-corrupted set, `unique` flag and state bitwise.
+corrupted set, `unique` flag and state bitwise.  The SVD counts pin
+which slices take the SVD.
 """
 
 import math
@@ -25,8 +29,10 @@ from secest import (
     min_gram_eigenvalue,
     sparse_observability_index,
 )
-from secest.noiseless import CONSISTENCY_RTOL, STATE_MATCH_RTOL
-from secest.observability import RANK_RTOL, SUBSET_SLICE
+from secest import noiseless
+from secest.noiseless import CONSISTENCY_RTOL, STATE_MATCH_RTOL, _norm
+from secest.observability import RANK_RTOL, SUBSET_SLICE, _gram_certified, _subset_slices
+from conftest import fuzz_plant
 
 
 def blocks(m, s):
@@ -61,20 +67,23 @@ def reference_min_gram(m, s, k):
 
 
 def reference_decode(m, obs, k, complete=True):
-    """(first consistent subset, unique, its lstsq state), or None."""
+    """(first consistent subset, unique, its lstsq state), or None.  Norms
+    are `_norm`'s, the plain ones wherever those are finite."""
     first = None
     unique = True
     for s in combinations(range(1, m.p + 1), m.p - k):
         Os = blocks(m, s)
         Y = obs.symbols[[d - 1 for d in s]].reshape(-1)
         x, *_ = np.linalg.lstsq(Os, Y, rcond=None)
-        if np.linalg.norm(Os @ x - Y) > CONSISTENCY_RTOL * (1.0 + np.linalg.norm(Y)):
+        residual, norm_Y = _norm(Os @ x - Y), _norm(Y)
+        assert np.isfinite([residual, norm_Y]).all()
+        if residual > CONSISTENCY_RTOL * (1.0 + norm_Y):
             continue
         if first is None:
             first = (s, x)
             if not complete:
                 break
-        elif np.linalg.norm(x - first[1]) > STATE_MATCH_RTOL * (1.0 + np.linalg.norm(first[1])):
+        elif _norm(x - first[1]) > STATE_MATCH_RTOL * (1.0 + _norm(first[1])):
             unique = False
     return None if first is None else (first[0], unique, first[1])
 
@@ -320,3 +329,109 @@ def test_weak_sensor_falls_back_to_the_high_end(svd_calls, weak_sv, theta, level
     assert sparse_observability_index(m) == theta
     assert [shape[1] // m.n for shape in svd_calls] == levels
     assert reference_index(m) == theta
+
+
+@pytest.fixture
+def declined(monkeypatch):
+    """Counts of the slices `decode` decides, [all, sent to the SVD]."""
+    counts = [0, 0]
+    certified_hits = noiseless._certified_hits
+
+    def counting(*args):
+        hits = certified_hits(*args)
+        counts[0] += 1
+        counts[1] += hits is None
+        return hits
+
+    monkeypatch.setattr(noiseless, "_certified_hits", counting)
+    return counts
+
+
+def test_decode_matches_reference_on_fuzzed_plants(declined):
+    # fuzz_plant's families with up to 12 sensors: zeroed entries, rows
+    # scaled over 12 decades, planes some sensors do not see, nearly
+    # repeated modes, collinear sensors and rows whose Grams overflow;
+    # each observation corrupts up to k random symbols
+    for seed in range(600):
+        m = fuzz_plant(seed, max_p=12)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(0, m.p))
+        clean = encode(m, rng.standard_normal(m.n))
+        alt = encode(m, rng.standard_normal(m.n) + 1.0)
+        bad = rng.choice(m.p, size=int(rng.integers(0, k + 1)), replace=False)
+        obs = clean.with_symbols({int(d) + 1: alt.symbols[d] for d in bad})
+        for complete in (True, False):
+            assert_decode_matches(m, obs, k, complete)
+    # both paths are taken: most slices from the QR, many from the SVD
+    assert declined[0] > 1500 and 500 < declined[1] < declined[0] / 2
+
+
+def test_generic_decode_fits_only_the_consistent_rows(svd_calls, declined):
+    # a generic n=6, p=12 plant has theta = 11; with 5 symbols corrupted
+    # one of the 792 subsets of 7 is consistent, and its row is the only
+    # one fitted by an SVD
+    m = make_random_stable_system(6, 12, 0.85, seed=5, sigma_w2=0.0, sigma_v2=0.0)
+    rng = np.random.default_rng(5)
+    clean = encode(m, rng.standard_normal(6))
+    alt = encode(m, rng.standard_normal(6) + 1.0)
+    obs = clean.with_symbols({d: alt.symbols[d - 1] for d in (2, 5, 6, 9, 11)})
+    result = assert_decode_matches(m, obs, 5)
+    assert result.corrupted == (2, 5, 6, 9, 11) and result.unique
+    assert svd_calls == [(1, 7 * 6, 6)]
+    assert declined == [math.ceil(792 / SUBSET_SLICE), 0]
+
+
+def test_declined_slice_takes_one_svd(svd_calls, declined):
+    # C(13, 11) = 78 subsets in two slices; every subset of the first holds
+    # sensor 1 or 2, so the certificate passes it, but the second holds
+    # (3, ..., 13), which does not see the plane.  With sensor 1 corrupted
+    # the first slice has no consistent subset and needs no SVD; the
+    # second is decided by one SVD of the whole slice
+    m = plane_plant(13, (1, 2))
+    clean = encode(m, [1.0, -1.0, 0.5, 2.0])
+    obs = clean.with_symbols({1: clean.symbols[0] + 1.0})
+    first, second = _subset_slices(full_subset(13), 11)
+    assert _gram_certified(m, first) and not _gram_certified(m, second)
+    result = assert_decode_matches(m, obs, 2)
+    assert not result.unique  # (3, ..., 13) fits a state off the plane
+    assert svd_calls == [(78 - SUBSET_SLICE, 11 * 4, 4)]
+    assert declined == [2, 1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("offset", [-1e-5, 1e-5], ids=["below", "above"])
+def test_residual_at_the_bound_takes_the_svd(svd_calls, declined, seed, offset):
+    # sensors 7 and 8 are corrupted, and the symbols of (1, ..., 6) are
+    # moved off the range of its O_s until its residual is the bound
+    # CONSISTENCY_RTOL (1 + |Y|) times 1 + offset: within the QR's
+    # rounding band, so the certified slice is decided by the SVD
+    m = make_random_stable_system(4, 8, 0.85, seed=seed, sigma_w2=0.0, sigma_v2=0.0)
+    rng = np.random.default_rng(seed)
+    clean = encode(m, rng.standard_normal(4))
+    Os, Y0 = blocks(m, range(1, 7)), clean.symbols[:6].reshape(-1)
+    v = rng.standard_normal(len(Os))
+    away = v - Os @ np.linalg.lstsq(Os, v, rcond=None)[0]
+    t = 0.0
+    for _ in range(5):  # t = CONSISTENCY_RTOL (1 + offset) (1 + |Y0 + t away|)
+        t = CONSISTENCY_RTOL * (1.0 + offset) * (1.0 + math.hypot(np.linalg.norm(Y0), t))
+    Y = Y0 + t * away / np.linalg.norm(away)
+    obs = clean.with_symbols({d: Y[(d - 1) * 4 : d * 4] for d in range(1, 7)})
+    obs = obs.with_symbols({7: obs.symbols[6] + 1.0, 8: obs.symbols[7] - 1.0})
+    assert _gram_certified(m, np.array([list(range(6))]))
+    result = assert_decode_matches(m, obs, 2)
+    assert (result is None) == (offset > 0)
+    assert svd_calls == [(28, 6 * 4, 4)]
+    assert declined == [1, 1]
+
+
+def test_non_finite_band_takes_the_svd(svd_calls):
+    # a NaN symbol leaves every band that reads it NaN: the slice goes to
+    # the SVD, which refuses the residuals as today, though the subsets
+    # without sensor 12 are consistent
+    m = make_random_stable_system(6, 12, 0.85, seed=5, sigma_w2=0.0, sigma_v2=0.0)
+    clean = encode(m, np.ones(6))
+    symbol = clean.symbols[11].copy()
+    symbol[3] = np.nan
+    with pytest.raises(AnalysisError, match="fit residuals"):
+        decode(m, clean.with_symbols({12: symbol}), 5)
+    assert svd_calls == [(SUBSET_SLICE, 7 * 6, 6)]
