@@ -115,7 +115,6 @@ test made one; it forms the rest of its one full test on first read.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterable, NamedTuple
@@ -123,7 +122,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AnalysisError, ConfigError, _finite
+from .errors import AnalysisError, ConfigError, _finite, _integer
 from .kalman import (
     FILTERING,
     PREDICTION,
@@ -183,10 +182,7 @@ class DetectorConfig:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (math.isfinite(self.N) and self.N >= 1):
             raise ConfigError(f"N must be finite and >= 1, got {self.N}")
-        try:
-            t1 = operator.index(self.t1)
-        except TypeError:
-            raise ConfigError(f"t1 must be an integer, got {self.t1!r}") from None
+        t1 = _integer(self.t1, "t1")
         if t1 < 0:
             raise ConfigError(f"t1 must be >= 0, got {t1}")
         if self.mode not in (PREDICTION, FILTERING):
@@ -195,7 +191,7 @@ class DetectorConfig:
             raise ConfigError("either eta or k (for the auto threshold) is required")
         if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
             raise ConfigError(f"eta must be positive and finite, got {self.eta}")
-        if self.k is not None and self.k < 0:
+        if self.k is not None and _integer(self.k, "k") < 0:
             raise ConfigError(f"k must be nonnegative, got {self.k}")
 
     def window_length(self, n: int) -> int:
@@ -333,10 +329,11 @@ def auto_threshold(
     adversary on at most k sensors:
 
         eta = min_gram_eigenvalue(s, k) * epsilon / (3 n (|s| - k))
+
+    ConfigError, from `min_gram_eigenvalue`, unless k is an integer in
+    0 <= k < |s|.
     """
     subset = normalize_subset(s, model.p)
-    if len(subset) <= k:
-        raise ConfigError(f"need |s| > k, got |s|={len(subset)}, k={k}")
     lam = min_gram_eigenvalue(model, subset, k)
     if lam <= 0.0:
         raise AnalysisError(

@@ -31,6 +31,14 @@ def _finite(values, what: str):
     return values
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ConfigError unless it is an integer, as numpy's are."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _sensor_indices(values, what: str) -> tuple[int, ...]:
     """Sorted distinct ``values``; ConfigError unless each is an integer, as numpy's are."""
     try:

@@ -22,12 +22,11 @@ holds.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigError, _finite
+from .errors import AnalysisError, ConfigError, _finite, _integer
 from .model import SystemModel
 from .observability import (
     _UNIT,
@@ -72,12 +71,18 @@ class SymbolObservation:
         return self.symbols.shape[0]
 
     def with_symbols(self, replacements: dict[int, np.ndarray]) -> "SymbolObservation":
-        """Copy with the given sensors' symbols (1-based) replaced."""
+        """Copy with the given sensors' symbols (1-based) replaced, each by
+        a vector shaped as the symbols are."""
         out = self.symbols.copy()
         for sensor, value in replacements.items():
-            if not 1 <= sensor <= self.p:
+            if not 1 <= _integer(sensor, "sensor") <= self.p:
                 raise ConfigError(f"sensor {sensor} out of range 1..{self.p}")
-            out[sensor - 1] = np.asarray(value, dtype=float)
+            value = np.asarray(value, dtype=float)
+            if value.shape != out.shape[1:]:
+                raise ConfigError(
+                    f"sensor {sensor}'s symbol has shape {value.shape}, expected {out.shape[1:]}"
+                )
+            out[sensor - 1] = value
         return SymbolObservation(out)
 
 
@@ -125,13 +130,15 @@ def _fit(stacked_O: np.ndarray, stacked_Y: np.ndarray) -> tuple[np.ndarray, floa
 
 
 def _check_symbols(model: SystemModel, obs: SymbolObservation) -> None:
-    """ConfigError unless ``obs`` holds one n-vector symbol per sensor of
-    ``model``."""
+    """ConfigError unless ``obs`` holds one finite n-vector symbol per
+    sensor of ``model``."""
     if obs.symbols.shape != (model.p, model.n):
         raise ConfigError(
             f"observation symbols have shape {obs.symbols.shape}, "
             f"expected ({model.p}, {model.n})"
         )
+    if not np.isfinite(obs.symbols).all():
+        raise ConfigError("observation symbols must be finite")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused in _finite
@@ -245,10 +252,7 @@ def decode(
     A |rho| farther than the band from b puts both residuals on the same
     side of b, which is computed as `_stacked_fits`' path computes it."""
     _check_symbols(model, obs)
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ConfigError(f"k must be an integer, got {k!r}") from None
+    k = _integer(k, "k")
     if not 0 <= k < model.p:
         raise ConfigError(f"need 0 <= k < p, got k={k}, p={model.p}")
     first_subset: SensorSubset | None = None

@@ -10,36 +10,29 @@ stacked window outputs are O_s x(t) + J_s wbar(t) + vbar_s(t), where wbar
 stacks the process noise over the window and vbar_s the sensor noise;
 `noise_structure` builds their covariance from O_s without forming J_s.
 
-Every rank decision is the one of a stacked helper, `_observable`: it
-gathers the O_s of a stack of equal-size subsets from the model's stack
-in one index, (S, |s| n, n), and counts the singular values of one
-batched SVD above the relative floor RANK_RTOL.  Enumerations over
-subsets (`sparse_observability_index`, `min_gram_eigenvalue`, and the
-noiseless decoder) hand it SUBSET_SLICE subsets at a time, in
-lexicographic order, so memory stays bounded at any level size.
-
-One certificate, `_gram_certified`, vouches for a stack of subsets
-without an SVD: one batched Cholesky of each subset's Gram W_s, the sum
-of its sensors' Grams (`SystemModel.sensor_grams`), shifted by a floor
-tau that puts every subset above the SVD test's own floor.  It only ever
-answers True, and only where the SVD would.  The single-subset test
-`is_observable`, which every filter solve and bank check runs, asks it
-for a stack of one and takes the SVD when it declines; the noiseless
-decoder asks it for each slice of subsets, and a certified slice can
-skip its SVD.  tau is derived once, in `is_observable`'s docstring.
+Every rank decision takes one rule.  A stack of equal-size subsets is
+first offered to the certificate `_gram_certified`: one batched Cholesky
+of each subset's Gram W_s, the sum of its sensors' Grams
+(`SystemModel.sensor_grams`), shifted by tau.  A completed Cholesky puts
+every smallest singular value above a floor T that the SVD test passes,
+so the certificate answers True only where the SVD would.  Only a
+declined stack takes the SVD test, `_observable`: one batched SVD of the
+O_s gathered from the model's stack, (S, |s| n, n), against the relative
+floor RANK_RTOL.  `is_observable` applies the rule to one subset, and
+`sparse_observability_index` and `min_gram_eigenvalue` to SUBSET_SLICE
+subsets at a time, in lexicographic order, so memory stays bounded at
+any level size; the noiseless decoder asks the certificate for its
+slices too.  tau and T are derived once, in `is_observable`'s docstring.
 
 The sparse observability index theta is p - 1 - F, where F is the
 largest size of an unobservable subset (0 when there is none).
 `sparse_observability_index` finds F from both ends of the subset
 lattice, always deciding the level with fewer subsets next.  A level
 from the top that holds an unobservable subset is F.  A level from the
-bottom whose every subset keeps its smallest singular value above one
-certified floor, shared by all subsets, settles every larger level as
-observable.  Exactness rests on two facts, for s a subset of t: adding
-rows does not lower the smallest singular value (O_t' O_t - O_s' O_s is
-the Gram of the added rows), and no subset's own floor exceeds the full
-set's, because O_s is a row selection of O_full.  The certified floor adds a slack for the
-rounding of the SVDs; `sparse_observability_index` derives it.
+bottom whose every subset the certificate passes settles every larger
+level as observable: adding rows does not lower the smallest singular
+value (O_t' O_t - O_s' O_s is the Gram of the added rows), so every
+superset stays above T.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, _finite, _sensor_indices
+from .errors import ConfigError, _finite, _integer, _sensor_indices
 from .model import SystemModel, Trajectory
 
 __all__ = [
@@ -120,23 +113,12 @@ def _subset_slices(sensors: Sequence[int], size: int) -> Iterator[np.ndarray]:
         yield flat.reshape(-1, size)
 
 
-def _singular_values(model: SystemModel, subsets: np.ndarray) -> np.ndarray:
-    """Singular values of the O_s of every row of ``subsets`` (as in
-    `_stacked_blocks`), descending: shape (S, n), one batched SVD."""
-    return np.linalg.svd(_stacked_blocks(model, subsets), compute_uv=False)
-
-
-def _full_rank(sv: np.ndarray) -> np.ndarray:
-    """Rank n per row of ``sv`` (as `_singular_values` returns them),
-    counting singular values above RANK_RTOL * max(1, largest one)."""
-    floor = RANK_RTOL * np.maximum(1.0, sv[:, :1])
-    return np.count_nonzero(sv > floor, axis=1) == sv.shape[1]
-
-
 def _observable(model: SystemModel, subsets: np.ndarray) -> np.ndarray:
-    """Observability of every row of ``subsets`` (as in `_stacked_blocks`),
-    shape (S,): O_s has rank n, as `_full_rank` decides it."""
-    return _full_rank(_singular_values(model, subsets))
+    """The SVD test of every row of ``subsets`` (as in `_stacked_blocks`),
+    shape (S,): one batched SVD, and O_s has rank n when all its singular
+    values lie above RANK_RTOL * max(1, its largest one)."""
+    sv = np.linalg.svd(_stacked_blocks(model, subsets), compute_uv=False)
+    return (sv > RANK_RTOL * np.maximum(1.0, sv[:, :1])).all(axis=1)
 
 
 def _gamma(k: int) -> float:
@@ -175,13 +157,16 @@ def is_observable(model: SystemModel, s: Iterable[int]) -> bool:
     So lambda_min(W_s) >= tau - e F^2 with e = g_(n+p) + 2 g_(n+1) + u,
     up to factors 1 + O(u), and tau = T^2 + 2 e F^2 leaves lambda_min(W_s)
     > T^2; the 2 covers those factors and the rounding of F^2 and tau.
-    Take T = RANK_RTOL max(1, F) + 2 delta, with delta = 4 p n^2 eps F the
-    SVD error bound of `sparse_observability_index` (F >= sigma_max(O_full)
-    stands in for sigma_max there, so no SVD of O_full is needed).  Then
-      sigma^_min(O_s) >= sigma_min(O_s) - delta > RANK_RTOL max(1, F) + delta
-                      >= RANK_RTOL max(1, sigma^_max(O_s)),
-    since sigma^_max(O_s) <= F + delta and RANK_RTOL < 1: the SVD test
-    passes s.  A certified subset is thus decided as the SVD decides it,
+    Take T = RANK_RTOL max(1, F) + 2 delta, with delta = 4 p n^2 eps F
+    a bound on the error of every singular value the SVD test computes:
+    a backward-stable SVD of an r x n matrix M gives each one within
+    c r n eps ||M||_2 of the exact one, c a small constant, and every O_s
+    has r <= p n rows and ||O_s||_2 <= F; the 4 covers c and the rounding
+    of F.  Then any O_t with sigma_min(O_t) > T has
+      sigma^_min(O_t) >= sigma_min(O_t) - delta > RANK_RTOL max(1, F) + delta
+                      >= RANK_RTOL max(1, sigma^_max(O_t)),
+    since sigma^_max(O_t) <= F + delta and RANK_RTOL < 1: the SVD test
+    passes t.  A certified subset is thus decided as the SVD decides it,
     and a declined one is decided by the SVD.  A non-finite Gram sum or
     tau declines."""
     subset = normalize_subset(s, model.p)
@@ -222,65 +207,47 @@ def sparse_observability_index(model: SystemModel) -> int:
     subset, or 0 when every subset is observable.  The scan decides
     levels (subset sizes) from both ends, always the one with fewer
     subsets next, C(p, lo) against C(p, hi), the low one on a tie: lo
-    rises from 1 and hi falls from p - 1.  Each level is decided
-    SUBSET_SLICE subsets per batched SVD, and no slice after a failing
-    one is decided.
+    rises from 1 and hi falls from p - 1.  Each slice of SUBSET_SLICE
+    subsets is decided as `is_observable` decides one subset, by the Gram
+    certificate (one batched Cholesky) and one batched SVD only where it
+    declines, and no slice after a failing one is decided.
 
     - High end: a level hi with an unobservable subset is F, since every
       larger level has passed.
     - Low end: a level with an unobservable subset raises f, the largest
-      failing low level so far.  A level whose every subset has its
-      smallest singular value above the certified floor T is certified:
-      every larger level is observable, so F = f.
+      failing low level so far.  A level whose every slice the
+      certificate passes is certified: every larger level is observable,
+      so F = f.
     - When the ends cross, every level has been decided, and F = f.
 
-    Certification.  Take s a certified subset and t a superset.  With
-    hats for computed values, a backward-stable SVD of an r x n matrix M
-    gives each singular value within c r n eps ||M||_2 of the exact one,
-    c a small constant.  Every O_s has r <= p n rows and ||O_s||_2 <=
-    sigma_max(O_full), so delta = 4 p n^2 eps sigma_hat_max(O_full)
-    bounds every error; the 4 covers c and the difference between
-    sigma_max(O_full) and its computed value.  Then
-      sigma_hat_min(O_t) >= sigma_min(O_t) - delta
-                         >= sigma_min(O_s) - delta          (rows added)
-                         >= sigma_hat_min(O_s) - 2 delta > T - 2 delta,
-    and the own floor of t is
-      RANK_RTOL max(1, sigma_hat_max(O_t))
-        <= RANK_RTOL max(1, sigma_max(O_full) + delta)
-        <= RANK_RTOL max(1, sigma_hat_max(O_full)) + 2 RANK_RTOL delta.
-    So T = RANK_RTOL max(1, sigma_hat_max(O_full)) + 3 delta puts
-    sigma_hat_min(O_t) above its own floor (RANK_RTOL < 1/2): t passes
-    the per-subset test, exactly as deciding it would.  The slack only
-    makes a level harder to certify, so a larger one could cost SVDs but
-    never change theta.
+    Certification.  A certified subset s has sigma_min(O_s) > T, and a
+    superset t has sigma_min(O_t) >= sigma_min(O_s), since adding rows
+    adds the Gram of those rows to O_s' O_s.  So t passes the SVD test,
+    by `is_observable`'s derivation, exactly as deciding it would.
     """
-    p, n = model.p, model.n
+    p = model.p
     if p > DEFAULT_SENSOR_CAP:
         raise ConfigError(f"p={p} exceeds the enumeration cap {DEFAULT_SENSOR_CAP}")
-    full = _singular_values(model, np.arange(p)[None])
-    if not _full_rank(full)[0]:
+    if not is_observable(model, full_subset(p)):
         return -1
-    top = float(full[0, 0])
-    delta = 4 * p * n * n * np.finfo(float).eps * top
-    certified = RANK_RTOL * max(1.0, top) + 3 * delta
 
     def decide(size: int) -> tuple[bool, bool]:
         """(every size-subset is observable, every one is certified)."""
-        above = True
+        certified = True
         for chunk in _subset_slices(full_subset(p), size):
-            sv = _singular_values(model, chunk)
-            if not _full_rank(sv).all():
-                return False, False
-            above = above and bool((sv[:, -1] > certified).all())
-        return True, above
+            if not _gram_certified(model, chunk):
+                certified = False
+                if not _observable(model, chunk).all():
+                    return False, False
+        return True, certified
 
     lo, hi, failed = 1, p - 1, 0
     while lo <= hi:
         if comb(p, lo) <= comb(p, hi):
-            observable, above = decide(lo)
+            observable, certified = decide(lo)
             if not observable:
                 failed = lo
-            elif above:
+            elif certified:
                 break
             lo += 1
         else:
@@ -298,14 +265,17 @@ def min_gram_eigenvalue(model: SystemModel, s: Iterable[int], k: int) -> float:
     it: the eigenvalue of a rank-deficient Gram can round to a tiny
     positive value.  AnalysisError when a Gram passes the float64 range.
 
-    The reduced subsets are taken SUBSET_SLICE at a time: one batched
-    rank call, then one `eigvalsh` over the slice's Grams O_s' O_s."""
+    The reduced subsets are taken SUBSET_SLICE at a time, each slice
+    checked as `is_observable` checks one subset (the Gram certificate,
+    and one batched SVD only where it declines), then one `eigvalsh` over
+    the slice's Grams O_s' O_s."""
     subset = normalize_subset(s, model.p)
+    k = _integer(k, "k")
     if k < 0 or k >= len(subset):
         raise ConfigError(f"need 0 <= k < |s|, got k={k}, |s|={len(subset)}")
     best = np.inf
     for chunk in _subset_slices(subset, len(subset) - k):
-        if not _observable(model, chunk).all():
+        if not (_gram_certified(model, chunk) or _observable(model, chunk).all()):
             return 0.0
         # one product per subset: a batched matmul rounds differently
         grams = np.stack([Os.T @ Os for Os in _stacked_blocks(model, chunk)])

@@ -299,6 +299,25 @@ def test_config_validation():
     assert DetectorConfig(epsilon=1.0, eta=1.0, t1=np.int64(7)).t1 == 7
 
 
+@pytest.mark.parametrize(
+    "k", [1.5, 1.0, "1", np.float64(1.0)], ids=["1.5", "float-1.0", "str", "float64"]
+)
+def test_non_integral_k_is_a_config_error(triple_sensor_scalar, k):
+    # DetectorConfig(k=1.5) used to be accepted, and the searches,
+    # auto_threshold and min_gram_eigenvalue then leaked combinations'
+    # TypeError
+    with pytest.raises(ConfigError, match="k must be an integer"):
+        DetectorConfig(epsilon=1.0, k=k)
+    with pytest.raises(ConfigError, match="k must be an integer"):
+        min_gram_eigenvalue(triple_sensor_scalar, (1, 2, 3), k)
+    with pytest.raises(ConfigError, match="k must be an integer"):
+        auto_threshold(triple_sensor_scalar, (1, 2, 3), k, 1.0)
+    assert DetectorConfig(epsilon=1.0, k=np.int64(1)).k == 1
+    assert min_gram_eigenvalue(triple_sensor_scalar, (1, 2, 3), np.int64(1)) == (
+        min_gram_eigenvalue(triple_sensor_scalar, (1, 2, 3), 1)
+    )
+
+
 def _reference_obs_and_noise(m, s):
     """O_s and the window noise covariance M_s of subset s from
     np.linalg.matrix_power, independent of the model's observability stack."""

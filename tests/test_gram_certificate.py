@@ -18,7 +18,6 @@ from secest import (
     is_observable,
     make_random_stable_system,
 )
-from secest import observability
 from secest.observability import RANK_RTOL, _observable, _subset_slices, full_subset
 from conftest import fuzz_plant
 
@@ -27,14 +26,15 @@ FUZZ_PLANTS = 3000
 
 @pytest.fixture
 def svd_calls(monkeypatch):
+    """Shapes of every stack of O_s handed to an SVD."""
     calls = []
-    singular_values = observability._singular_values
+    svd = np.linalg.svd
 
-    def counting(model, subsets):
-        calls.append(subsets.shape)
-        return singular_values(model, subsets)
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(observability, "_singular_values", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
 
 
@@ -75,8 +75,9 @@ def test_weak_sensor_takes_one_svd(svd_calls):
     sv = np.linalg.svd(np.vstack([C[:1], C[:1] @ A]), compute_uv=False)
     C[0] *= 10 * RANK_RTOL / sv[-1]
     m = SystemModel(A=A, C=C, sigma_w2=0.0, sigma_v2=0.0)
+    svd_calls.clear()  # the scaling's own SVD
     assert is_observable(m, (1,))
-    assert svd_calls == [(1, 1)]
+    assert svd_calls == [(1, 2, 2)]
     assert is_observable(m, (1, 2)) and len(svd_calls) == 1  # certified
 
 
@@ -89,7 +90,7 @@ def test_rank_deficient_subset_takes_one_svd(svd_calls):
         sigma_v2=0.0,
     )
     assert not is_observable(m, (1, 2))
-    assert svd_calls == [(1, 2)]
+    assert svd_calls == [(1, 6, 3)]
 
 
 def test_overflowing_grams_fall_back_to_the_svd(svd_calls):

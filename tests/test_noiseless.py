@@ -195,3 +195,32 @@ def test_encode_refuses_a_non_finite_state_but_not_an_overflow():
     # a finite state whose symbols pass float64 stays an analysis error
     with pytest.raises(AnalysisError, match="symbols O_d x0"):
         encode(m, [1e308, 1e308])
+
+
+def test_with_symbols_refuses_a_malformed_replacement():
+    # a length-1 replacement on an n=6 plant used to set all six entries,
+    # and a length-2 one leaked numpy's broadcast ValueError
+    m = make_random_stable_system(6, 4, 0.8, seed=1, sigma_w2=0.0, sigma_v2=0.0)
+    obs = encode(m, np.ones(6))
+    for value in ([5.0], [1.0, 2.0], np.ones(7), np.ones((1, 6)), 5.0):
+        with pytest.raises(ConfigError, match=r"sensor 1's symbol has shape"):
+            obs.with_symbols({1: value})
+    # a non-integral sensor leaked numpy's IndexError, a string one TypeError
+    for sensor in (1.5, "1"):
+        with pytest.raises(ConfigError, match="sensor must be an integer"):
+            obs.with_symbols({sensor: np.ones(6)})
+    replaced = obs.with_symbols({1: np.arange(6.0)})
+    assert replaced.symbols[0].tolist() == list(range(6))
+    assert np.array_equal(replaced.symbols[1:], obs.symbols[1:])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_symbols_are_config_errors(bad):
+    # a NaN used to be reported as "fit residuals overflow float64"
+    m = ambiguity_system()
+    clean = encode(m, [1.0, 2.0])
+    obs = clean.with_symbols({2: [bad, clean.symbols[1, 1]]})
+    with pytest.raises(ConfigError, match="symbols must be finite"):
+        decode(m, obs, 1)
+    with pytest.raises(ConfigError, match="symbols must be finite"):
+        detect_corruption(m, obs)

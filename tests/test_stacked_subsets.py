@@ -1,15 +1,17 @@
 """Batched subset decisions against per-subset reference loops.
 
 `sparse_observability_index` and `min_gram_eigenvalue` decide
-SUBSET_SLICE subsets per batched SVD.  `decode` decides a slice from one
-R-only QR per subset when the Gram certificate passes and no residual
-lies within its rounding band of the consistency bound, and from one
-batched SVD of the whole slice otherwise.  The references below keep the
+SUBSET_SLICE subsets at a time, each slice by one batched Gram
+certificate (a Cholesky) and one batched SVD only where it declines.
+`decode` decides a slice from one R-only QR per subset when the Gram
+certificate passes and no residual lies within its rounding band of the
+consistency bound, and from one batched SVD of the whole slice
+otherwise.  The references below keep the
 one-call-per-subset loops (one `svd`, `eigvalsh` or `lstsq` per subset,
 O_s cut straight from the model's stack) and the results must match
 them exactly: theta, the Gram eigenvalue bitwise, and the decoder's
-corrupted set, `unique` flag and state bitwise.  The SVD counts pin
-which slices take the SVD.
+corrupted set, `unique` flag and state bitwise.  The certificate and SVD
+counts pin which slices take the SVD.
 """
 
 import math
@@ -21,6 +23,7 @@ import pytest
 
 from secest import (
     AnalysisError,
+    ConfigError,
     SystemModel,
     decode,
     encode,
@@ -29,10 +32,12 @@ from secest import (
     min_gram_eigenvalue,
     sparse_observability_index,
 )
-from secest import noiseless
+from secest import noiseless, observability
 from secest.noiseless import CONSISTENCY_RTOL, STATE_MATCH_RTOL, _norm
 from secest.observability import RANK_RTOL, SUBSET_SLICE, _gram_certified, _subset_slices
 from conftest import fuzz_plant
+
+FUZZ_PLANTS = 1000
 
 
 def blocks(m, s):
@@ -133,6 +138,29 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def certificates(monkeypatch):
+    """(subset count, subset size, passed) of every slice that
+    `sparse_observability_index` and `min_gram_eigenvalue` hand the Gram
+    certificate, in order."""
+    calls = []
+    gram_certified = observability._gram_certified
+
+    def counting(model, subsets):
+        passed = gram_certified(model, subsets)
+        calls.append((len(subsets), subsets.shape[1], passed))
+        return passed
+
+    monkeypatch.setattr(observability, "_gram_certified", counting)
+    return calls
+
+
+def declined_svds(certificates, n):
+    """The SVD shapes of the slices in ``certificates`` that declined:
+    one SVD each, of the whole slice."""
+    return [(count, size * n, n) for count, size, passed in certificates if not passed]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_random_plants_match_reference(seed):
     m = make_random_stable_system(6, 12, 0.85, seed=seed, sigma_w2=0.0, sigma_v2=0.0)
@@ -156,38 +184,75 @@ def test_random_plants_match_reference(seed):
 
 
 @pytest.mark.parametrize(
-    "p, seen_by, theta, svds, downward",
+    "p, seen_by, theta, slices, downward",
     [
-        # full set; level 1 (a plane-blind singleton fails); level 12;
-        # level 2 ((3, 4) fails in the first slice); level 11, 78 subsets,
-        # whose first unobservable one, (3, ..., 13), is the last, in the
+        # full set, certified; level 1, declined (a plane-blind singleton
+        # fails its SVD); level 12, certified; level 2, declined ((3, 4)
+        # fails in the first slice); level 11, 78 subsets, whose first
+        # unobservable one, (3, ..., 13), is the last, in the declined
         # second slice
-        (13, (1, 2), 1, 1 + 1 + 1 + 1 + 2, 1 + 1 + 2),
+        (
+            13, (1, 2), 1,
+            [(1, 13, True), (13, 1, False), (13, 12, True), (64, 2, False),
+             (64, 11, True), (14, 11, False)],
+            1 + 1 + 2,
+        ),
         # full set; level 1; level 12; level 2 ((1, 2) fails); level 11,
         # whose first subset, (1, ..., 11), fails: its second slice is
         # never decided
-        (13, (12, 13), 1, 1 + 1 + 1 + 1 + 1, 1 + 1 + 1),
+        (
+            13, (12, 13), 1,
+            [(1, 13, True), (13, 1, False), (13, 12, True), (64, 2, False),
+             (64, 11, False)],
+            1 + 1 + 1,
+        ),
         # full set; level 1; level 12; level 2; level 11 (78 subsets, all
-        # observable); level 3, 286 subsets, whose first failing one,
+        # certified); level 3, 286 subsets, whose first failing one,
         # (2, 3, 4), follows the 66 that hold sensor 1; level 10, 286
         # subsets, where (2, ..., 6, 8, ..., 12), number 235, fails in the
         # fourth slice and the fifth is never decided
-        (13, (1, 7, 13), 2, 1 + 1 + 1 + 1 + 2 + 2 + 4, 1 + 1 + 2 + 4),
+        (
+            13, (1, 7, 13), 2,
+            [(1, 13, True), (13, 1, False), (13, 12, True), (64, 2, False),
+             (64, 11, True), (14, 11, True), (64, 3, True), (64, 3, False)]
+            + [(64, 10, True)] * 3 + [(64, 10, False)],
+            1 + 1 + 2 + 4,
+        ),
     ],
     ids=["last-subset-in-second-slice", "first-subset-fails", "three-sensor-plane"],
 )
-def test_failing_levels_match_reference(svd_calls, p, seen_by, theta, svds, downward):
-    # ``downward`` counts the SVDs of a scan from p - 1 sensors down; the
-    # two-ended scan adds low levels, each no larger than a high level it
-    # mirrors, and here stays within twice that count
+def test_failing_levels_match_reference(
+    svd_calls, certificates, p, seen_by, theta, slices, downward
+):
+    # each slice takes one certificate, and one SVD only when it declines;
+    # ``downward`` counts the slices of a scan from p - 1 sensors down, and
+    # the two-ended scan adds low levels, each no larger than a high level
+    # it mirrors, and here stays within twice that count
     m = plane_plant(p, seen_by)
     assert sparse_observability_index(m) == theta
-    assert len(svd_calls) == svds <= 2 * downward
+    assert certificates == slices and len(slices) <= 2 * downward
+    assert svd_calls == declined_svds(slices, m.n)
     assert theta == reference_index(m)
     for k in (theta, theta + 1):
         lam = min_gram_eigenvalue(m, full_subset(p), k)
         assert lam == reference_min_gram(m, full_subset(p), k)
         assert (lam > 0.0) == (k <= theta)
+
+
+def test_min_gram_eigenvalue_takes_an_svd_only_where_declined(svd_calls, certificates):
+    # a generic n=6, p=12 plant: the C(12, 9) = 220 reduced subsets of
+    # k = 3 fill four slices, each certified, so no SVD runs
+    m = make_random_stable_system(6, 12, 0.85, seed=5, sigma_w2=0.0, sigma_v2=0.0)
+    lam = min_gram_eigenvalue(m, full_subset(12), 3)
+    assert certificates == [(64, 9, True)] * 3 + [(28, 9, True)] and svd_calls == []
+    assert lam == reference_min_gram(m, full_subset(12), 3) > 0.0
+    # sensors 1 and 2 alone see the plane: of the 13 singletons' slice the
+    # certificate declines, and its SVD finds the blind ones
+    m = plane_plant(13, (1, 2))
+    certificates.clear()
+    svd_calls.clear()
+    assert min_gram_eigenvalue(m, full_subset(13), 12) == 0.0
+    assert certificates == [(13, 1, False)] and svd_calls == [(13, 4, 4)]
 
 
 def test_level_sizes_are_not_slice_multiples():
@@ -235,13 +300,14 @@ def test_noiseless_ambiguity_plant_matches_reference():
             assert_decode_matches(m, obs, k, complete)
 
 
-def test_index_is_sliced_not_per_subset(svd_calls):
+def test_index_is_sliced_not_per_subset(svd_calls, certificates):
     # n=4, p=16: only sensors 1..8 see the plane, so (9, ..., 16) is the
     # one unobservable subset of level 8 and the last of its 12,870: the
     # scan decides every level from one end or the other, level 8 slice
     # by slice, with a few slices' worth of memory
     m = plane_plant(16, range(1, 9))
     m.observability_stack  # built outside the measured span
+    m.sensor_grams
     tracemalloc.start()
     try:
         theta = sparse_observability_index(m)
@@ -249,47 +315,60 @@ def test_index_is_sliced_not_per_subset(svd_calls):
     finally:
         tracemalloc.stop()
     assert theta == 7
-    level8 = [shape for shape in svd_calls if shape[1:] == (8 * 4, 4)]
+    level8 = [passed for _, size, passed in certificates if size == 8]
     assert len(level8) == math.ceil(math.comb(16, 8) / SUBSET_SLICE)
+    assert level8.count(False) == 1 and not level8[-1]  # only the last slice's SVD
+    # levels 1..8 each hold a plane-blind subset and decline once, and
+    # every slice of levels 9..15 is certified
+    assert svd_calls == declined_svds(certificates, m.n)
+    assert [shape[1] // m.n for shape in svd_calls] == list(range(1, 9))
     slices = 1 + sum(math.ceil(math.comb(16, size) / SUBSET_SLICE) for size in range(1, 16))
-    assert len(svd_calls) <= slices < 2**16 // 32
+    assert len(certificates) <= slices < 2**16 // 32
     # one level unsliced (12,870 stacked 32 x 4 blocks) peaks above 13 MB
     assert peak < 1_000_000
     assert reference_index(m) == theta
 
 
-def test_generic_plant_is_certified_from_single_sensors(svd_calls):
-    # every single sensor of a generic n=6, p=12 plant clears the
-    # certified floor: the full set's SVD and level 1's decide theta
+def test_generic_plant_is_certified_from_single_sensors(svd_calls, certificates):
+    # every single sensor of a generic n=6, p=12 plant is certified: two
+    # certificates, of the full set and of level 1, decide theta, and no
+    # SVD runs
     m = make_random_stable_system(6, 12, 0.85, seed=5, sigma_w2=0.0, sigma_v2=0.0)
     assert sparse_observability_index(m) == 11
-    assert [shape[0] for shape in svd_calls] == [1, 12]
+    assert certificates == [(1, 12, True), (12, 1, True)]
+    assert svd_calls == []
     assert reference_index(m) == 11
 
 
 @pytest.mark.parametrize(
-    "A, C, theta, svds",
+    "A, C, theta, slices",
     [
         # p=1: the full set alone
-        (np.diag([0.9, 0.5]), [[1.0, 1.0]], 0, 1),
+        (np.diag([0.9, 0.5]), [[1.0, 1.0]], 0, [(1, 1, True)]),
         # p=2, each sensor observable alone: level 1 certifies
-        (np.diag([0.9, 0.5]), [[1.0, 1.0], [1.0, -2.0]], 1, 2),
+        (np.diag([0.9, 0.5]), [[1.0, 1.0], [1.0, -2.0]], 1, [(1, 2, True), (2, 1, True)]),
         # p=2, each sensor sees one mode: level 1 fails and the ends meet
-        (np.diag([0.9, 0.5]), [[1.0, 0.0], [0.0, 1.0]], 0, 2),
+        (np.diag([0.9, 0.5]), [[1.0, 0.0], [0.0, 1.0]], 0, [(1, 2, True), (2, 1, False)]),
         # the full set is unobservable: one SVD
-        (np.diag([0.9, 0.5]), [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], -1, 1),
+        (np.diag([0.9, 0.5]), [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], -1, [(1, 3, False)]),
         # degenerate: no sensor sees anything
-        (np.eye(2), np.zeros((3, 2)), -1, 1),
-        # pairs of identical sensors: (2, 4) and (1, 3) are blind, level 2
-        # fails, level 3 is decided from the top
-        (np.diag([0.9, 0.5]), [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], 1, 4),
+        (np.eye(2), np.zeros((3, 2)), -1, [(1, 3, False)]),
+        # pairs of identical sensors: (2, 4) and (1, 3) are blind; level 1
+        # fails, level 3 passes from the top, and level 2 fails
+        (
+            np.diag([0.9, 0.5]),
+            [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+            1,
+            [(1, 4, True), (4, 1, False), (4, 3, True), (6, 2, False)],
+        ),
     ],
     ids=["p1", "p2-certified", "p2-ends-meet", "unobservable", "degenerate", "paired"],
 )
-def test_small_plants_match_reference(svd_calls, A, C, theta, svds):
+def test_small_plants_match_reference(svd_calls, certificates, A, C, theta, slices):
     m = SystemModel(A=A, C=np.asarray(C), sigma_w2=0.0, sigma_v2=0.0)
     assert sparse_observability_index(m) == theta
-    assert len(svd_calls) == svds
+    assert certificates == slices
+    assert svd_calls == declined_svds(slices, m.n)
     assert reference_index(m) == theta
 
 
@@ -308,27 +387,48 @@ def weak_sensor_plant(weak_sv):
 
 
 @pytest.mark.parametrize(
-    "weak_sv, theta, levels",
+    "weak_sv, theta",
     [
-        # sensor 1 passes its own floor but misses the certified one,
-        # about RANK_RTOL * 100: level 1 is not certified, the high end
+        # sensor 1 passes its own floor but misses the certificate's,
+        # above RANK_RTOL * 100: level 1 is not certified, the high end
         # decides level 4, and level 2 certifies (each pair holds a
         # strong sensor)
-        (10 * RANK_RTOL, 4, [5, 1, 4, 2]),
+        (10 * RANK_RTOL, 4),
         # sensor 1 fails its own floor: level 1 fails, level 4 passes
         # from the top, and level 2 certifies
-        (0.1 * RANK_RTOL, 3, [5, 1, 4, 2]),
+        (0.1 * RANK_RTOL, 3),
     ],
     ids=["passes-own-floor-only", "fails-own-floor"],
 )
-def test_weak_sensor_falls_back_to_the_high_end(svd_calls, weak_sv, theta, levels):
+def test_weak_sensor_falls_back_to_the_high_end(svd_calls, certificates, weak_sv, theta):
     m = weak_sensor_plant(weak_sv)
     sv_full = np.linalg.svd(m.observability_stack, compute_uv=False)
-    assert sv_full[0] > 100.0  # the certified floor is above 10 RANK_RTOL
+    assert sv_full[0] > 100.0  # the certificate's floor is above 10 RANK_RTOL
     svd_calls.clear()
     assert sparse_observability_index(m) == theta
-    assert [shape[1] // m.n for shape in svd_calls] == levels
+    assert certificates == [(1, 5, True), (5, 1, False), (5, 4, True), (10, 2, True)]
+    assert svd_calls == [(5, 1 * 2, 2)]  # level 1 alone
     assert reference_index(m) == theta
+
+
+def test_index_matches_reference_on_fuzzed_plants():
+    # fuzz_plant's six families put subsets near the rank floor and the
+    # certificate's, and overflow some Grams; whenever a level is
+    # certified, every larger level passes the reference SVD test
+    certified_levels = 0
+    for seed in range(FUZZ_PLANTS):
+        m = fuzz_plant(seed)
+        assert sparse_observability_index(m) == reference_index(m), seed
+        for size in range(1, m.p):
+            chunks = _subset_slices(full_subset(m.p), size)
+            if not all(_gram_certified(m, chunk) for chunk in chunks):
+                continue
+            certified_levels += 1
+            for larger in range(size + 1, m.p):
+                for s in combinations(range(1, m.p + 1), larger):
+                    assert reference_observable(m, s), (seed, size, s)
+            break  # the larger levels were just checked
+    assert certified_levels > FUZZ_PLANTS // 2, certified_levels
 
 
 @pytest.fixture
@@ -424,14 +524,22 @@ def test_residual_at_the_bound_takes_the_svd(svd_calls, declined, seed, offset):
     assert declined == [1, 1]
 
 
-def test_non_finite_band_takes_the_svd(svd_calls):
-    # a NaN symbol leaves every band that reads it NaN: the slice goes to
-    # the SVD, which refuses the residuals as today, though the subsets
-    # without sensor 12 are consistent
+def test_non_finite_band_takes_the_svd(svd_calls, declined):
+    # two entries of sensor 1's symbol near the float64 maximum are finite,
+    # but the QR's fits of the subsets that read them overflow, leaving
+    # some of their bands NaN: the first slice goes to the SVD, which
+    # refuses its residuals, though the subsets without sensor 1 are
+    # consistent
     m = make_random_stable_system(6, 12, 0.85, seed=5, sigma_w2=0.0, sigma_v2=0.0)
     clean = encode(m, np.ones(6))
-    symbol = clean.symbols[11].copy()
-    symbol[3] = np.nan
+    symbol = clean.symbols[0].copy()
+    symbol[3:5] = 1.7e308, -1.7e308
     with pytest.raises(AnalysisError, match="fit residuals"):
-        decode(m, clean.with_symbols({12: symbol}), 5)
+        decode(m, clean.with_symbols({1: symbol}), 5)
     assert svd_calls == [(SUBSET_SLICE, 7 * 6, 6)]
+    assert declined == [1, 1]
+    # a NaN symbol is refused before any slice is decided
+    symbol[3:5] = np.nan, 0.0
+    with pytest.raises(ConfigError, match="finite"):
+        decode(m, clean.with_symbols({1: symbol}), 5)
+    assert len(svd_calls) == 1 and declined == [1, 1]
