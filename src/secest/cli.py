@@ -801,7 +801,7 @@ def _cmd_obsv(args) -> int:
         "sparse_observability_index": theta,
         "sensors": rows,
     }
-    if scenario.k and model.p > scenario.k:
+    if scenario.k:
         obj["min_gram_eigenvalue_full_k"] = min_gram_eigenvalue(
             model, full_subset(model.p), scenario.k
         )

@@ -88,28 +88,25 @@ O_c' G_cd O_d for c <= d, built one sensor row of G at a time (1.5 MB at
 n=50, p=12), and per sensor the moment's diagonal sum and the outputs'
 mean square; a subset's bound is one weighted sum of those blocks, one
 n x n inverse and a few traces.  A bound-failed report solves its filter
-on the first read of its expected matrix, and runs its filter and full
-test on the first read of its run, deviation or scores, and then equals
-the full test's bit for bit.  So on a stable plant a subset whose solve
-would raise, but whose bound fails, is flagged with no exception; its
-report raises the solve's AnalysisError when read.  An unobservable
-subset raises at the detector call: the bank checks the solve's
-preconditions once per subset, and its solves do not check them again.
-That check is `is_observable`, which certifies a subset from the sum of
-its sensors' Grams by one n x n Cholesky and takes the SVD of O_s only
-when the certificate declines; on experiment 2's plants no subset a
-search tests needs the SVD.
+when its expected matrix is read and runs its full test when its run,
+deviation or scores are, and then equals the full test's bit for bit;
+so a subset whose solve would raise but whose bound fails is flagged,
+and its report raises the solve's AnalysisError when read.
 
-Every test runs through a `SubsetBank`, which owns the per-subset
-quantities of one model: O_s is a row selection of the model's
-observability stack, M_s is cut from M by the helper that cuts the
-moment's block, and each subset's filter and threshold are computed once.
-`SubsetBank.detector(traj)` holds one trajectory's window moment
-Ybar' Ybar / N - M and the bound's blocks, and tests subsets against
-them; `attack_detect` tests one subset.  Both return (flag, report).
-Every test's report is a `ResidueReport` built one way, from the bank,
-the trajectory, the subset and the moment, with the filter run when the
-test made one; it forms the rest of its one full test on first read.
+Every test is one `residue_report` call against a `SubsetBank`, which
+owns the per-subset quantities of one model: O_s is a row selection of
+the model's observability stack, M_s is cut from M by the helper that
+cuts the moment's block, and each subset's filter and threshold are
+computed once.  The call normalizes the subset, checks its solvability
+once per bank (an unobservable subset raises here; the check is
+`is_observable`'s Gram certificate, with an SVD of O_s only where it
+declines, which no subset of experiment 2 needs), reads its threshold,
+applies the trace bound when given one, and else screens and runs the
+full test.  The report's `run` is the one place in this module that runs
+the window filter.  `SubsetBank.detector(traj)` computes a trajectory's
+window moment Ybar' Ybar / N - M and, with X, its bound's blocks once,
+and maps each subset to the flag and report of one call; `attack_detect`
+does that for one subset through a fresh bank.
 """
 
 from __future__ import annotations
@@ -158,6 +155,12 @@ __all__ = [
 ]
 
 
+def _positive(value: float, what: str) -> None:
+    """ConfigError unless ``value`` is positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{what} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Window, threshold, and mode of the residue test.
@@ -178,8 +181,7 @@ class DetectorConfig:
     k: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+        _positive(self.epsilon, "epsilon")
         if not (math.isfinite(self.N) and self.N >= 1):
             raise ConfigError(f"N must be finite and >= 1, got {self.N}")
         t1 = _integer(self.t1, "t1")
@@ -189,8 +191,8 @@ class DetectorConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.eta is None and self.k is None:
             raise ConfigError("either eta or k (for the auto threshold) is required")
-        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
-            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
+        if self.eta is not None:
+            _positive(self.eta, "eta")
         if self.k is not None and _integer(self.k, "k") < 0:
             raise ConfigError(f"k must be nonnegative, got {self.k}")
 
@@ -205,8 +207,7 @@ class ResidueReport:
     ``settled`` names what decided it: ``"bound"``, the trace bound, and
     ``"screen"``, the diagonal screen, only fail a test; after
     ``"full"``, the test passes when ``max_deviation <= eta``.  ``passed``
-    is decided here, where a report given its filter ``run`` forms the
-    screen's diagonal; a bound failure runs its filter on first read.
+    is decided here; a bound failure makes its filter ``run`` when read.
     The rest comes from one full test on first read: O_s and K', the
     diagonal, ``deviation``, the (n|s|)^2 sample - expected average of
     r r', and from it ``max_deviation`` and ``sample_matrix``, the scores
@@ -215,16 +216,17 @@ class ResidueReport:
 
     def __init__(
         self, bank: SubsetBank, traj: Trajectory, subset: SensorSubset, moment: np.ndarray,
-        run: FilterRun | None = None,
+        bound: _TraceBound | None,
     ):
         cfg = bank.cfg
+        bank._check_once(subset)  # an unobservable subset raises here, as in the solve
         self.subset, self.mode, self.eta = subset, cfg.mode, bank.eta(subset)
         self.n_samples, self.t1 = bank.N, cfg.t1
         self._bank, self._traj, self._moment = bank, traj, moment
-        if run is None:
+        lb, margin = (math.nan, 0.0) if bound is None else bound.terms(subset)
+        if lb - margin > bank.model.n * len(subset) * self.eta:  # no bound, or nan, fails nothing
             self.settled = "bound"
         else:
-            self.run = run
             self.settled = "screen" if np.any(self._diagonal > self.eta) else "full"
         self.passed = self.settled == "full" and self.max_deviation <= self.eta
 
@@ -330,9 +332,11 @@ def auto_threshold(
 
         eta = min_gram_eigenvalue(s, k) * epsilon / (3 n (|s| - k))
 
-    ConfigError, from `min_gram_eigenvalue`, unless k is an integer in
-    0 <= k < |s|.
+    ConfigError unless epsilon is positive and finite, as in
+    `DetectorConfig`, and, from `min_gram_eigenvalue`, unless k is an
+    integer in 0 <= k < |s|.
     """
+    _positive(epsilon, "epsilon")
     subset = normalize_subset(s, model.p)
     lam = min_gram_eigenvalue(model, subset, k)
     if lam <= 0.0:
@@ -353,14 +357,10 @@ class SubsetBank:
     built once; a subset's M_s is its block of M and its O_s a row
     selection of the model's observability stack.
     Filters and thresholds are kept on first use; nothing of size
-    (n|s|)^2 is kept.  `detector(traj)` tests subsets of one trajectory:
-    it holds that trajectory's window moment and trace-bound blocks, so
-    detectors of different trajectories can share one bank.  On a plant
-    with an open-loop covariance X the trace bound, which reads X and no
-    filter, fails most attacked subsets before their filter is solved,
-    and such a subset's filter is solved only when its report is read; on
-    a plant without X every test is the full test.  M or a per-sensor
-    Gram O_i' O_i past the float64 range is an AnalysisError.
+    (n|s|)^2 is kept.  `detector(traj)` tests subsets of one trajectory
+    and holds what is computed from it, so detectors of different
+    trajectories can share one bank.  M or a per-sensor Gram O_i' O_i
+    past the float64 range is an AnalysisError.
     """
 
     def __init__(self, model: SystemModel, cfg: DetectorConfig):
@@ -407,9 +407,12 @@ class SubsetBank:
     def window_moment(self, traj: Trajectory) -> np.ndarray:
         """Ybar' Ybar / N - M over all sensors for the test window of
         ``traj``: the part of every subset's deviation that does not
-        depend on its filter.  Raises ConfigError when the window and its
-        n - 1 lookahead do not fit in the trajectory, and AnalysisError
-        when the moment overflows float64."""
+        depend on its filter.  Raises ConfigError when the trajectory's
+        state or sensor count is not the model's or the window and its
+        n - 1 lookahead do not fit in it, and AnalysisError when the
+        moment overflows float64."""
+        if (traj.n, traj.p) != (self.model.n, self.model.p):
+            raise ConfigError(f"trajectory has n={traj.n}, p={traj.p}, unlike the model")
         moment = block_output_gram(traj, self.cfg.t1, self.N)
         moment /= self.N
         moment -= self._cov
@@ -417,26 +420,16 @@ class SubsetBank:
 
     def detector(self, traj: Trajectory) -> Callable[[Iterable[int]], tuple[int, ResidueReport]]:
         """Residue test of subsets of ``traj``: the returned detector maps
-        a subset to (flag, report), flag 0 meaning no effective attack was
-        detected and flag 1 that the subset failed the test.  A failure
-        settled by the trace bound runs its filter only when its report's
-        run, deviation or scores are read.  The bound runs only on a plant
-        with an open-loop covariance X.  The window moment and the bound's
-        blocks are computed here, once."""
+        a subset to the flag and report of one `residue_report` call, flag
+        0 meaning no effective attack was detected and flag 1 that the
+        subset failed the test.  The window moment and, on a plant with an
+        open-loop covariance X, the trace bound are computed here, once;
+        without X every test is the full test."""
         moment = self.window_moment(traj)
         bound = None if self._open_loop is None else _TraceBound(self, traj, moment)
-        cfg, N, p = self.cfg, self.N, self.model.p
 
         def detect(s: Iterable[int]) -> tuple[int, ResidueReport]:
-            subset = normalize_subset(s, p)
-            self._check_once(subset)  # an unobservable subset raises here, as in the solve
-            eta = self.eta(subset)  # raises before the bound, as in the full test
-            if bound is not None:
-                lb, margin = bound.terms(subset)
-                if lb - margin > self.model.n * len(subset) * eta:  # False on nan
-                    return 1, ResidueReport(self, traj, subset, moment)
-            run = run_filter(self.filter(subset), traj, cfg.t1, cfg.t1 + N - 1)
-            report = residue_report(self, traj, subset, run, moment)
+            report = residue_report(self, traj, s, moment, bound)
             return (0 if report.passed else 1), report
 
         return detect
@@ -649,16 +642,15 @@ def residue_report(
     bank: SubsetBank,
     traj: Trajectory,
     s: Iterable[int],
-    run: FilterRun,
     moment: np.ndarray,
+    bound: _TraceBound | None = None,
 ) -> ResidueReport:
-    """Residue test of subset s on one trajectory, given its filter run.
-
-    ``run`` must cover the window [t1, t1 + N - 1] of the bank's
-    detector configuration, and ``moment`` is ``bank.window_moment(traj)``.
-    Raises AnalysisError when K overflows float64.
-    """
-    return ResidueReport(bank, traj, normalize_subset(s, bank.model.p), moment, run)
+    """The residue test of subset s on one trajectory, settled by the
+    trace bound ``bound`` (None for the full test), the screen or the
+    full test, in the order of the module docstring.  ``moment`` is
+    ``bank.window_moment(traj)``.  Raises as the solvability check and
+    the threshold do, and AnalysisError when K overflows float64."""
+    return ResidueReport(bank, traj, normalize_subset(s, bank.model.p), moment, bound)
 
 
 def _lag_products(outputs: np.ndarray, est: np.ndarray) -> np.ndarray:
@@ -685,7 +677,10 @@ def attack_detect(
 ) -> tuple[int, ResidueReport]:
     """One-shot residue test of subset s through a fresh `SubsetBank`;
     flag 0 means no effective attack was detected, flag 1 means the
-    subset failed the test."""
+    subset failed the test.  Kept as the path of ``secest detect`` and of
+    the ``exp1_sweep`` benchmark workload; it rebuilds the bank and the
+    window moment per call, so to test many subsets of one trajectory
+    call the detector of `SubsetBank.detector(traj)` per subset."""
     return SubsetBank(model, cfg).detector(traj)(s)
 
 

@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigError, _finite
+from .errors import AnalysisError, ConfigError, _finite, _integer
 from .model import SystemModel, Trajectory, _linear_scan, _scan_buffer
 from .observability import (
     SensorSubset,
@@ -259,6 +259,7 @@ def worst_subset(model: SystemModel, k: int) -> tuple[SensorSubset, float]:
     """The (p-k)-subset with the largest steady prediction error trace,
     ties broken lexicographically.  This is the best error any estimator
     can guarantee when k sensors may be silenced."""
+    k = _integer(k, "k")
     if not 0 <= k < model.p:
         raise ConfigError(f"need 0 <= k < p, got k={k}, p={model.p}")
     best_subset: SensorSubset | None = None

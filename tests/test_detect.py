@@ -26,8 +26,10 @@ from secest import (
     run_filter,
     simulate,
     solve_steady_state,
+    worst_subset,
 )
 from secest.detect import residue_report
+from secest.search import exhaustive_search, smt_search
 
 from conftest import block_output_matrix
 
@@ -43,6 +45,15 @@ def test_auto_threshold_linear_in_epsilon(triple_sensor_scalar):
     e1 = auto_threshold(triple_sensor_scalar, (1, 2, 3), 1, 1.0)
     e2 = auto_threshold(triple_sensor_scalar, (1, 2, 3), 1, 0.001)
     assert e2 == pytest.approx(0.001 * e1)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+def test_auto_threshold_refuses_epsilon_as_the_config_does(triple_sensor_scalar, epsilon):
+    # a negative epsilon gave a negative threshold and a nan one nan
+    with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+        DetectorConfig(epsilon=epsilon, eta=1.0)
+    with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+        auto_threshold(triple_sensor_scalar, (1, 2, 3), 1, epsilon)
 
 
 def test_auto_threshold_unobservable_guard():
@@ -172,9 +183,27 @@ def test_overflowing_window_products_raise():
     traj = simulate(m, AttackSpec(), 300, x0=np.array([1e300]), burn_in=0)
     with pytest.raises(AnalysisError, match="window moment"):
         bank.detector(traj)
-    run = run_filter(bank.filter((1, 2)), traj, 0, 299)
     with pytest.raises(AnalysisError, match="window products"):
-        residue_report(bank, traj, (1, 2), run, np.zeros((3, 3)))
+        residue_report(bank, traj, (1, 2), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("n, p", [(3, 3), (2, 4)])
+def test_trajectory_of_other_dimensions_is_a_config_error(n, p):
+    # a bank of an n=3, p=4 plant leaked numpy's broadcast ValueError
+    # from the window moment on a trajectory with another n or p
+    m = make_random_stable_system(3, 4, 0.85, seed=60, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = DetectorConfig(epsilon=1.0, N=300, t1=20, eta=1.0, k=1)
+    other = make_random_stable_system(n, p, 0.85, seed=61, sigma_w2=0.5, sigma_v2=0.7)
+    traj = simulate(other, AttackSpec(), 400, seed=1, burn_in=10)
+    entries = (
+        lambda: SubsetBank(m, cfg).detector(traj),
+        lambda: attack_detect(m, traj, (1, 2, 3), cfg),
+        lambda: exhaustive_search(m, traj, cfg),
+        lambda: smt_search(m, traj, cfg),
+    )
+    for call in entries:
+        with pytest.raises(ConfigError, match=f"trajectory has n={n}, p={p}"):
+            call()
 
 
 # 16 n^2 rows is the size rule's edge at n=4; n=20, N=20000 and n=50,
@@ -263,10 +292,8 @@ def test_false_alarm_rate_nonincreasing_in_window():
     banks = {N: SubsetBank(m, DetectorConfig(epsilon=1.0, eta=0.55, N=N, t1=t1)) for N in sizes}
     for seed in range(12):
         traj = simulate(m, AttackSpec(), t1 + biggest + 3, seed=seed, burn_in=30)
-        flt = solve_steady_state(m, (1, 2, 3), PREDICTION)
-        run = run_filter(flt, traj, t1, t1 + biggest - 1)
         for N in sizes:
-            rep = residue_report(banks[N], traj, (1, 2, 3), run, banks[N].window_moment(traj))
+            rep = residue_report(banks[N], traj, (1, 2, 3), banks[N].window_moment(traj))
             flags[N] += 0 if rep.passed else 1
     rates = [flags[N] for N in sizes]
     assert rates[0] >= rates[1] >= rates[2]
@@ -304,10 +331,12 @@ def test_config_validation():
 )
 def test_non_integral_k_is_a_config_error(triple_sensor_scalar, k):
     # DetectorConfig(k=1.5) used to be accepted, and the searches,
-    # auto_threshold and min_gram_eigenvalue then leaked combinations'
-    # TypeError
+    # auto_threshold, min_gram_eigenvalue and worst_subset then leaked
+    # combinations' TypeError
     with pytest.raises(ConfigError, match="k must be an integer"):
         DetectorConfig(epsilon=1.0, k=k)
+    with pytest.raises(ConfigError, match="k must be an integer"):
+        worst_subset(triple_sensor_scalar, k)
     with pytest.raises(ConfigError, match="k must be an integer"):
         min_gram_eigenvalue(triple_sensor_scalar, (1, 2, 3), k)
     with pytest.raises(ConfigError, match="k must be an integer"):
@@ -575,9 +604,7 @@ def _screen_case(case, mode):
 
 def _report(m, cfg, traj, s, moment, eta):
     """The residue test of subset s with threshold eta."""
-    bank = SubsetBank(m, replace(cfg, eta=eta))
-    run = run_filter(bank.filter(s), traj, cfg.t1, cfg.t1 + bank.N - 1)
-    return residue_report(bank, traj, s, run, moment)
+    return residue_report(SubsetBank(m, replace(cfg, eta=eta)), traj, s, moment)
 
 
 @pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
@@ -778,7 +805,7 @@ def _filter_trace(m, s, flt):
 
 
 @pytest.mark.parametrize("mode", [PREDICTION, FILTERING])
-def test_trace_bound_is_below_any_formed_diagonal_sum(mode):
+def test_trace_bound_is_below_any_formed_diagonal_sum(monkeypatch, mode):
     # on every subset of three random plants (the third with a 1e3 bias),
     # LB from the open-loop covariance X is at most the formed diagonal's
     # sum plus the margin, for the filter's estimates, random ones, and the
@@ -787,7 +814,7 @@ def test_trace_bound_is_below_any_formed_diagonal_sum(mode):
     # tr(M_s)) >= 0, and otherwise differs by rounding alone.  The margin
     # stays below 1e-3 of the threshold sum n |s| eta
     from secest import ConstantBias, FilterRun, observability_matrix
-    from secest.detect import _TraceBound
+    from secest.detect import ResidueReport, _TraceBound
 
     rng = np.random.default_rng(5)
     plants = [
@@ -813,7 +840,8 @@ def test_trace_bound_is_below_any_formed_diagonal_sum(mode):
                 estimates = [run_filter(flt, traj, *window).estimates, rng.standard_normal((N, n))]
                 for est in estimates + [fits]:
                     run = FilterRun(estimates=est, t_start=window[0], t_end=window[1])
-                    report = residue_report(bank, traj, s, run, moment)
+                    monkeypatch.setattr(ResidueReport, "run", run)  # the test's estimates
+                    report = residue_report(bank, traj, s, moment)
                     total = math.fsum(np.diagonal(report.deviation))
                     assert lb <= total + margin
                 gap = bank._open_loop.traces[np.subtract(s, 1)].sum() - _filter_trace(m, s, flt)

@@ -27,10 +27,15 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 SPANS = BENCHMARKS / "spans.py"
 
 
-def test_traced_names_resolve():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_names_resolve():
+    spans = _load_spans()
     missing = [
         f"secest.{mod_name}.{fn}"
         for mod_name, fns in spans.TRACED.items()
@@ -116,8 +121,7 @@ def test_benchmark_reads_flags_passes_and_outcome_keys():
     flags = [detect.attack_detect(m, traj, s, cfg)[0] for s in (clean, full)]
     assert flags == [0, 1] and all(type(flag) is int for flag in flags)
     bank = detect.SubsetBank(m, cfg)
-    run = kalman.run_filter(bank.filter(clean), traj, cfg.t1, cfg.t1 + bank.N - 1)
-    assert detect.residue_report(bank, traj, clean, run, bank.window_moment(traj)).passed is True
+    assert detect.residue_report(bank, traj, clean, bank.window_moment(traj)).passed is True
 
     outcome = search.smt_search(m, traj, cfg).to_dict()
     assert outcome["certificates"] and outcome["trace"]
@@ -133,3 +137,34 @@ def test_benchmark_reads_flags_passes_and_outcome_keys():
     keys = set(outcome) | set(outcome["trace"][0]) | set(outcome["certificates"][0])
     assert {"found", "subset", "flag", "sense", "vars"} <= read <= keys
     assert {"detector_calls", "wall_time"} <= keys  # read by the runners
+
+
+def test_tracer_counts_every_residue_test(monkeypatch):
+    # the tracer counts residue tests and passes at residue_report; every
+    # test, one the trace bound settles too, is one residue_report call,
+    # so on a plant where the bound fails subsets the counts equal the
+    # searches' detector calls and passing trace entries
+    m = make_random_stable_system(4, 5, 0.85, seed=51, sigma_w2=0.5, sigma_v2=0.7)
+    cfg = DetectorConfig(epsilon=1.0, N=600, t1=80, eta=1.0, k=1)
+    attack = AttackSpec((2,), SeededRandom(amplitude=10.0))
+    traj = simulate(m, attack, cfg.t1 + cfg.window_length(m.n) + m.n, seed=8, burn_in=30)
+    settled = []
+    residue_report = detect.residue_report
+
+    def recording_report(*args):
+        report = residue_report(*args)
+        settled.append(report.settled)
+        return report
+
+    monkeypatch.setattr(detect, "residue_report", recording_report)
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        outcomes = [search.exhaustive_search(m, traj, cfg), search.smt_search(m, traj, cfg)]
+    finally:
+        tracer.uninstall()
+    calls = sum(outcome.detector_calls for outcome in outcomes)
+    passes = sum(entry["flag"] == 0 for outcome in outcomes for entry in outcome.trace)
+    assert tracer.count["residue_tests"] == calls == len(settled)
+    assert tracer.count["residue_passes"] == passes >= 1
+    assert "bound" in settled
